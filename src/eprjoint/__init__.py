@@ -10,7 +10,6 @@ from .chsh import (
     c_function,
     chsh_correlation_form,
     chsh_probability_form,
-    signed_correlation_combination,
 )
 from .construction import (
     ConstructionTrace,
@@ -23,10 +22,9 @@ from .construction import (
     construct_3exp_trace,
     construct_4exp,
     construct_4exp_trace,
-    interval_p_a_plusplus,
     interval_p_aprime_bprime,
-    interval_p_aprime_plusplus,
     interval_p_dotdot,
+    interval_p_plusplus,
     interval_p_pp_bb,
     invert_params,
     marginal_residuals,
@@ -49,31 +47,21 @@ from .experiments import (
     correlations_of,
     expand_pair,
     frechet_bounds,
-    outcome_tables,
-    probs_from_correlations,
 )
 from .oracle import (
     FeasibilityResult,
     MarginalSystem,
     build_system,
     feasible,
-    max_min_entry,
     solve_system,
 )
 from .quantum import (
     AnalyzerSettings,
     DensityMatrix,
-    Observable,
-    Particle,
     chsh_optimal_settings,
-    correlation,
-    double_prob,
     experimental_probs,
-    ket00,
     ket_state,
     maximally_mixed,
-    observable_matrix,
-    single_prob,
     singlet,
     werner,
 )

@@ -86,16 +86,6 @@ def _double(probs: ExperimentalProbs, a_primed: bool, b_primed: bool) -> float:
     return table[(a_primed, b_primed)]
 
 
-def _corr(corrs: CorrelationSet, a_primed: bool, b_primed: bool) -> float:
-    table = {
-        (False, False): corrs.e_ab,
-        (False, True): corrs.e_abp,
-        (True, False): corrs.e_apb,
-        (True, True): corrs.e_apbp,
-    }
-    return table[(a_primed, b_primed)]
-
-
 def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
     """The C-function of the requested argument order.
 
@@ -110,20 +100,6 @@ def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
         - _double(probs, sa, not sb)
         + _double(probs, not sa, sb)
         - _double(probs, not sa, not sb)
-    )
-
-
-def signed_correlation_combination(corrs: CorrelationSet, variant: CVariant) -> float:
-    """The signed correlation combination equal to 2*(2*C(variant) - 1).
-
-    Its two-sided bound |.| <= 2 is equivalent to 0 <= C(variant) <= 1.
-    """
-    sa, sb = variant.swap_a, variant.swap_b
-    return (
-        -_corr(corrs, sa, sb)
-        - _corr(corrs, sa, not sb)
-        + _corr(corrs, not sa, sb)
-        - _corr(corrs, not sa, not sb)
     )
 
 

@@ -330,10 +330,10 @@ def cmd_sweep(config: RunConfig) -> dict:
         "failures": result.total_points - result.valid_points,
         "all_valid": result.all_valid,
         "min_entry": result.min_entry,
-        "min_entry_params_t": list(result.min_params.as_tuple7()),
+        "min_entry_params_t": list(result.min_params.as_tuple()),
         "min_entry_distribution": quad_at(result.min_params).labeled(),
         "most_interior_min_entry": result.best_min_entry,
-        "most_interior_params_t": list(result.best_params.as_tuple7()),
+        "most_interior_params_t": list(result.best_params.as_tuple()),
         "most_interior_distribution": quad_at(result.best_params).labeled(),
     }
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterator, Sequence
+from math import prod
+from typing import Sequence
 
 from .chsh import chsh_probability_form
 from .errors import (
@@ -34,6 +35,8 @@ from .experiments import (
     correlation_from_pair,
     expand_pair,
     frechet_bounds,
+    frechet_cells,
+    pair_from_correlation,
 )
 from .indexing import SIGNS, Sign, marginal, outcome_label, quad_index
 
@@ -56,8 +59,8 @@ class Interval:
     def width(self) -> float:
         return self.hi - self.lo
 
-    def is_empty(self, slack: float = EMPTY_SLACK) -> bool:
-        return self.lo - slack > self.hi + slack
+    def is_empty(self) -> bool:
+        return self.lo - EMPTY_SLACK > self.hi + EMPTY_SLACK
 
     def pick(self, t: float) -> float:
         """The point at fraction t of the interval, clamped inside it."""
@@ -107,16 +110,10 @@ class FamilyParams:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
 
-    @classmethod
-    def defaults(cls) -> "FamilyParams":
-        return cls()
-
-    @classmethod
-    def uniform(cls, t: float, t_aprime_bprime: float | None = None) -> "FamilyParams":
-        return cls(t, t, t, (t, t, t, t), t_aprime_bprime)
-
-    def as_tuple7(self) -> tuple[float, ...]:
-        return (self.t_dotdot, self.t_aplus, self.t_aprimeplus, *self.t_bb)
+    def as_tuple(self) -> tuple[float, ...]:
+        """The fractions in construction order, t_aprime_bprime first when set."""
+        rest = (self.t_dotdot, self.t_aplus, self.t_aprimeplus, *self.t_bb)
+        return rest if self.t_aprime_bprime is None else (self.t_aprime_bprime, *rest)
 
 
 @dataclass(frozen=True)
@@ -159,7 +156,7 @@ class QuadDistribution:
     def marginal(self, a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> float:
         return marginal(self.entries, a, ap, b, bp)
 
-    def to_probs(self, atol: float = SUM_ATOL) -> ExperimentalProbs:
+    def to_probs(self) -> ExperimentalProbs:
         """The eight measured probabilities this table reproduces."""
         return ExperimentalProbs(
             p_a=self.marginal(a=1),
@@ -170,7 +167,7 @@ class QuadDistribution:
             p_abp=self.marginal(a=1, bp=1),
             p_apb=self.marginal(ap=1, b=1),
             p_apbp=self.marginal(ap=1, bp=1),
-            atol=atol,
+            atol=SUM_ATOL,
         )
 
     def labeled(self) -> dict[str, float]:
@@ -222,24 +219,16 @@ class TripleProbs:
         return sum(self.pa_value(a, b, bp) for a in SIGNS)
 
 
-def _a_side_inputs(probs: ExperimentalProbs, a: Sign) -> tuple[float, float, float]:
-    """(P(a.+.), P(a..+), P(a...)) from the measured probabilities."""
-    if a > 0:
-        return probs.p_ab, probs.p_abp, probs.p_a
-    return probs.p_b - probs.p_ab, probs.p_bp - probs.p_abp, 1.0 - probs.p_a
-
-
-def _ap_side_inputs(probs: ExperimentalProbs, ap: Sign) -> tuple[float, float, float]:
-    """(P(.a'+.), P(.a'.+), P(.a'..)); needs the fourth experiment."""
-    p_apbp = probs.require_all_four()
-    if ap > 0:
-        return probs.p_apb, p_apbp, probs.p_ap
-    return probs.p_b - probs.p_apb, probs.p_bp - p_apbp, 1.0 - probs.p_ap
-
-
-def _plusplus_bounds(with_b: float, with_bp: float, single: float) -> Interval:
-    """max(0, P(x+.) + P(x.+) - P(x..)) <= P(x++) <= min(P(x+.), P(x.+))."""
-    return Interval(max(0.0, with_b + with_bp - single), min(with_b, with_bp))
+def _side_inputs(probs: ExperimentalProbs, primed: bool, sign: Sign) -> tuple[float, float, float]:
+    """(P(x+.), P(x.+), P(x..)) for x = sign on the A side, or on the A' side
+    (P(.x+.), P(.x.+), P(.x..)) when primed, which needs the fourth experiment."""
+    if primed:
+        with_b, with_bp, single = probs.p_apb, probs.require_all_four(), probs.p_ap
+    else:
+        with_b, with_bp, single = probs.p_ab, probs.p_abp, probs.p_a
+    if sign > 0:
+        return with_b, with_bp, single
+    return probs.p_b - with_b, probs.p_bp - with_bp, 1.0 - single
 
 
 def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
@@ -250,11 +239,11 @@ def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
     when all eight CHSH inequalities hold, otherwise ChshViolationError.
     """
     sides = []
-    for inputs in (_a_side_inputs, _ap_side_inputs):
+    for primed in (False, True):
         lows, highs = [0.0, probs.p_b + probs.p_bp - 1.0], [probs.p_b, probs.p_bp]
         cross = []
         for sign in SIGNS:
-            with_b, with_bp, single = inputs(probs, sign)
+            with_b, with_bp, single = _side_inputs(probs, primed, sign)
             lows.append(with_b + with_bp - single)
             cross.append((with_b, with_bp))
         (pb_plus, pbp_plus), (pb_minus, pbp_minus) = cross
@@ -272,48 +261,22 @@ def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
     return result
 
 
-def _split_interval(own: Interval, other: Interval, p_dotdot: float, what: str) -> Interval:
-    """Allowed values x with x in own and p_dotdot - x in other."""
-    result = Interval(
-        max(own.lo, p_dotdot - other.hi), min(own.hi, p_dotdot - other.lo)
-    )
+def interval_p_plusplus(probs: ExperimentalProbs, primed: bool, p_dotdot: float) -> Interval:
+    """Allowed interval of P(+.++), or of P(.+++) when primed, given the shared
+    marginal P(..++).
+
+    Both P(x++) and the conjugate P(-x++) = P(..++) - P(x++) must lie within
+    the Fréchet bounds of their sides' tables P(x bb') and P(-x bb').
+    """
+    own_lo, own_hi = frechet_bounds(*_side_inputs(probs, primed, 1))
+    other_lo, other_hi = frechet_bounds(*_side_inputs(probs, primed, -1))
+    result = Interval(max(own_lo, p_dotdot - other_hi), min(own_hi, p_dotdot - other_lo))
     if result.is_empty():
         raise InternalInvariantError(
-            f"empty interval for {what} at P(..++) = {p_dotdot!r}: "
+            f"empty interval for P({'.+' if primed else '+.'}++) at P(..++) = {p_dotdot!r}: "
             "the scalar lies outside its allowed region"
         )
     return result
-
-
-def interval_p_a_plusplus(probs: ExperimentalProbs, a: Sign, p_dotdot: float) -> Interval:
-    """Allowed interval of P(a.++) given the shared marginal P(..++)."""
-    own = _plusplus_bounds(*_a_side_inputs(probs, a))
-    other = _plusplus_bounds(*_a_side_inputs(probs, -a))
-    return _split_interval(own, other, p_dotdot, f"P({'+' if a > 0 else '-'}.++)")
-
-
-def interval_p_aprime_plusplus(probs: ExperimentalProbs, ap: Sign, p_dotdot: float) -> Interval:
-    """Allowed interval of P(.a'++) given the shared marginal P(..++)."""
-    own = _plusplus_bounds(*_ap_side_inputs(probs, ap))
-    other = _plusplus_bounds(*_ap_side_inputs(probs, -ap))
-    return _split_interval(own, other, p_dotdot, f"P(.{'+' if ap > 0 else '-'}++)")
-
-
-def _triple_block(with_b: float, with_bp: float, single: float, base: float, what: str):
-    """The four triples of one side from its ++ value, by sum rules."""
-    values = (
-        base,
-        with_b - base,
-        with_bp - base,
-        single + base - with_b - with_bp,
-    )
-    for label, value in zip(("++", "+-", "-+", "--"), values):
-        if value < -POS_ATOL:
-            raise InternalInvariantError(
-                f"triple probability {what}{label}) = {value!r} is negative; "
-                "a chosen scalar violates its interval"
-            )
-    return values
 
 
 def step1_triples(
@@ -321,28 +284,33 @@ def step1_triples(
 ) -> TripleProbs:
     """All sixteen triple probabilities from the three chosen scalars.
 
-    P(+.++) = p_a_pp and P(-.++) = p_dotdot - p_a_pp, then per side
-    P(x+-) = P(x+.) - P(x++), P(x-+) = P(x.+) - P(x++),
-    P(x--) = P(x..) + P(x++) - P(x+.) - P(x.+); same with primes.
+    P(+.++) = p_a_pp and P(-.++) = p_dotdot - p_a_pp; per side and sign the
+    table of (b, b') with margins P(x+.), P(x.+) and mass P(x..) then has
+    cells P(x++), P(x+-) = P(x+.) - P(x++), P(x-+) = P(x.+) - P(x++),
+    P(x--) = P(x..) - P(x+.) - P(x.+) + P(x++); same with primes.
     """
     pa: list[float] = []
     pap: list[float] = []
-    for sign in SIGNS:
-        base_a = p_a_pp if sign > 0 else p_dotdot - p_a_pp
-        pa.extend(_triple_block(*_a_side_inputs(probs, sign), base_a,
-                                f"P({'+' if sign > 0 else '-'}."))
-        base_ap = p_ap_pp if sign > 0 else p_dotdot - p_ap_pp
-        pap.extend(_triple_block(*_ap_side_inputs(probs, sign), base_ap,
-                                 f"P(.{'+' if sign > 0 else '-'}"))
+    for primed, chosen, side in ((False, p_a_pp, pa), (True, p_ap_pp, pap)):
+        for sign in SIGNS:
+            with_b, with_bp, single = _side_inputs(probs, primed, sign)
+            base = chosen if sign > 0 else p_dotdot - chosen
+            cells = frechet_cells(with_b, with_bp, single, base)
+            if min(cells) < -POS_ATOL:
+                x = "+" if sign > 0 else "-"
+                raise InternalInvariantError(
+                    f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
+                    "have a negative entry; a chosen scalar violates its interval"
+                )
+            side.extend(cells)
     return TripleProbs(tuple(pa), tuple(pap))
 
 
 def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
     """Allowed interval of P(++bb') given the step-1 triples."""
-    x = triples.pa_value(1, b, bp)
-    y = triples.pap_value(1, b, bp)
-    total = triples.p_bb(b, bp)
-    result = Interval(max(0.0, x + y - total), min(x, y))
+    result = Interval(*frechet_bounds(
+        triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp)
+    ))
     if result.is_empty():
         raise InternalInvariantError(
             f"empty interval for P(++{outcome_label((b, bp))}): "
@@ -361,16 +329,10 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
         raise UsageError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
     entries = [0.0] * 16
     for (b, bp), chosen in zip(BB_BLOCKS, p_pp_bb):
-        x = triples.pa_value(1, b, bp)
-        y = triples.pap_value(1, b, bp)
-        total = triples.p_bb(b, bp)
-        block = {
-            (1, 1): chosen,
-            (1, -1): x - chosen,
-            (-1, 1): y - chosen,
-            (-1, -1): total - x - y + chosen,
-        }
-        for (a, ap), value in block.items():
+        cells = frechet_cells(
+            triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp), chosen
+        )
+        for (a, ap), value in zip(BB_BLOCKS, cells):
             if value < -POS_ATOL:
                 raise InternalInvariantError(
                     f"P({outcome_label((a, ap, b, bp))}) = {value!r} is negative; "
@@ -396,16 +358,16 @@ class ConstructionTrace:
 def construct_4exp_trace(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> ConstructionTrace:
-    params = params if params is not None else FamilyParams.defaults()
+    params = params if params is not None else FamilyParams()
     probs.require_all_four()
     intervals: dict[str, Interval] = {}
     chosen: dict[str, float] = {}
 
     intervals["P(..++)"] = iv = interval_p_dotdot(probs)
     chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
-    intervals["P(+.++)"] = iv = interval_p_a_plusplus(probs, 1, p_dotdot)
+    intervals["P(+.++)"] = iv = interval_p_plusplus(probs, False, p_dotdot)
     chosen["P(+.++)"] = p_a_pp = iv.pick(params.t_aplus)
-    intervals["P(.+++)"] = iv = interval_p_aprime_plusplus(probs, 1, p_dotdot)
+    intervals["P(.+++)"] = iv = interval_p_plusplus(probs, True, p_dotdot)
     chosen["P(.+++)"] = p_ap_pp = iv.pick(params.t_aprimeplus)
 
     triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
@@ -440,11 +402,10 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     e_ab = correlation_from_pair(probs.p_ab, probs.p_a, probs.p_b)
     e_abp = correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp)
     e_apb = correlation_from_pair(probs.p_apb, probs.p_ap, probs.p_b)
-    shift = 2.0 * probs.p_ap + 2.0 * probs.p_bp - 1.0
 
     def corr_window(center: float, radius: float) -> Interval:
-        # correlation window -> probability window via P = (e + shift) / 4
-        return Interval((center - radius + shift) / 4.0, (center + radius + shift) / 4.0)
+        return Interval(pair_from_correlation(center - radius, probs.p_ap, probs.p_bp),
+                        pair_from_correlation(center + radius, probs.p_ap, probs.p_bp))
 
     same_sign = corr_window(e_apb, 2.0 - abs(e_ab + e_abp))
     flip_sign = corr_window(-e_apb, 2.0 - abs(e_ab - e_abp))
@@ -461,7 +422,7 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
 def construct_3exp_trace(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> ConstructionTrace:
-    params = params if params is not None else FamilyParams.defaults()
+    params = params if params is not None else FamilyParams()
     if probs.p_apbp is not None:
         raise UsageError(
             "three-experiment construction takes probabilities without P(A'B'); "
@@ -503,12 +464,12 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
     p_dotdot = iv.pick(t_dotdot)
 
     p_a_pp = quad.marginal(a=1, b=1, bp=1)
-    iv = interval_p_a_plusplus(probs, 1, p_dotdot)
+    iv = interval_p_plusplus(probs, False, p_dotdot)
     t_aplus = iv.position(p_a_pp)
     p_a_pp = iv.pick(t_aplus)
 
     p_ap_pp = quad.marginal(ap=1, b=1, bp=1)
-    iv = interval_p_aprime_plusplus(probs, 1, p_dotdot)
+    iv = interval_p_plusplus(probs, True, p_dotdot)
     t_aprimeplus = iv.position(p_ap_pp)
     p_ap_pp = iv.pick(t_aprimeplus)
 
@@ -564,48 +525,27 @@ class SweepResult:
         return self.valid_points == self.total_points
 
 
-def _block_stats(triples: TripleProbs, b: Sign, bp: Sign, axis: Sequence[float]):
-    """Per grid value of t for one (b, b') block: the block's min entry."""
-    iv = interval_p_pp_bb(triples, b, bp)
-    x = triples.pa_value(1, b, bp)
-    y = triples.pap_value(1, b, bp)
-    total = triples.p_bb(b, bp)
-    mins = []
-    for t in axis:
-        p = iv.pick(t)
-        mins.append(min(p, x - p, y - p, total - x - y + p))
-    return mins
-
-
-def sweep_grid(
-    probs: ExperimentalProbs,
-    axis: Sequence[float],
-    pos_atol: float = POS_ATOL,
-) -> SweepResult:
+def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     """Evaluate the construction on the full t-grid axis^k (k = 7 for four
     experiments, 8 for three) and report validity counts and extremes.
 
-    Exploits that, once the first parameters fix the triples, the four
-    P(++bb') blocks are independent: validity and min-entry statistics over
-    the full grid factorize exactly over blocks.  Equivalent to enumerating
-    every grid point through the scalar construction (tested against it).
+    Walks the grid in construction order, so each interval is computed once
+    per value of the parameters before it.  Once the first parameters fix
+    the triples, the four P(++bb') blocks are independent: validity and
+    min-entry statistics over the full grid factorize exactly over blocks.
+    Equivalent to enumerating every grid point through the scalar
+    construction (tested against it).
     """
     axis = [float(t) for t in axis]
     if not axis:
         raise UsageError("sweep needs at least one grid value per axis")
-    three_mode = not probs.has_all_four
-    n = len(axis)
-
-    if three_mode:
-        apbp_interval = interval_p_aprime_bprime(probs)
-        prefixes: Iterator = (
-            ((t_apbp, t0, t1, t2), probs.with_aprime_bprime(apbp_interval.pick(t_apbp)))
-            for t_apbp, t0, t1, t2 in product(axis, repeat=4)
-        )
-        total_points = n ** 8
+    if probs.has_all_four:
+        completions = [(None, probs)]
+        total_points = len(axis) ** 7
     else:
-        prefixes = (((None, t0, t1, t2), probs) for t0, t1, t2 in product(axis, repeat=3))
-        total_points = n ** 7
+        apbp_interval = interval_p_aprime_bprime(probs)
+        completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
+        total_points = len(axis) ** 8
 
     valid_points = 0
     min_entry = float("inf")
@@ -613,34 +553,34 @@ def sweep_grid(
     best_min_entry = float("-inf")
     best_choice: tuple | None = None
 
-    for (t_apbp, t0, t1, t2), full in prefixes:
-        iv = interval_p_dotdot(full)
-        p0 = iv.pick(t0)
-        p1 = interval_p_a_plusplus(full, 1, p0).pick(t1)
-        p2 = interval_p_aprime_plusplus(full, 1, p0).pick(t2)
-        triples = step1_triples(full, p1, p2, p0)
+    for t_apbp, full in completions:
+        dotdot_interval = interval_p_dotdot(full)
+        for t0 in axis:
+            p0 = dotdot_interval.pick(t0)
+            a_interval = interval_p_plusplus(full, False, p0)
+            ap_interval = interval_p_plusplus(full, True, p0)
+            for t1, t2 in product(axis, repeat=2):
+                triples = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
+                block_mins = []
+                for b, bp in BB_BLOCKS:
+                    iv = interval_p_pp_bb(triples, b, bp)
+                    margins = (triples.pa_value(1, b, bp), triples.pap_value(1, b, bp),
+                               triples.p_bb(b, bp))
+                    block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
 
-        block_mins = [_block_stats(triples, b, bp, axis) for b, bp in BB_BLOCKS]
+                valid_points += prod(sum(m >= -POS_ATOL for m in mins) for mins in block_mins)
 
-        valid_per_block = [
-            sum(1 for m in mins if m >= -pos_atol) for mins in block_mins
-        ]
-        count = 1
-        for v in valid_per_block:
-            count *= v
-        valid_points += count
+                worst = min(min(mins) for mins in block_mins)
+                if worst < min_entry:
+                    min_entry = worst
+                    worst_ts = tuple(axis[mins.index(min(mins))] for mins in block_mins)
+                    min_choice = (t_apbp, t0, t1, t2, worst_ts)
 
-        worst_ts = tuple(axis[min(range(n), key=lambda i: mins[i])] for mins in block_mins)
-        worst = min(min(mins) for mins in block_mins)
-        if worst < min_entry:
-            min_entry = worst
-            min_choice = (t_apbp, t0, t1, t2, worst_ts)
-
-        best_ts = tuple(axis[max(range(n), key=lambda i: mins[i])] for mins in block_mins)
-        best = min(max(mins) for mins in block_mins)
-        if best > best_min_entry:
-            best_min_entry = best
-            best_choice = (t_apbp, t0, t1, t2, best_ts)
+                best = min(max(mins) for mins in block_mins)
+                if best > best_min_entry:
+                    best_min_entry = best
+                    best_ts = tuple(axis[mins.index(max(mins))] for mins in block_mins)
+                    best_choice = (t_apbp, t0, t1, t2, best_ts)
 
     def to_params(choice: tuple) -> FamilyParams:
         t_apbp, t0, t1, t2, t_bb = choice

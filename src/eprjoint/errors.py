@@ -22,7 +22,7 @@ class ValidationError(EprJointError):
 
 
 class UsageError(EprJointError):
-    """An operation was called outside its contract (wrong particle, missing field)."""
+    """An operation was called outside its contract (missing P(A'B'), wrong value count)."""
 
     exit_code = EXIT_VALIDATION
 

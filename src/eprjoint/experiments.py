@@ -28,9 +28,16 @@ def pair_from_correlation(e_xy: float, p_x: float, p_y: float) -> float:
     return (e_xy + 2.0 * p_x + 2.0 * p_y - 1.0) / 4.0
 
 
-def frechet_bounds(p_x: float, p_y: float) -> tuple[float, float]:
-    """max(0, P(X)+P(Y)-1) <= P(XY) <= min(P(X), P(Y))."""
-    return max(0.0, p_x + p_y - 1.0), min(p_x, p_y)
+def frechet_bounds(row: float, col: float, total: float = 1.0) -> tuple[float, float]:
+    """max(0, row + col - total) <= P(++) <= min(row, col) for a 2x2 table of
+    mass total with margins P(+.) = row and P(.+) = col."""
+    return max(0.0, row + col - total), min(row, col)
+
+
+def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[float, float, float, float]:
+    """The cells (P(++), P(+-), P(-+), P(--)) of that table given P(++) = pp;
+    all are nonnegative exactly when pp lies within frechet_bounds."""
+    return pp, row - pp, col - pp, total + pp - row - col
 
 
 def _check_unit_interval(name: str, value: float, atol: float) -> None:
@@ -144,6 +151,14 @@ class CorrelationSet:
         return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
 
 
+_CELL_BOUNDS = (
+    ("(+,+)", "P(XY) >= 0"),
+    ("(+,-)", "P(XY) <= P(X)"),
+    ("(-,+)", "P(XY) <= P(Y)"),
+    ("(-,-)", "P(XY) >= P(X) + P(Y) - 1"),
+)
+
+
 def expand_pair(p_x: float, p_y: float, p_xy: float, atol: float = DEFAULT_ATOL) -> PairOutcomeTable:
     """Expand (P(X), P(Y), P(XY)) into the four outcome probabilities.
 
@@ -152,18 +167,13 @@ def expand_pair(p_x: float, p_y: float, p_xy: float, atol: float = DEFAULT_ATOL)
     """
     for name, value in (("P(X)", p_x), ("P(Y)", p_y), ("P(XY)", p_xy)):
         _check_unit_interval(name, value, atol)
-    entries = {
-        "(+,+)": (p_xy, "P(XY) >= 0"),
-        "(+,-)": (p_x - p_xy, "P(XY) <= P(X)"),
-        "(-,+)": (p_y - p_xy, "P(XY) <= P(Y)"),
-        "(-,-)": (1.0 - p_x - p_y + p_xy, "P(XY) >= P(X) + P(Y) - 1"),
-    }
-    for name, (value, bound) in entries.items():
+    cells = frechet_cells(p_x, p_y, 1.0, p_xy)
+    for (name, bound), value in zip(_CELL_BOUNDS, cells):
         if value < -atol:
             raise InputInconsistencyError(
                 f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
             )
-    return PairOutcomeTable(*(v for v, _ in entries.values()), atol=atol)
+    return PairOutcomeTable(*cells, atol=atol)
 
 
 def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
@@ -176,45 +186,3 @@ def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
         e_apbp=correlation_from_pair(p_apbp, probs.p_ap, probs.p_bp),
         atol=probs.atol,
     )
-
-
-def probs_from_correlations(
-    singles: tuple[float, float, float, float],
-    corrs: CorrelationSet,
-    atol: float = DEFAULT_ATOL,
-) -> ExperimentalProbs:
-    """Assemble ExperimentalProbs from singles and correlations.
-
-    Raises InputInconsistencyError when a recovered double violates its
-    Fréchet bounds (the combination cannot come from any pair distribution).
-    """
-    p_a, p_ap, p_b, p_bp = singles
-    for name, value in zip(SINGLE_LABELS, singles):
-        _check_unit_interval(f"P({name})", value, atol)
-    doubles = (
-        pair_from_correlation(corrs.e_ab, p_a, p_b),
-        pair_from_correlation(corrs.e_abp, p_a, p_bp),
-        pair_from_correlation(corrs.e_apb, p_ap, p_b),
-        pair_from_correlation(corrs.e_apbp, p_ap, p_bp),
-    )
-    pair_singles = ((p_a, p_b), (p_a, p_bp), (p_ap, p_b), (p_ap, p_bp))
-    for label, p_xy, (p_x, p_y) in zip(PAIR_LABELS, doubles, pair_singles):
-        lo, hi = frechet_bounds(p_x, p_y)
-        if not (lo - atol <= p_xy <= hi + atol):
-            raise InputInconsistencyError(
-                f"P({label}) = {p_xy!r} recovered from <{label}> falls outside "
-                f"its Fréchet interval [{lo!r}, {hi!r}]"
-            )
-    return ExperimentalProbs(p_a, p_ap, p_b, p_bp, *doubles, atol=atol)
-
-
-def outcome_tables(probs: ExperimentalProbs) -> dict[str, PairOutcomeTable]:
-    """Per-experiment outcome tables of all measured experiments."""
-    tables = {
-        "AB": expand_pair(probs.p_a, probs.p_b, probs.p_ab, probs.atol),
-        "AB'": expand_pair(probs.p_a, probs.p_bp, probs.p_abp, probs.atol),
-        "A'B": expand_pair(probs.p_ap, probs.p_b, probs.p_apb, probs.atol),
-    }
-    if probs.p_apbp is not None:
-        tables["A'B'"] = expand_pair(probs.p_ap, probs.p_bp, probs.p_apbp, probs.atol)
-    return tables

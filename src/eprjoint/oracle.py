@@ -57,18 +57,18 @@ STANDARD_ROWS: tuple[tuple[int, ...], ...] = tuple(
 
 @dataclass(frozen=True)
 class MarginalSystem:
-    """The nine marginal equalities as 0/1 coefficient rows with rhs values.
+    """The nine marginal equalities STANDARD_ROWS (0/1 coefficients) with
+    their rhs values.
 
     Row order matches ROW_LABELS.  rhs entries may be floats or exact
     Fractions; Fractions switch the solver to exact arithmetic.
     """
 
     rhs: tuple
-    rows: tuple[tuple[int, ...], ...] = STANDARD_ROWS
 
     def __post_init__(self) -> None:
-        if len(self.rhs) != 9 or len(self.rows) != 9:
-            raise UsageError("marginal system needs 9 rows and 9 rhs values")
+        if len(self.rhs) != 9:
+            raise UsageError(f"marginal system needs 9 rhs values, got {len(self.rhs)}")
         object.__setattr__(self, "rhs", tuple(self.rhs))
 
     @property
@@ -159,10 +159,10 @@ class _Simplex:
         else:
             self.zero, self.one, self.tol = 0.0, 1.0, _PIVOT_TOL
             cast = float
-        row_sums = [sum(row) for row in system.rows]
+        row_sums = [sum(row) for row in STANDARD_ROWS]
         tableau = np.full((self.M + 1, self.N + 1), self.zero,
                           dtype=object if self.exact else float)
-        for i, row in enumerate(system.rows):
+        for i, row in enumerate(STANDARD_ROWS):
             for j, coef in enumerate(row):
                 tableau[i][j] = cast(coef)
             tableau[i][16] = cast(row_sums[i])       # auxiliary column = A.1
@@ -254,11 +254,6 @@ def solve_system(system: MarginalSystem, eps: float = LP_EPS) -> FeasibilityResu
         certificate=certificate,
         iterations=sx.iterations,
     )
-
-
-def max_min_entry(system: MarginalSystem, eps: float = LP_EPS):
-    """Optimal value of the max-min-entry LP; feasibility means value >= -eps."""
-    return solve_system(system, eps).value
 
 
 def feasible(

@@ -3,19 +3,21 @@ probabilities obtained from them by Pauli-operator traces.
 
 A measurement direction n defines the dichotomic observable sigma.n with
 eigenvalues +-1; the probability of outcome +1 is tr(rho * Pi) with
-Pi = (I + sigma.n)/2 on the relevant qubit, identity on the other.
+Pi = (I + sigma.n)/2 on the relevant qubit, identity on the other.  All
+such traces are affine in the 16 Pauli expectations
+R[m, n] = tr(rho sigma_m x sigma_n), sigma_0 = I (R., P. & M. Horodecki,
+Phys. Lett. A 200, 340 (1995)), so the probabilities are read from R.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError, ValidationError
-from .experiments import ExperimentalProbs
+from .errors import ValidationError
+from .experiments import PAIR_LABELS, SINGLE_LABELS, ExperimentalProbs
 
 HERMITICITY_ATOL = 1e-9
 TRACE_ATOL = 1e-9
@@ -23,19 +25,19 @@ PSD_ATOL = 1e-9
 NORM_ATOL = 1e-9
 PROB_ATOL = 1e-9
 
-_I2 = np.eye(2, dtype=complex)
-_PAULI = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-)
+_SIGMA = np.array([
+    [[1.0, 0.0], [0.0, 1.0]],
+    [[0.0, 1.0], [1.0, 0.0]],
+    [[0.0, -1.0j], [1.0j, 0.0]],
+    [[1.0, 0.0], [0.0, -1.0]],
+], dtype=complex)
+# Row 4m + n holds sigma_m x sigma_n flattened, so that its dot product with
+# the flattened transpose of rho is tr(rho sigma_m x sigma_n).
+_PAULI_PAIRS = np.einsum("mik,njl->mnijkl", _SIGMA, _SIGMA).reshape(16, 16)
+
+_PROB_LABELS = tuple(f"P({label})" for label in SINGLE_LABELS + PAIR_LABELS)
 
 Vec3 = tuple[float, float, float]
-
-
-class Particle(enum.Enum):
-    FIRST = "first"
-    SECOND = "second"
 
 
 def _as_unit_vector(name: str, direction) -> Vec3:
@@ -46,19 +48,6 @@ def _as_unit_vector(name: str, direction) -> Vec3:
     if abs(norm - 1.0) > NORM_ATOL:
         raise ValidationError(f"{name} has norm {norm!r}, expected a unit vector")
     return vec
-
-
-@dataclass(frozen=True)
-class Observable:
-    """A spin observable sigma.n acting on one of the two qubits."""
-
-    particle: Particle
-    direction: Vec3
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "direction", _as_unit_vector("observable direction", self.direction)
-        )
 
 
 @dataclass(frozen=True)
@@ -74,14 +63,6 @@ class AnalyzerSettings:
         labels = {"n_a": "n_A", "n_ap": "n_A'", "n_b": "n_B", "n_bp": "n_B'"}
         for name, label in labels.items():
             object.__setattr__(self, name, _as_unit_vector(label, getattr(self, name)))
-
-    def observables(self) -> tuple[Observable, Observable, Observable, Observable]:
-        return (
-            Observable(Particle.FIRST, self.n_a),
-            Observable(Particle.FIRST, self.n_ap),
-            Observable(Particle.SECOND, self.n_b),
-            Observable(Particle.SECOND, self.n_bp),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,10 +111,6 @@ def ket_state(bits: str) -> DensityMatrix:
     return DensityMatrix(np.outer(ket, ket.conj()))
 
 
-def ket00() -> DensityMatrix:
-    return ket_state("00")
-
-
 def maximally_mixed() -> DensityMatrix:
     return DensityMatrix(np.eye(4, dtype=complex) / 4.0)
 
@@ -154,80 +131,27 @@ def chsh_optimal_settings() -> AnalyzerSettings:
     )
 
 
-def _sigma_dot(direction: Vec3) -> np.ndarray:
-    return sum(c * pauli for c, pauli in zip(direction, _PAULI))
-
-
-def observable_matrix(obs: Observable) -> np.ndarray:
-    """4x4 matrix of sigma.n on the observable's qubit, identity on the other."""
-    local = _sigma_dot(obs.direction)
-    if obs.particle is Particle.FIRST:
-        return np.kron(local, _I2)
-    return np.kron(_I2, local)
-
-
-def _projector_plus(obs: Observable) -> np.ndarray:
-    local = (_I2 + _sigma_dot(obs.direction)) / 2.0
-    if obs.particle is Particle.FIRST:
-        return np.kron(local, _I2)
-    return np.kron(_I2, local)
-
-
-def _real_trace(rho: DensityMatrix, operator: np.ndarray, what: str) -> float:
-    value = np.trace(rho.matrix @ operator)
-    if abs(value.imag) > PROB_ATOL:
-        raise ValidationError(f"{what} has imaginary part {value.imag!r}")
-    return float(value.real)
-
-
-def _clamp(value: float, lo: float, hi: float, what: str) -> float:
-    if value < lo - PROB_ATOL or value > hi + PROB_ATOL:
-        raise ValidationError(f"{what} = {value!r} is outside [{lo}, {hi}]")
-    return min(max(value, lo), hi)
-
-
-def _require_pair(obs_a: Observable, obs_b: Observable) -> None:
-    if obs_a.particle is not Particle.FIRST or obs_b.particle is not Particle.SECOND:
-        raise UsageError(
-            "pair operations need the first observable on particle one and the "
-            f"second on particle two, got ({obs_a.particle.value}, {obs_b.particle.value})"
-        )
-
-
-def correlation(rho: DensityMatrix, obs_a: Observable, obs_b: Observable) -> float:
-    """<AB> = tr(rho (sigma.n_A x sigma.n_B)), clamped into [-1, 1]."""
-    _require_pair(obs_a, obs_b)
-    value = _real_trace(
-        rho, observable_matrix(obs_a) @ observable_matrix(obs_b), "correlation trace"
-    )
-    return _clamp(value, -1.0, 1.0, "correlation")
-
-
-def single_prob(rho: DensityMatrix, obs: Observable) -> float:
-    """P(outcome +1) = tr(rho Pi+) for one observable."""
-    value = _real_trace(rho, _projector_plus(obs), "single probability trace")
-    return _clamp(value, 0.0, 1.0, "single probability")
-
-
-def double_prob(rho: DensityMatrix, obs_a: Observable, obs_b: Observable) -> float:
-    """P(both outcomes +1) = tr(rho Pi+_A Pi+_B)."""
-    _require_pair(obs_a, obs_b)
-    value = _real_trace(
-        rho, _projector_plus(obs_a) @ _projector_plus(obs_b), "double probability trace"
-    )
-    return _clamp(value, 0.0, 1.0, "double probability")
-
-
 def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> ExperimentalProbs:
-    """All eight independent measured probabilities of the four EPR experiments."""
-    obs_a, obs_ap, obs_b, obs_bp = settings.observables()
-    return ExperimentalProbs(
-        p_a=single_prob(rho, obs_a),
-        p_ap=single_prob(rho, obs_ap),
-        p_b=single_prob(rho, obs_b),
-        p_bp=single_prob(rho, obs_bp),
-        p_ab=double_prob(rho, obs_a, obs_b),
-        p_abp=double_prob(rho, obs_a, obs_bp),
-        p_apb=double_prob(rho, obs_ap, obs_b),
-        p_apbp=double_prob(rho, obs_ap, obs_bp),
-    )
+    """All eight independent measured probabilities of the four EPR experiments.
+
+    With u = (1, n_X) and v = (1, n_Y): P(X) = u.R[:, 0]/2, P(Y) = R[0, :].v/2
+    and P(XY) = u R v^T/4, the traces tr(rho Pi+) and tr(rho Pi+_X Pi+_Y).
+    """
+    pauli = (_PAULI_PAIRS @ rho.matrix.T.reshape(16)).reshape(4, 4)
+    u = np.array([(1.0, *settings.n_a), (1.0, *settings.n_ap)])
+    v = np.array([(1.0, *settings.n_b), (1.0, *settings.n_bp)])
+    values = np.concatenate((
+        u @ pauli[:, 0] / 2.0, pauli[0] @ v.T / 2.0, (u @ pauli @ v.T).reshape(4) / 4.0
+    ))
+    imag = np.abs(values.imag)
+    if imag.max() > PROB_ATOL:
+        k = int(imag.argmax())
+        raise ValidationError(
+            f"{_PROB_LABELS[k]} trace has imaginary part {float(values[k].imag)!r}"
+        )
+    probs = []
+    for k, value in enumerate(values.real.tolist()):
+        if value < -PROB_ATOL or value > 1.0 + PROB_ATOL:
+            raise ValidationError(f"{_PROB_LABELS[k]} = {value!r} is outside [0, 1]")
+        probs.append(min(max(value, 0.0), 1.0))
+    return ExperimentalProbs(*probs)

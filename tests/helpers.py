@@ -22,6 +22,12 @@ from eprjoint import (
 
 SQRT2 = math.sqrt(2.0)
 
+PAULI = (
+    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+)
+
 # frozen: trace oracle at the canonical CHSH-optimal settings
 P_SINGLET_LOW = (2.0 - SQRT2) / 8.0    # 0.07322330470336313
 P_SINGLET_HIGH = (2.0 + SQRT2) / 8.0   # 0.4267766952966369
@@ -114,3 +120,26 @@ def mixed_population(rng: np.random.Generator, count: int) -> list[ExperimentalP
                 experimental_probs(random_pure(rng), random_settings(rng))
             )
     return population
+
+
+def observable_matrix(direction, first: bool) -> np.ndarray:
+    """4x4 matrix of sigma.n on the first or second qubit, identity on the other."""
+    local = sum(c * pauli for c, pauli in zip(direction, PAULI))
+    return np.kron(local, np.eye(2)) if first else np.kron(np.eye(2), local)
+
+
+def trace_correlation(rho: DensityMatrix, n_x, n_y) -> complex:
+    """<XY> = tr(rho (sigma.n_X x sigma.n_Y)) by direct 4x4 trace."""
+    op = observable_matrix(n_x, first=True) @ observable_matrix(n_y, first=False)
+    return np.trace(rho.matrix @ op)
+
+
+def trace_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> tuple[complex, ...]:
+    """The eight measured probabilities (singles A, A', B, B', then doubles
+    AB, AB', A'B, A'B') by direct 4x4 trace enumeration: tr(rho Pi+) and
+    tr(rho Pi+_X Pi+_Y) with Pi+ = (I + sigma.n)/2 on the measured qubit."""
+    eye = np.eye(4)
+    proj_a = [(eye + observable_matrix(n, first=True)) / 2 for n in (settings.n_a, settings.n_ap)]
+    proj_b = [(eye + observable_matrix(n, first=False)) / 2 for n in (settings.n_b, settings.n_bp)]
+    ops = [*proj_a, *proj_b, *(pa @ pb for pa in proj_a for pb in proj_b)]
+    return tuple(np.trace(rho.matrix @ op) for op in ops)

@@ -209,7 +209,7 @@ def test_criterion_5_family_completeness():
         ok, witness = feasible(build_system(probs))
         assert ok and witness is not None
         params = invert_params(probs, witness)
-        assert all(0.0 <= t <= 1.0 for t in params.as_tuple7())
+        assert all(0.0 <= t <= 1.0 for t in params.as_tuple())
         rebuilt = construct_4exp(probs, params)
         worst = max(
             worst, max(abs(x - y) for x, y in zip(rebuilt.entries, witness.entries))

@@ -258,6 +258,25 @@ class TestSweepMode:
         code, _, err = run_cli(capsys, "--mode", "sweep", "--input", path, "--grid", "x")
         assert code == 2
 
+    def test_three_experiment_params_reproduce_tables(self, write_json, capsys):
+        # the reported fractions, P(A'B') first, rebuild the reported tables
+        path = write_json("s3.json", SINGLET_PROBS_3)
+        code, out, _ = run_cli(capsys, "--mode", "sweep", "--input", path, "--grid", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert report["grid"]["axes"] == 8
+        for key in ("min_entry", "most_interior"):
+            t = report[f"{key}_params_t"]
+            assert len(t) == 8
+            params = write_json("p.json", {"t": {
+                "aprime_bprime": t[0], "dotdot": t[1], "a_plus": t[2],
+                "aprime_plus": t[3], "bb": t[4:8],
+            }})
+            code, out, _ = run_cli(capsys, "--mode", "construct3", "--input", path,
+                                   "--params", params)
+            assert code == 0
+            assert json.loads(out)["distribution"] == report[f"{key}_distribution"]
+
 
 class TestMcVerifyMode:
     def test_uniform_within_5_sigma(self, write_json, capsys):

@@ -25,10 +25,9 @@ from eprjoint import (
     construct_3exp_trace,
     construct_4exp,
     construct_4exp_trace,
-    interval_p_a_plusplus,
     interval_p_aprime_bprime,
-    interval_p_aprime_plusplus,
     interval_p_dotdot,
+    interval_p_plusplus,
     interval_p_pp_bb,
     invert_params,
     marginal_residuals,
@@ -93,25 +92,47 @@ class TestIntervalDotdot:
 
 class TestSplitIntervals:
     def test_uniform_a_plus(self):
-        iv = interval_p_a_plusplus(uniform_probs(), 1, 0.25)
+        iv = interval_p_plusplus(uniform_probs(), False, 0.25)
         assert (iv.lo, iv.hi) == (0.0, 0.25)
 
     def test_deterministic_pinned(self):
-        iv = interval_p_a_plusplus(det00_probs(), 1, 1.0)
+        iv = interval_p_plusplus(det00_probs(), False, 1.0)
         assert (iv.lo, iv.hi) == (1.0, 1.0)
 
     def test_conjugate_pins_at_zero(self):
-        iv = interval_p_a_plusplus(uniform_probs(), 1, 0.0)
+        iv = interval_p_plusplus(uniform_probs(), False, 0.0)
         assert (iv.lo, iv.hi) == (0.0, 0.0)
 
     def test_uniform_aprime_sides(self):
-        for sign in (1, -1):
-            iv = interval_p_aprime_plusplus(uniform_probs(), sign, 0.25)
-            assert (iv.lo, iv.hi) == (0.0, 0.25)
+        # P(.-++) = P(..++) - P(.+++) ranges over the mirrored interval
+        iv = interval_p_plusplus(uniform_probs(), True, 0.25)
+        assert (iv.lo, iv.hi) == (0.0, 0.25)
+        assert (0.25 - iv.hi, 0.25 - iv.lo) == (0.0, 0.25)
 
     def test_out_of_range_dotdot(self):
         with pytest.raises(InternalInvariantError):
-            interval_p_a_plusplus(uniform_probs(), 1, 0.7)
+            interval_p_plusplus(uniform_probs(), False, 0.7)
+
+    def test_minus_side_identity(self):
+        # The trace reports the split intervals at the chosen P(..++), and the
+        # triples carry P(-.++) = P(..++) - P(+.++) (same with primes)
+        # inside the Fréchet bounds of the minus side's (b, b') table.
+        rng = np.random.default_rng(131)
+        for _ in range(300):
+            probs = satisfying_probs(rng)
+            trace = construct_4exp_trace(probs, random_params(rng))
+            p_dotdot = trace.chosen["P(..++)"]
+            for primed, label, side, p_x, p_xbb in (
+                (False, "P(+.++)", trace.triples.pa, probs.p_a, (probs.p_ab, probs.p_abp)),
+                (True, "P(.+++)", trace.triples.pap, probs.p_ap, (probs.p_apb, probs.p_apbp)),
+            ):
+                assert trace.intervals[label] == interval_p_plusplus(probs, primed, p_dotdot)
+                chosen = trace.chosen[label]
+                assert side[0] == chosen
+                assert side[4] == pytest.approx(p_dotdot - chosen, abs=1e-15)
+                row, col = probs.p_b - p_xbb[0], probs.p_bp - p_xbb[1]
+                lo = max(0.0, row + col - (1.0 - p_x))
+                assert lo - 1e-12 <= side[4] <= min(row, col) + 1e-12
 
 
 class TestStep1:
@@ -141,8 +162,8 @@ class TestStep1:
         for _ in range(300):
             probs = satisfying_probs(rng)
             p0 = interval_p_dotdot(probs).pick(rng.uniform())
-            p1 = interval_p_a_plusplus(probs, 1, p0).pick(rng.uniform())
-            p2 = interval_p_aprime_plusplus(probs, 1, p0).pick(rng.uniform())
+            p1 = interval_p_plusplus(probs, False, p0).pick(rng.uniform())
+            p2 = interval_p_plusplus(probs, True, p0).pick(rng.uniform())
             triples = step1_triples(probs, p1, p2, p0)
             assert sum(triples.pa) == pytest.approx(1.0, abs=1e-12)
             for a in (1, -1):
@@ -203,7 +224,7 @@ class TestConstruct4:
 
     def test_deterministic_point_mass(self):
         for t in (0.0, 0.3, 1.0):
-            quad = construct_4exp(det00_probs(), FamilyParams.uniform(t))
+            quad = construct_4exp(det00_probs(), FamilyParams(t, t, t, (t,) * 4))
             assert quad.value(1, 1, 1, 1) == 1.0
 
     def test_marginals_reproduced(self):
@@ -294,7 +315,7 @@ class TestConstruct3:
         probs3 = singlet_optimal_probs().without_aprime_bprime()
         for t in (0.0, 0.25, 0.5, 0.75, 1.0):
             for t_rest in (0.0, 0.5, 1.0):
-                params = FamilyParams.uniform(t_rest, t_aprime_bprime=t)
+                params = FamilyParams(t_rest, t_rest, t_rest, (t_rest,) * 4, t)
                 quad, chosen = construct_3exp(probs3, params)
                 assert abs(chosen - P_SINGLET_HIGH) > 1e-6
                 _, worst = marginal_residuals(quad, probs3)
@@ -317,7 +338,7 @@ class TestInversion:
             rebuilt = construct_4exp(probs, recovered)
             for x, y in zip(rebuilt.entries, quad.entries):
                 assert x == pytest.approx(y, abs=1e-9)
-            assert all(0.0 <= t <= 1.0 for t in recovered.as_tuple7())
+            assert all(0.0 <= t <= 1.0 for t in recovered.as_tuple())
 
 
 class TestSweep:
@@ -405,6 +426,6 @@ class TestFamilyParams:
             FamilyParams(t_aprime_bprime=2.0)
 
     def test_defaults_are_midpoints(self):
-        params = FamilyParams.defaults()
-        assert params.as_tuple7() == (0.5,) * 7
+        params = FamilyParams()
+        assert params.as_tuple() == (0.5,) * 7
         assert params.t_aprime_bprime is None

@@ -14,11 +14,13 @@ from eprjoint import (
     InputInconsistencyError,
     UsageError,
     ValidationError,
+    construct_3exp,
+    construct_4exp,
     correlations_of,
     expand_pair,
-    outcome_tables,
-    probs_from_correlations,
+    marginal_residuals,
 )
+from eprjoint.experiments import correlation_from_pair, pair_from_correlation
 from helpers import quantum_probs, synthetic_probs, uniform_probs
 
 SQRT2 = math.sqrt(2.0)
@@ -74,34 +76,34 @@ class TestCorrelationsOf:
 
 class TestProbsFromCorrelations:
     def test_uniform(self):
-        probs = probs_from_correlations((0.5,) * 4, CorrelationSet(0, 0, 0, 0))
-        assert probs.doubles() == (0.25, 0.25, 0.25, 0.25)
+        assert pair_from_correlation(0.0, 0.5, 0.5) == 0.25
 
     def test_anticorrelation(self):
-        probs = probs_from_correlations((0.5,) * 4, CorrelationSet(-1, 0, 0, 0))
-        assert probs.p_ab == 0.0
+        assert pair_from_correlation(-1.0, 0.5, 0.5) == 0.0
 
     def test_affine_inverse(self):
-        probs = probs_from_correlations((0.5,) * 4, CorrelationSet(-SQRT2 / 2, 0, 0, 0))
-        assert probs.p_ab == pytest.approx((2 - SQRT2) / 8, abs=1e-15)
+        p_ab = pair_from_correlation(-SQRT2 / 2, 0.5, 0.5)
+        assert p_ab == pytest.approx((2 - SQRT2) / 8, abs=1e-15)
 
     def test_frechet_violation(self):
         # perfect correlation is impossible with mismatched singles
-        with pytest.raises(InputInconsistencyError):
-            probs_from_correlations((0.9, 0.5, 0.1, 0.5), CorrelationSet(1.0, 0, 0, 0))
+        p_ab = pair_from_correlation(1.0, 0.9, 0.1)
+        with pytest.raises(ValidationError, match="Fréchet upper"):
+            ExperimentalProbs(0.9, 0.5, 0.1, 0.5, p_ab, 0.25, 0.25, 0.25)
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(101)
         for _ in range(2000):
             probs = synthetic_probs(rng)
-            back = probs_from_correlations(probs.singles(), correlations_of(probs))
-            for x, y in zip(back.doubles(), probs.doubles()):
+            pair_singles = ((probs.p_a, probs.p_b), (probs.p_a, probs.p_bp),
+                            (probs.p_ap, probs.p_b), (probs.p_ap, probs.p_bp))
+            back = [pair_from_correlation(e, *singles)
+                    for e, singles in zip(correlations_of(probs).as_tuple(), pair_singles)]
+            for x, y in zip(back, probs.doubles()):
                 assert x == pytest.approx(y, abs=1e-12)
 
     @given(unit, unit, st.floats(min_value=-1, max_value=1, allow_nan=False))
     def test_pair_round_trip(self, p_x, p_y, e):
-        from eprjoint.experiments import correlation_from_pair, pair_from_correlation
-
         p_xy = pair_from_correlation(e, p_x, p_y)
         assert correlation_from_pair(p_xy, p_x, p_y) == pytest.approx(e, abs=1e-12)
 
@@ -136,5 +138,10 @@ class TestValidation:
             quantum_probs(rng)
 
     def test_outcome_tables_count(self):
-        assert len(outcome_tables(uniform_probs())) == 4
-        assert len(outcome_tables(uniform_probs().without_aprime_bprime())) == 3
+        # one outcome table per measured experiment
+        probs = uniform_probs()
+        residuals, _ = marginal_residuals(construct_4exp(probs), probs)
+        assert len(residuals) == 4
+        probs3 = probs.without_aprime_bprime()
+        residuals, _ = marginal_residuals(construct_3exp(probs3)[0], probs3)
+        assert len(residuals) == 3

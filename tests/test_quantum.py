@@ -1,4 +1,4 @@
-"""Tests for density matrices, observables, and trace-based probabilities."""
+"""Tests for density matrices, settings, and trace-based probabilities."""
 
 from __future__ import annotations
 
@@ -10,20 +10,14 @@ import pytest
 from eprjoint import (
     AnalyzerSettings,
     DensityMatrix,
-    Observable,
-    Particle,
-    UsageError,
     ValidationError,
     chsh_optimal_settings,
-    correlation,
+    chsh_probability_form,
     correlations_of,
     chsh_correlation_form,
-    double_prob,
     experimental_probs,
-    ket00,
+    ket_state,
     maximally_mixed,
-    observable_matrix,
-    single_prob,
     singlet,
     werner,
 )
@@ -32,114 +26,102 @@ from helpers import (
     P_SINGLET_LOW,
     TSIRELSON,
     ginibre_density,
+    observable_matrix,
     random_settings,
     random_unit,
+    trace_correlation,
+    trace_probs,
 )
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
 
-FIRST_Z = Observable(Particle.FIRST, Z)
-SECOND_Z = Observable(Particle.SECOND, Z)
+
+def probs_at(rho, n_a=Z, n_ap=Z, n_b=Z, n_bp=Z):
+    return experimental_probs(rho, AnalyzerSettings(n_a, n_ap, n_b, n_bp))
 
 
 class TestObservableMatrix:
+    """The Kronecker operators behind the trace reference in helpers."""
+
     def test_sigma_z_first(self):
-        np.testing.assert_allclose(observable_matrix(FIRST_Z), np.diag([1, 1, -1, -1]))
+        np.testing.assert_allclose(observable_matrix(Z, first=True), np.diag([1, 1, -1, -1]))
 
     def test_sigma_z_second(self):
-        np.testing.assert_allclose(observable_matrix(SECOND_Z), np.diag([1, -1, 1, -1]))
+        np.testing.assert_allclose(observable_matrix(Z, first=False), np.diag([1, -1, 1, -1]))
 
     def test_sigma_x_first(self):
         expected = np.zeros((4, 4))
         expected[0, 2] = expected[2, 0] = expected[1, 3] = expected[3, 1] = 1.0
-        np.testing.assert_allclose(
-            observable_matrix(Observable(Particle.FIRST, X)), expected
-        )
+        np.testing.assert_allclose(observable_matrix(X, first=True), expected)
 
     def test_squares_to_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            obs = Observable(
-                Particle.FIRST if rng.uniform() < 0.5 else Particle.SECOND,
-                random_unit(rng),
-            )
-            m = observable_matrix(obs)
+            m = observable_matrix(random_unit(rng), first=rng.uniform() < 0.5)
             np.testing.assert_allclose(m @ m, np.eye(4), atol=1e-12)
             np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
 
     def test_non_unit_direction(self):
         with pytest.raises(ValidationError, match="unit"):
-            Observable(Particle.FIRST, (0.5, 0.0, 0.0))
+            AnalyzerSettings((0.5, 0.0, 0.0), Z, Z, Z)
 
 
 class TestCorrelation:
     def test_singlet_aligned(self):
-        assert correlation(singlet(), FIRST_Z, SECOND_Z) == pytest.approx(-1.0, abs=1e-12)
+        assert correlations_of(probs_at(singlet())).e_ab == pytest.approx(-1.0, abs=1e-12)
 
     def test_mixed_state(self):
-        assert correlation(maximally_mixed(), FIRST_Z, SECOND_Z) == pytest.approx(0.0, abs=1e-12)
+        assert correlations_of(probs_at(maximally_mixed())).e_ab == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_orthogonal(self):
-        obs_b = Observable(Particle.SECOND, X)
-        assert correlation(singlet(), FIRST_Z, obs_b) == pytest.approx(0.0, abs=1e-12)
+        corrs = correlations_of(probs_at(singlet(), n_b=X))
+        assert corrs.e_ab == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_minus_dot_product(self):
         rng = np.random.default_rng(17)
         rho = singlet()
         for _ in range(100):
-            na, nb = random_unit(rng), random_unit(rng)
-            value = correlation(
-                rho, Observable(Particle.FIRST, na), Observable(Particle.SECOND, nb)
-            )
-            assert value == pytest.approx(-float(np.dot(na, nb)), abs=1e-10)
-
-    def test_same_particle_usage_error(self):
-        with pytest.raises(UsageError):
-            correlation(singlet(), FIRST_Z, Observable(Particle.FIRST, X))
-        with pytest.raises(UsageError):
-            correlation(singlet(), SECOND_Z, FIRST_Z)
+            settings = random_settings(rng)
+            corrs = correlations_of(experimental_probs(rho, settings))
+            pairs = [(settings.n_a, settings.n_b), (settings.n_a, settings.n_bp),
+                     (settings.n_ap, settings.n_b), (settings.n_ap, settings.n_bp)]
+            for value, (na, nb) in zip(corrs.as_tuple(), pairs):
+                assert value == pytest.approx(-float(np.dot(na, nb)), abs=1e-10)
 
 
 class TestProbabilities:
     def test_singlet_single_is_half(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            obs = Observable(Particle.FIRST, random_unit(rng))
-            assert single_prob(singlet(), obs) == pytest.approx(0.5, abs=1e-12)
+            probs = experimental_probs(singlet(), random_settings(rng))
+            assert probs.singles() == pytest.approx((0.5,) * 4, abs=1e-12)
 
     def test_ket00_eigenstate(self):
-        assert single_prob(ket00(), FIRST_Z) == pytest.approx(1.0, abs=1e-12)
+        assert probs_at(ket_state("00")).p_a == pytest.approx(1.0, abs=1e-12)
 
     def test_ket00_transverse(self):
         # frozen: trace oracle gives 1/2 for an x measurement on |0>
-        assert single_prob(ket00(), Observable(Particle.FIRST, X)) == pytest.approx(0.5, abs=1e-12)
+        assert probs_at(ket_state("00"), n_a=X).p_a == pytest.approx(0.5, abs=1e-12)
 
     def test_singlet_double_aligned(self):
-        assert double_prob(singlet(), FIRST_Z, SECOND_Z) == pytest.approx(0.0, abs=1e-12)
+        assert probs_at(singlet()).p_ab == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_double(self):
-        assert double_prob(maximally_mixed(), FIRST_Z, SECOND_Z) == pytest.approx(0.25, abs=1e-12)
+        assert probs_at(maximally_mixed()).p_ab == pytest.approx(0.25, abs=1e-12)
 
     def test_singlet_double_orthogonal(self):
         # frozen: trace oracle; P(AB) = (1 - n_A.n_B)/4 = 1/4 for orthogonal axes
-        value = double_prob(singlet(), FIRST_Z, Observable(Particle.SECOND, X))
-        assert value == pytest.approx(0.25, abs=1e-12)
+        assert probs_at(singlet(), n_b=X).p_ab == pytest.approx(0.25, abs=1e-12)
 
     def test_correlation_identity(self):
-        # <AB> = 4 P(AB) - 2 P(A) - 2 P(B) + 1
+        # <AB> = 4 P(AB) - 2 P(A) - 2 P(B) + 1 against the direct correlation trace
         rng = np.random.default_rng(31)
         for _ in range(100):
             rho = ginibre_density(rng)
-            obs_a = Observable(Particle.FIRST, random_unit(rng))
-            obs_b = Observable(Particle.SECOND, random_unit(rng))
-            lhs = correlation(rho, obs_a, obs_b)
-            rhs = (
-                4.0 * double_prob(rho, obs_a, obs_b)
-                - 2.0 * single_prob(rho, obs_a)
-                - 2.0 * single_prob(rho, obs_b)
-                + 1.0
-            )
+            settings = random_settings(rng)
+            lhs = trace_correlation(rho, settings.n_a, settings.n_b).real
+            rhs = correlations_of(experimental_probs(rho, settings)).e_ab
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -160,8 +142,7 @@ class TestExperimentalProbs:
         assert probs.p_apbp == pytest.approx(P_SINGLET_HIGH, abs=1e-12)
 
     def test_ket00_aligned(self):
-        settings = AnalyzerSettings(Z, Z, Z, Z)
-        probs = experimental_probs(ket00(), settings)
+        probs = probs_at(ket_state("00"))
         assert probs.singles() == pytest.approx((1.0,) * 4, abs=1e-12)
         assert probs.doubles() == pytest.approx((1.0,) * 4, abs=1e-12)
 
@@ -171,6 +152,36 @@ class TestExperimentalProbs:
             probs = experimental_probs(ginibre_density(rng), random_settings(rng))
             s_values, _ = chsh_correlation_form(correlations_of(probs))
             assert max(s_values) <= TSIRELSON + 1e-9
+
+    def test_matches_trace_reference(self):
+        rng = np.random.default_rng(47)
+        for _ in range(1000):
+            rho, settings = ginibre_density(rng), random_settings(rng)
+            probs = experimental_probs(rho, settings)
+            expected = [p.real for p in trace_probs(rho, settings)]
+            assert probs.singles() + probs.doubles() == pytest.approx(expected, abs=1e-12)
+
+    def test_horodecki_max_chsh(self):
+        # The maximum CHSH value over all settings is 2 sqrt(s1^2 + s2^2) for
+        # the two largest singular values of T[i, j] = <sigma_i x sigma_j>,
+        # attained at n_A, n_A' = u1, u2 and n_B, n_B' = v1 cos(th) +- v2 sin(th)
+        # with tan(th) = s2/s1 (Horodecki, Phys. Lett. A 200, 340 (1995)).
+        rng = np.random.default_rng(53)
+        axes = np.eye(3)
+        for _ in range(100):
+            rho = ginibre_density(rng)
+            t = np.array([[trace_correlation(rho, x, y).real for y in axes] for x in axes])
+            u, s, vt = np.linalg.svd(t)
+            theta = math.atan2(s[1], s[0])
+            settings = AnalyzerSettings(
+                u[:, 0], u[:, 1],
+                vt[0] * math.cos(theta) + vt[1] * math.sin(theta),
+                vt[0] * math.cos(theta) - vt[1] * math.sin(theta),
+            )
+            report = chsh_probability_form(experimental_probs(rho, settings))
+            assert report.max_s_value == pytest.approx(
+                2.0 * math.sqrt(s[0] ** 2 + s[1] ** 2), abs=1e-10
+            )
 
     def test_raw_traces_in_range(self):
         # unclamped trace values of valid states stay within 1e-10 of [0, 1]
@@ -189,7 +200,7 @@ class TestExperimentalProbs:
 
 class TestStatesAndValidation:
     def test_named_states_are_valid(self):
-        singlet(), ket00(), maximally_mixed(), werner(0.3), werner(1.0), werner(0.0)
+        singlet(), ket_state("00"), maximally_mixed(), werner(0.3), werner(1.0), werner(0.0)
 
     def test_werner_unphysical(self):
         with pytest.raises(ValidationError, match="semidefinite"):
