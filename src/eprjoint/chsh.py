@@ -21,11 +21,8 @@ import enum
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
-from .experiments import CorrelationSet, ExperimentalProbs, correlations_of
+from .experiments import DEFAULT_ATOL, CorrelationSet, ExperimentalProbs
 from .indexing import marginal
-
-CHSH_ATOL = 1e-9
 
 _BASE_TRIPLE_PATTERNS = (
     (1, 1, 0, -1),
@@ -68,38 +65,22 @@ class CVariant(enum.Enum):
         return tuple(patterns)
 
 
-def _single_a(probs: ExperimentalProbs, primed: bool) -> float:
-    return probs.p_ap if primed else probs.p_a
-
-
-def _single_b(probs: ExperimentalProbs, primed: bool) -> float:
-    return probs.p_bp if primed else probs.p_b
-
-
-def _double(probs: ExperimentalProbs, a_primed: bool, b_primed: bool) -> float:
-    table = {
-        (False, False): probs.p_ab,
-        (False, True): probs.p_abp,
-        (True, False): probs.p_apb,
-        (True, True): probs.require_all_four(),
-    }
-    return table[(a_primed, b_primed)]
-
-
 def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
     """The C-function of the requested argument order.
 
     With roles X = first argument pair, Y = third/fourth pair:
     C = P(X) + P(Y') - [P(XY) + P(XY') - P(X'Y) + P(X'Y')].
     """
-    sa, sb = variant.swap_a, variant.swap_b
+    x, y = int(variant.swap_a), int(variant.swap_b)
+    singles = probs.singles()
+    doubles = ((probs.p_ab, probs.p_abp), (probs.p_apb, probs.require_all_four()))
     return (
-        _single_a(probs, sa)
-        + _single_b(probs, not sb)
-        - _double(probs, sa, sb)
-        - _double(probs, sa, not sb)
-        + _double(probs, not sa, sb)
-        - _double(probs, not sa, not sb)
+        singles[x]
+        + singles[3 - y]
+        - doubles[x][y]
+        - doubles[x][1 - y]
+        + doubles[1 - x][y]
+        - doubles[1 - x][1 - y]
     )
 
 
@@ -110,14 +91,14 @@ def c_from_quadruple(entries: Sequence[float], variant: CVariant) -> float:
 
 
 def chsh_correlation_form(
-    corrs: CorrelationSet, atol: float = CHSH_ATOL
+    corrs: CorrelationSet,
 ) -> tuple[tuple[float, float, float, float], bool]:
     """The four absolute-sum CHSH combinations, ordered by the observable
     whose correlation pair carries the relative minus sign: (A, A', B, B').
 
-    Satisfied when every combination is <= 2 + 4*atol; the factor 4 makes
-    this decision identical to the probability form at tolerance atol
-    (C-distances scale by 1/4 under C = (2 - T)/4).
+    Satisfied when every combination is <= 2 + 4*DEFAULT_ATOL; the factor 4
+    makes this decision identical to the probability form at the default
+    tolerance (C-distances scale by 1/4 under C = (2 - T)/4).
     """
     e1, e2, e3, e4 = corrs.as_tuple()
     s_values = (
@@ -126,7 +107,7 @@ def chsh_correlation_form(
         abs(e1 - e3) + abs(e2 + e4),
         abs(e1 + e3) + abs(e2 - e4),
     )
-    return s_values, max(s_values) <= 2.0 + 4.0 * atol
+    return s_values, max(s_values) <= 2.0 + 4.0 * DEFAULT_ATOL
 
 
 @dataclass(frozen=True)
@@ -137,7 +118,8 @@ class ChshReport:
     c_values: C-functions ordered (AA'BB', A'ABB', AA'B'B, A'AB'B).
     margin: min over the 8 probability-form inequalities of the distance to
     the nearer bound, in C units; negative when violated.
-    boundary: satisfied with margin below the tolerance.
+    satisfied: margin >= -atol of the input.
+    boundary: satisfied with margin below that atol.
     """
 
     s_values: tuple[float, float, float, float]
@@ -158,18 +140,21 @@ class ChshReport:
         return max(self.s_values)
 
 
-def chsh_probability_form(probs: ExperimentalProbs, atol: float = CHSH_ATOL) -> ChshReport:
-    """Evaluate all eight probability-form inequalities 0 <= C <= 1."""
-    if atol < 0:
-        raise ValidationError(f"tolerance must be nonnegative, got {atol!r}")
+def chsh_probability_form(probs: ExperimentalProbs) -> ChshReport:
+    """Evaluate all eight probability-form inequalities 0 <= C <= 1.
+
+    The correlation-form s-values come from the same C values: each
+    variant's signed combination is T = 2 - 4C, and by |x| + |y| =
+    max(|x + y|, |x - y|) each s-value is the larger |T| of two variants.
+    """
     c_values = tuple(c_function(probs, variant) for variant in CVariant)
-    s_values, _ = chsh_correlation_form(correlations_of(probs), atol)
+    t_base, t_a, t_b, t_ab = (abs(2.0 - 4.0 * c) for c in c_values)
     margin = min(min(c, 1.0 - c) for c in c_values)
-    satisfied = margin >= -atol
+    satisfied = margin >= -probs.atol
     return ChshReport(
-        s_values=s_values,
+        s_values=(max(t_a, t_ab), max(t_base, t_b), max(t_base, t_a), max(t_b, t_ab)),
         c_values=c_values,
         satisfied=satisfied,
         margin=margin,
-        boundary=satisfied and margin < atol,
+        boundary=satisfied and margin < probs.atol,
     )

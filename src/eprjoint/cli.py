@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
 
@@ -39,7 +39,13 @@ from .construction import (
     sweep_grid,
 )
 from .errors import EprJointError, EXIT_OK, ValidationError
-from .experiments import correlations_of, ExperimentalProbs, PAIR_LABELS, SINGLE_LABELS
+from .experiments import (
+    correlations_of,
+    DEFAULT_ATOL,
+    ExperimentalProbs,
+    PAIR_LABELS,
+    SINGLE_LABELS,
+)
 from .indexing import SIGNS, marginal_indices, outcome_label
 from .oracle import build_system, ROW_LABELS, solve_system
 from .quantum import (
@@ -54,6 +60,7 @@ from .quantum import (
 
 MODES = ("probs", "construct3", "construct4", "chsh", "oracle", "sweep", "mc-verify")
 DEFAULT_SAMPLES = 100_000
+SAMPLE_CHUNK = 1 << 20
 SIGMA_LIMIT = 5.0
 
 
@@ -78,7 +85,7 @@ class RunConfig:
 
     @property
     def atol(self) -> float:
-        return self.tolerance if self.tolerance is not None else 1e-9
+        return self.tolerance if self.tolerance is not None else DEFAULT_ATOL
 
 
 def _load_json(path: str):
@@ -100,6 +107,16 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _number(value, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ValidationError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_state(spec) -> DensityMatrix:
     if isinstance(spec, str):
         if spec == "singlet":
@@ -107,11 +124,7 @@ def _parse_state(spec) -> DensityMatrix:
         if spec == "mixed":
             return maximally_mixed()
         if spec.startswith("werner:"):
-            try:
-                p = float(spec.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValidationError(f"bad werner parameter in {spec!r}") from exc
-            return werner(p)
+            return werner(_number(spec.split(":", 1)[1], "field 'state' werner parameter"))
         if spec.startswith("ket:"):
             return ket_state(spec.split(":", 1)[1])
         raise ValidationError(f"unknown named state {spec!r}")
@@ -119,9 +132,10 @@ def _parse_state(spec) -> DensityMatrix:
         if len(spec) != 16:
             raise ValidationError(f"state matrix needs 16 entries, got {len(spec)}")
         try:
-            flat = [complex(float(re), float(im)) for re, im in spec]
+            flat = [complex(_number(re, "field 'state' entry"), _number(im, "field 'state' entry"))
+                    for re, im in spec]
         except (TypeError, ValueError) as exc:
-            raise ValidationError("state entries must be [re, im] pairs") from exc
+            raise ValidationError("field 'state' entries must be [re, im] pairs") from exc
         return DensityMatrix(np.array(flat, dtype=complex).reshape(4, 4))
     raise ValidationError("field 'state' must be a name or 16 [re, im] pairs")
 
@@ -129,7 +143,7 @@ def _parse_state(spec) -> DensityMatrix:
 def _parse_vector(obj, name: str) -> tuple[float, float, float]:
     if not isinstance(obj, list) or len(obj) != 3:
         raise ValidationError(f"settings field {name!r} must be 3 real numbers")
-    return tuple(float(c) for c in obj)
+    return tuple(_number(c, f"settings field {name!r}") for c in obj)
 
 
 def _parse_settings(obj) -> AnalyzerSettings:
@@ -145,11 +159,9 @@ def _parse_probs(obj, atol: float) -> ExperimentalProbs:
     singles = _require(obj, "singles", "probability file")
     doubles = _require(obj, "doubles", "probability file")
     def fetch(src, key, optional=False):
-        if key not in src:
-            if optional:
-                return None
-            raise ValidationError(f"probability file: missing {key!r}")
-        return float(src[key])
+        if optional and isinstance(src, dict) and key not in src:
+            return None
+        return _number(_require(src, key, "probability file"), f"probability field {key!r}")
     return ExperimentalProbs(
         p_a=fetch(singles, "A"),
         p_ap=fetch(singles, "A'"),
@@ -163,28 +175,38 @@ def _parse_probs(obj, atol: float) -> ExperimentalProbs:
     )
 
 
+def _state_probs(obj, config: RunConfig) -> ExperimentalProbs:
+    """Probabilities of a state file, carrying the run's tolerance."""
+    rho = _parse_state(_require(obj, "state", config.input_path))
+    settings = _parse_settings(_require(obj, "settings", config.input_path))
+    return replace(experimental_probs(rho, settings), atol=config.atol)
+
+
 def _load_probs(config: RunConfig) -> ExperimentalProbs:
     """Probability input, computed from a state file when one is given."""
     obj = _load_json(config.input_path)
     if isinstance(obj, dict) and "state" in obj:
-        rho = _parse_state(obj["state"])
-        settings = _parse_settings(_require(obj, "settings", config.input_path))
-        return experimental_probs(rho, settings)
+        return _state_probs(obj, config)
     return _parse_probs(obj, config.atol)
 
 
 def parse_params(obj) -> FamilyParams:
     t = _require(obj, "t", "parameter file")
+    if not isinstance(t, dict):
+        raise ValidationError("parameter field 't' must be an object")
     bb = t.get("bb", (0.5, 0.5, 0.5, 0.5))
     if not isinstance(bb, (list, tuple)) or len(bb) != 4:
         raise ValidationError("parameter field 't.bb' must hold 4 numbers")
-    apbp = t.get("aprime_bprime")
+
+    def fraction(key: str) -> float:
+        return _number(t.get(key, 0.5), f"parameter field 't.{key}'")
+
     return FamilyParams(
-        t_dotdot=float(t.get("dotdot", 0.5)),
-        t_aplus=float(t.get("a_plus", 0.5)),
-        t_aprimeplus=float(t.get("aprime_plus", 0.5)),
-        t_bb=tuple(float(v) for v in bb),
-        t_aprime_bprime=None if apbp is None else float(apbp),
+        t_dotdot=fraction("dotdot"),
+        t_aplus=fraction("a_plus"),
+        t_aprimeplus=fraction("aprime_plus"),
+        t_bb=tuple(_number(v, "parameter field 't.bb'") for v in bb),
+        t_aprime_bprime=None if t.get("aprime_bprime") is None else fraction("aprime_bprime"),
     )
 
 
@@ -253,11 +275,8 @@ def _trace_payload(trace: ConstructionTrace) -> dict:
 
 
 def cmd_probs(config: RunConfig) -> dict:
-    obj = _load_json(config.input_path)
-    rho = _parse_state(_require(obj, "state", config.input_path))
-    settings = _parse_settings(_require(obj, "settings", config.input_path))
-    probs = experimental_probs(rho, settings)
-    report = chsh_probability_form(probs, config.atol)
+    probs = _state_probs(_load_json(config.input_path), config)
+    report = chsh_probability_form(probs)
     return {
         "mode": "probs",
         "probs": _probs_payload(probs),
@@ -268,7 +287,7 @@ def cmd_probs(config: RunConfig) -> dict:
 
 def cmd_chsh(config: RunConfig) -> dict:
     probs = _load_probs(config)
-    report = chsh_probability_form(probs, config.atol)
+    report = chsh_probability_form(probs)
     return {
         "mode": "chsh",
         "probs": _probs_payload(probs),
@@ -296,7 +315,7 @@ def cmd_construct(config: RunConfig) -> dict:
 def cmd_oracle(config: RunConfig) -> dict:
     probs = _load_probs(config)
     system = build_system(probs)
-    result = solve_system(system, eps=config.atol)
+    result = solve_system(system, eps=probs.atol)
     payload = {
         "mode": "oracle",
         "system_rhs": dict(zip(ROW_LABELS, (float(v) for v in system.rhs))),
@@ -342,8 +361,11 @@ def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarra
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(np.asarray(quad.entries))
     cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(samples), side="right")
-    return np.bincount(draws, minlength=16)
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, samples, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, samples - start))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=16)
+    return counts
 
 
 def cmd_mc_verify(config: RunConfig) -> dict:
@@ -427,8 +449,11 @@ def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write --output {output!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -448,7 +473,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--grid", default="5",
                         help="sweep grid: points per axis or comma-separated fractions")
     parser.add_argument("--tolerance", type=float, default=None,
-                        help="validation tolerance override")
+                        help="the one tolerance for every input and decision "
+                             f"(default {DEFAULT_ATOL:g}, range [1e-12, 1e-6])")
     parser.add_argument("--output", default=None, help="report file (default stdout)")
     return parser
 
@@ -468,14 +494,13 @@ def main(argv: list[str] | None = None) -> int:
             tolerance=args.tolerance,
             output=args.output,
         )
-        report = run(config)
+        _emit(run(config), args.output)
     except EprJointError as exc:
         error = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "report", None) is not None:
             error["chsh"] = _chsh_payload(exc.report)
         sys.stderr.write(json.dumps(error, indent=2, sort_keys=True) + "\n")
         return exc.exit_code
-    _emit(report, args.output)
     return EXIT_OK
 
 

@@ -31,26 +31,23 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    DEFAULT_ATOL,
     ExperimentalProbs,
     correlation_from_pair,
-    expand_pair,
     frechet_bounds,
     frechet_cells,
     pair_from_correlation,
 )
 from .indexing import SIGNS, Sign, marginal, outcome_label, quad_index
 
-EMPTY_SLACK = 1e-12
-POS_ATOL = 1e-12
-SUM_ATOL = 1e-9
-
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
 
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed feasible interval; construction code widens both ends by
-    EMPTY_SLACK before declaring emptiness, to survive degenerate inputs."""
+    """A closed feasible interval.  Construction code declares it empty only
+    when lo - hi exceeds the input's atol; a slightly inverted interval
+    (lo > hi within atol) stands for its midpoint."""
 
     lo: float
     hi: float
@@ -58,9 +55,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-    def is_empty(self) -> bool:
-        return self.lo - EMPTY_SLACK > self.hi + EMPTY_SLACK
 
     def pick(self, t: float) -> float:
         """The point at fraction t of the interval, clamped inside it."""
@@ -72,7 +66,7 @@ class Interval:
 
     def position(self, x: float) -> float:
         """Inverse of pick: the fraction where x sits (0.5 for degenerate)."""
-        if self.width <= EMPTY_SLACK:
+        if self.width <= 0.0:
             return 0.5
         return min(max((x - self.lo) / self.width, 0.0), 1.0)
 
@@ -120,12 +114,12 @@ class FamilyParams:
 class QuadDistribution:
     """Sixteen nonnegative joint probabilities P(aa'bb') summing to one.
 
-    Entries follow the indexing-module layout.  Use from_raw for computed
-    tables: it zeroes entries in [-POS_ATOL, 0) and renormalizes.
+    Entries follow the indexing-module layout and are checked at
+    DEFAULT_ATOL.  Use from_raw for computed tables: it zeroes entries in
+    [-DEFAULT_ATOL, 0) and divides by the total.
     """
 
     entries: tuple[float, ...]
-    atol: float = field(default=SUM_ATOL, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple(float(e) for e in self.entries)
@@ -134,21 +128,21 @@ class QuadDistribution:
             raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
         for outcome in product(SIGNS, repeat=4):
             value = entries[quad_index(*outcome)]
-            if value < -POS_ATOL:
+            if value < -DEFAULT_ATOL:
                 raise ValidationError(
                     f"P({outcome_label(outcome)}) = {value!r} is negative"
                 )
         total = sum(entries)
-        if abs(total - 1.0) > self.atol:
+        if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"quadruple table sums to {total!r}, not 1")
 
     @classmethod
-    def from_raw(cls, entries: Sequence[float], atol: float = SUM_ATOL) -> "QuadDistribution":
-        clamped = [0.0 if -POS_ATOL <= e < 0.0 else float(e) for e in entries]
+    def from_raw(cls, entries: Sequence[float]) -> "QuadDistribution":
+        clamped = [0.0 if -DEFAULT_ATOL <= e < 0.0 else float(e) for e in entries]
         total = sum(clamped)
-        if total > 0.0 and abs(total - 1.0) <= atol:
+        if total > 0.0:
             clamped = [e / total for e in clamped]
-        return cls(tuple(clamped), atol=atol)
+        return cls(tuple(clamped))
 
     def value(self, a: Sign, ap: Sign, b: Sign, bp: Sign) -> float:
         return self.entries[quad_index(a, ap, b, bp)]
@@ -167,7 +161,6 @@ class QuadDistribution:
             p_abp=self.marginal(a=1, bp=1),
             p_apb=self.marginal(ap=1, b=1),
             p_apbp=self.marginal(ap=1, bp=1),
-            atol=SUM_ATOL,
         )
 
     def labeled(self) -> dict[str, float]:
@@ -181,19 +174,20 @@ class QuadDistribution:
 class TripleProbs:
     """The sixteen triple probabilities P(a.bb') and P(.a'bb').
 
-    Indexed 4*i(first sign) + 2*i(b) + i(b') with i(+1)=0, i(-1)=1.
+    Indexed 4*i(first sign) + 2*i(b) + i(b') with i(+1)=0, i(-1)=1.  atol
+    carries the input's tolerance into step 2.
     """
 
     pa: tuple[float, ...]
     pap: tuple[float, ...]
-    atol: float = field(default=SUM_ATOL, compare=False)
+    atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
         for name, side in (("P(a.bb')", self.pa), ("P(.a'bb')", self.pap)):
             if len(side) != 8:
                 raise ValidationError(f"{name} needs 8 entries, got {len(side)}")
             for value in side:
-                if value < -POS_ATOL:
+                if value < -self.atol:
                     raise ValidationError(f"{name} entry {value!r} is negative")
         for b, bp in BB_BLOCKS:
             lhs = sum(self.pa_value(a, b, bp) for a in SIGNS)
@@ -235,8 +229,10 @@ def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
     """Allowed interval of the shared marginal P(..++).
 
     Intersects the region reachable as P(+.++) + P(-.++) with the region
-    reachable as P(.+++) + P(.-++); the intersection is nonempty exactly
-    when all eight CHSH inequalities hold, otherwise ChshViolationError.
+    reachable as P(.+++) + P(.-++).  Each cross-side lo - hi equals -C or
+    C - 1 for one C-function, so the intersection is empty (lo - hi >
+    probs.atol) exactly when chsh_probability_form reports a violation;
+    then ChshViolationError.
     """
     sides = []
     for primed in (False, True):
@@ -250,7 +246,7 @@ def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
         highs.extend([pb_plus + pbp_minus, pbp_plus + pb_minus])
         sides.append(Interval(max(lows), min(highs)))
     result = sides[0].intersect(sides[1])
-    if result.is_empty():
+    if result.lo - result.hi > probs.atol:
         report = chsh_probability_form(probs)
         raise ChshViolationError(
             "the measured probabilities violate the CHSH inequalities "
@@ -271,7 +267,7 @@ def interval_p_plusplus(probs: ExperimentalProbs, primed: bool, p_dotdot: float)
     own_lo, own_hi = frechet_bounds(*_side_inputs(probs, primed, 1))
     other_lo, other_hi = frechet_bounds(*_side_inputs(probs, primed, -1))
     result = Interval(max(own_lo, p_dotdot - other_hi), min(own_hi, p_dotdot - other_lo))
-    if result.is_empty():
+    if result.lo - result.hi > probs.atol:
         raise InternalInvariantError(
             f"empty interval for P({'.+' if primed else '+.'}++) at P(..++) = {p_dotdot!r}: "
             "the scalar lies outside its allowed region"
@@ -296,14 +292,14 @@ def step1_triples(
             with_b, with_bp, single = _side_inputs(probs, primed, sign)
             base = chosen if sign > 0 else p_dotdot - chosen
             cells = frechet_cells(with_b, with_bp, single, base)
-            if min(cells) < -POS_ATOL:
+            if min(cells) < -probs.atol:
                 x = "+" if sign > 0 else "-"
                 raise InternalInvariantError(
                     f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
                     "have a negative entry; a chosen scalar violates its interval"
                 )
             side.extend(cells)
-    return TripleProbs(tuple(pa), tuple(pap))
+    return TripleProbs(tuple(pa), tuple(pap), atol=probs.atol)
 
 
 def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
@@ -311,7 +307,7 @@ def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
     result = Interval(*frechet_bounds(
         triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp)
     ))
-    if result.is_empty():
+    if result.lo - result.hi > triples.atol:
         raise InternalInvariantError(
             f"empty interval for P(++{outcome_label((b, bp))}): "
             "triples violate their sum rules"
@@ -323,7 +319,8 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
     """The full quadruple table from the four chosen block values P(++bb').
 
     Per block: P(+-bb') = P(+.bb') - P(++bb'), P(-+bb') = P(.+bb') - P(++bb'),
-    P(--bb') = P(..bb') - P(.+bb') - P(+.bb') + P(++bb').
+    P(--bb') = P(..bb') - P(.+bb') - P(+.bb') + P(++bb').  Entries in
+    [-triples.atol, 0) are zeroed.
     """
     if len(p_pp_bb) != 4:
         raise UsageError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
@@ -333,12 +330,12 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
             triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp), chosen
         )
         for (a, ap), value in zip(BB_BLOCKS, cells):
-            if value < -POS_ATOL:
+            if value < -triples.atol:
                 raise InternalInvariantError(
                     f"P({outcome_label((a, ap, b, bp))}) = {value!r} is negative; "
                     "a block value violates its interval"
                 )
-            entries[quad_index(a, ap, b, bp)] = value
+            entries[quad_index(a, ap, b, bp)] = max(value, 0.0)
     return QuadDistribution.from_raw(entries)
 
 
@@ -396,8 +393,9 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     Intersects the two CHSH constraint pairs on the unknown correlation,
     |<A'B> - <A'B'>| <= 2 - |<AB> + <AB'>| and
     |<A'B> + <A'B'>| <= 2 - |<AB> - <AB'>|,
-    with the Fréchet bounds for (P(A'), P(B')).  Nonempty for every input
-    whose seven measured probabilities are mutually consistent.
+    with the Fréchet bounds for (P(A'), P(B')).  Nonempty for every
+    validated input (lo - hi <= probs.atol); InputInconsistencyError
+    otherwise.
     """
     e_ab = correlation_from_pair(probs.p_ab, probs.p_a, probs.p_b)
     e_abp = correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp)
@@ -411,7 +409,7 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     flip_sign = corr_window(-e_apb, 2.0 - abs(e_ab - e_abp))
     frechet = Interval(*frechet_bounds(probs.p_ap, probs.p_bp))
     result = same_sign.intersect(flip_sign).intersect(frechet)
-    if result.is_empty():
+    if result.lo - result.hi > probs.atol:
         raise InputInconsistencyError(
             "no value of P(A'B') is consistent with the three measured "
             f"experiments (interval [{result.lo!r}, {result.hi!r}] is empty)"
@@ -499,7 +497,7 @@ def marginal_residuals(
     residuals: dict[str, dict[str, float]] = {}
     worst = 0.0
     for label, p_x, p_y, p_xy, margin in experiments:
-        expected = expand_pair(p_x, p_y, p_xy, atol=max(probs.atol, SUM_ATOL)).as_tuple()
+        expected = frechet_cells(p_x, p_y, 1.0, p_xy)
         cells = {}
         for (x, y), want in zip(product(SIGNS, repeat=2), expected):
             have = margin(x, y)
@@ -568,7 +566,7 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
                                triples.p_bb(b, bp))
                     block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
 
-                valid_points += prod(sum(m >= -POS_ATOL for m in mins) for mins in block_mins)
+                valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)
 
                 worst = min(min(mins) for mins in block_mins)
                 if worst < min_entry:

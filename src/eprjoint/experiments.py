@@ -40,19 +40,19 @@ def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[floa
     return pp, row - pp, col - pp, total + pp - row - col
 
 
-def _check_unit_interval(name: str, value: float, atol: float) -> None:
-    if not (-atol <= value <= 1.0 + atol):
-        raise ValidationError(f"{name} = {value!r} is outside [0, 1] (atol={atol:g})")
-
-
 @dataclass(frozen=True)
 class ExperimentalProbs:
     """The eight independent measured probabilities of the four EPR experiments.
 
     p_apbp may be None when only three experiments were performed (the
-    (A', B') pair unmeasured).  Validation enforces [0,1] ranges and the
-    Fréchet bounds of every measured pair; all downstream operations may
-    assume a validated instance.
+    (A', B') pair unmeasured).  This is the one place a tolerance is
+    applied: every value within atol of its exact domain is accepted, [0, 1]
+    for a single and the Fréchet bounds of its (projected) singles for a
+    double, and a value outside that domain is stored projected onto it.
+    Downstream code may therefore assume exact-domain input and reads atol
+    only to scale its own decisions.  atol must lie in [1e-12, 1e-6]: below,
+    float rounding in the routes exceeds it and they can disagree; above, a
+    projection could move a value by more than 1e-6.
     """
 
     p_a: float
@@ -66,27 +66,29 @@ class ExperimentalProbs:
     atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
-        atol = self.atol
-        for name, value in zip(SINGLE_LABELS, self.singles()):
-            _check_unit_interval(f"P({name})", value, atol)
-        pairs = [("AB", self.p_ab, self.p_a, self.p_b),
-                 ("AB'", self.p_abp, self.p_a, self.p_bp),
-                 ("A'B", self.p_apb, self.p_ap, self.p_b)]
+        if not 1e-12 <= self.atol <= 1e-6:
+            raise ValidationError(f"atol = {self.atol!r} is outside [1e-12, 1e-6]")
+        for name, label in zip(("p_a", "p_ap", "p_b", "p_bp"), SINGLE_LABELS):
+            self._project(name, label, "unit-interval", 0.0, 1.0)
+        pairs = [("p_ab", "AB", self.p_a, self.p_b),
+                 ("p_abp", "AB'", self.p_a, self.p_bp),
+                 ("p_apb", "A'B", self.p_ap, self.p_b)]
         if self.p_apbp is not None:
-            pairs.append(("A'B'", self.p_apbp, self.p_ap, self.p_bp))
-        for label, p_xy, p_x, p_y in pairs:
-            _check_unit_interval(f"P({label})", p_xy, atol)
-            lo, hi = frechet_bounds(p_x, p_y)
-            if p_xy < lo - atol:
-                raise ValidationError(
-                    f"P({label}) = {p_xy!r} violates the Fréchet lower bound "
-                    f"max(0, P(X)+P(Y)-1) = {lo!r}"
-                )
-            if p_xy > hi + atol:
-                raise ValidationError(
-                    f"P({label}) = {p_xy!r} violates the Fréchet upper bound "
-                    f"min(P(X), P(Y)) = {hi!r}"
-                )
+            pairs.append(("p_apbp", "A'B'", self.p_ap, self.p_bp))
+        for name, label, p_x, p_y in pairs:
+            self._project(name, label, "Fréchet", *frechet_bounds(p_x, p_y))
+
+    def _project(self, name: str, label: str, domain: str, lo: float, hi: float) -> None:
+        value = getattr(self, name)
+        if lo <= value <= hi:
+            return
+        if not lo - self.atol <= value <= hi + self.atol:
+            side, bound = ("lower", lo) if value < lo else ("upper", hi)
+            raise ValidationError(
+                f"P({label}) = {value!r} violates the {domain} {side} bound {bound!r} "
+                f"by more than atol = {self.atol:g}"
+            )
+        object.__setattr__(self, name, min(max(value, lo), hi))
 
     def singles(self) -> tuple[float, float, float, float]:
         return (self.p_a, self.p_ap, self.p_b, self.p_bp)
@@ -118,14 +120,13 @@ class PairOutcomeTable:
     pm: float
     mp: float
     mm: float
-    atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
         total = self.pp + self.pm + self.mp + self.mm
         for name, value in zip(("(+,+)", "(+,-)", "(-,+)", "(-,-)"), self.as_tuple()):
-            if value < -self.atol:
+            if value < -DEFAULT_ATOL:
                 raise ValidationError(f"outcome probability {name} = {value!r} is negative")
-        if abs(total - 1.0) > self.atol:
+        if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -140,11 +141,10 @@ class CorrelationSet:
     e_abp: float
     e_apb: float
     e_apbp: float
-    atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in zip(PAIR_LABELS, self.as_tuple()):
-            if not (-1.0 - self.atol <= value <= 1.0 + self.atol):
+            if not (-1.0 - DEFAULT_ATOL <= value <= 1.0 + DEFAULT_ATOL):
                 raise ValidationError(f"<{name}> = {value!r} is outside [-1, 1]")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
@@ -159,21 +159,22 @@ _CELL_BOUNDS = (
 )
 
 
-def expand_pair(p_x: float, p_y: float, p_xy: float, atol: float = DEFAULT_ATOL) -> PairOutcomeTable:
-    """Expand (P(X), P(Y), P(XY)) into the four outcome probabilities.
+def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
+    """Expand raw (P(X), P(Y), P(XY)) into the four outcome probabilities.
 
     P(+,-) = P(X) - P(XY), P(-,+) = P(Y) - P(XY),
     P(-,-) = 1 - P(X) - P(Y) + P(XY).
     """
     for name, value in (("P(X)", p_x), ("P(Y)", p_y), ("P(XY)", p_xy)):
-        _check_unit_interval(name, value, atol)
+        if not -DEFAULT_ATOL <= value <= 1.0 + DEFAULT_ATOL:
+            raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
     cells = frechet_cells(p_x, p_y, 1.0, p_xy)
     for (name, bound), value in zip(_CELL_BOUNDS, cells):
-        if value < -atol:
+        if value < -DEFAULT_ATOL:
             raise InputInconsistencyError(
                 f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
             )
-    return PairOutcomeTable(*cells, atol=atol)
+    return PairOutcomeTable(*cells)
 
 
 def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
@@ -184,5 +185,4 @@ def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
         e_abp=correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp),
         e_apb=correlation_from_pair(probs.p_apb, probs.p_ap, probs.p_b),
         e_apbp=correlation_from_pair(p_apbp, probs.p_ap, probs.p_bp),
-        atol=probs.atol,
     )

@@ -28,10 +28,9 @@ import numpy as np
 
 from .construction import QuadDistribution
 from .errors import InternalInvariantError, UsageError
-from .experiments import ExperimentalProbs
+from .experiments import DEFAULT_ATOL, ExperimentalProbs
 from .indexing import marginal_indices
 
-LP_EPS = 1e-9
 _PIVOT_TOL = 1e-11
 _MAX_PIVOTS = 10_000
 
@@ -207,7 +206,7 @@ class _Simplex:
         return x
 
 
-def solve_system(system: MarginalSystem, eps: float = LP_EPS) -> FeasibilityResult:
+def solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) -> FeasibilityResult:
     """Run the two-phase simplex and report the max-min-entry optimum."""
     sx = _Simplex(system)
     zero, one = sx.zero, sx.one
@@ -256,13 +255,9 @@ def solve_system(system: MarginalSystem, eps: float = LP_EPS) -> FeasibilityResu
     )
 
 
-def feasible(
-    system: MarginalSystem, eps: float = LP_EPS
-) -> tuple[bool, QuadDistribution | None]:
+def feasible(system: MarginalSystem) -> tuple[bool, QuadDistribution | None]:
     """Feasibility decision plus a witness distribution when one exists."""
-    result = solve_system(system, eps)
+    result = solve_system(system)
     if not result.feasible or result.witness is None:
         return False, None
-    entries = [max(float(w), 0.0) for w in result.witness]
-    quad = QuadDistribution.from_raw(entries, atol=max(1e-9, 32.0 * eps))
-    return True, quad
+    return True, QuadDistribution.from_raw([max(float(w), 0.0) for w in result.witness])

@@ -17,13 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .experiments import PAIR_LABELS, SINGLE_LABELS, ExperimentalProbs
-
-HERMITICITY_ATOL = 1e-9
-TRACE_ATOL = 1e-9
-PSD_ATOL = 1e-9
-NORM_ATOL = 1e-9
-PROB_ATOL = 1e-9
+from .experiments import DEFAULT_ATOL, PAIR_LABELS, SINGLE_LABELS, ExperimentalProbs
 
 _SIGMA = np.array([
     [[1.0, 0.0], [0.0, 1.0]],
@@ -45,7 +39,7 @@ def _as_unit_vector(name: str, direction) -> Vec3:
     if len(vec) != 3:
         raise ValidationError(f"{name} must have 3 components, got {len(vec)}")
     norm = math.sqrt(sum(c * c for c in vec))
-    if abs(norm - 1.0) > NORM_ATOL:
+    if not abs(norm - 1.0) <= DEFAULT_ATOL:
         raise ValidationError(f"{name} has norm {norm!r}, expected a unit vector")
     return vec
 
@@ -69,9 +63,9 @@ class AnalyzerSettings:
 class DensityMatrix:
     """A validated 4x4 two-qubit density matrix.
 
-    Invariants: Hermitian, unit trace, positive semidefinite.  Positivity is
-    checked through the explicit eigenvalues of the Hermitian part
-    (numpy.linalg.eigvalsh), requiring min eigenvalue >= -PSD_ATOL.
+    Invariants: finite entries, Hermitian, unit trace, positive
+    semidefinite, each within DEFAULT_ATOL.  Positivity is checked through
+    the explicit eigenvalues of the Hermitian part (numpy.linalg.eigvalsh).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -80,14 +74,16 @@ class DensityMatrix:
         mat = np.asarray(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got shape {mat.shape}")
+        if not np.isfinite(mat).all():
+            raise ValidationError("density matrix has a non-finite entry")
         herm_defect = np.max(np.abs(mat - mat.conj().T))
-        if herm_defect > HERMITICITY_ATOL:
+        if herm_defect > DEFAULT_ATOL:
             raise ValidationError(f"density matrix is not Hermitian (defect {herm_defect!r})")
         trace = mat.trace()
-        if abs(trace - 1.0) > TRACE_ATOL:
+        if abs(trace - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
         min_eig = float(np.linalg.eigvalsh(mat).min())
-        if min_eig < -PSD_ATOL:
+        if min_eig < -DEFAULT_ATOL:
             raise ValidationError(
                 f"density matrix is not positive semidefinite (min eigenvalue {min_eig!r})"
             )
@@ -136,6 +132,7 @@ def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> Experi
 
     With u = (1, n_X) and v = (1, n_Y): P(X) = u.R[:, 0]/2, P(Y) = R[0, :].v/2
     and P(XY) = u R v^T/4, the traces tr(rho Pi+) and tr(rho Pi+_X Pi+_Y).
+    ExperimentalProbs validates the real parts at DEFAULT_ATOL.
     """
     pauli = (_PAULI_PAIRS @ rho.matrix.T.reshape(16)).reshape(4, 4)
     u = np.array([(1.0, *settings.n_a), (1.0, *settings.n_ap)])
@@ -144,14 +141,9 @@ def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> Experi
         u @ pauli[:, 0] / 2.0, pauli[0] @ v.T / 2.0, (u @ pauli @ v.T).reshape(4) / 4.0
     ))
     imag = np.abs(values.imag)
-    if imag.max() > PROB_ATOL:
+    if imag.max() > DEFAULT_ATOL:
         k = int(imag.argmax())
         raise ValidationError(
             f"{_PROB_LABELS[k]} trace has imaginary part {float(values[k].imag)!r}"
         )
-    probs = []
-    for k, value in enumerate(values.real.tolist()):
-        if value < -PROB_ATOL or value > 1.0 + PROB_ATOL:
-            raise ValidationError(f"{_PROB_LABELS[k]} = {value!r} is outside [0, 1]")
-        probs.append(min(max(value, 0.0), 1.0))
-    return ExperimentalProbs(*probs)
+    return ExperimentalProbs(*values.real.tolist())

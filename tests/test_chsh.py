@@ -147,8 +147,9 @@ class TestEquivalence:
         for _ in range(100_000):
             probs = synthetic_probs(rng, spicy=True)
             report = chsh_probability_form(probs)
-            _, corr_ok = chsh_correlation_form(correlations_of(probs))
+            s_values, corr_ok = chsh_correlation_form(correlations_of(probs))
             disagreements += report.satisfied != corr_ok
+            assert max(abs(x - y) for x, y in zip(report.s_values, s_values)) <= 1e-14
         assert disagreements == 0
 
     def test_affine_relation(self):

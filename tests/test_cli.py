@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
-from eprjoint.cli import main
+from eprjoint import QuadDistribution
+from eprjoint.cli import SAMPLE_CHUNK, _sample_counts, main
 from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON
 
 S = 1.0 / math.sqrt(2.0)
@@ -171,6 +173,8 @@ class TestConstructModes:
         assert json.loads(out)["chosen"]["P(..++)"] == 0.0
 
     def test_inconsistent_input_exit_4(self, write_json, capsys):
+        # a tolerance loose enough to admit this Fréchet excess is refused,
+        # so validated input never reaches exit 4
         payload = {
             "singles": {"A": 0.5, "A'": 0.5, "B": 0.5, "B'": 0.5},
             "doubles": {"AB": 0.5, "AB'": 0.5, "A'B": 0.55},
@@ -178,8 +182,8 @@ class TestConstructModes:
         path = write_json("inc.json", payload)
         code, _, err = run_cli(capsys, "--mode", "construct3", "--input", path,
                                "--tolerance", "0.1")
-        assert code == 4
-        assert json.loads(err)["error"] == "InputInconsistencyError"
+        assert code == 2
+        assert "atol" in json.loads(err)["message"]
 
     def test_frechet_violation_exit_2_at_default_tolerance(self, write_json, capsys):
         payload = {
@@ -319,6 +323,16 @@ class TestMcVerifyMode:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_chunked_counts_match_one_shot_draw(self):
+        quad = QuadDistribution(tuple([1 / 16] * 16))
+        samples = 2 * SAMPLE_CHUNK + 12_345
+        rng = np.random.Generator(np.random.PCG64(99))
+        cdf = np.cumsum(quad.entries)
+        cdf[-1] = 1.0
+        draws = np.searchsorted(cdf, rng.random(samples), side="right")
+        expected = np.bincount(draws, minlength=16)
+        assert np.array_equal(_sample_counts(quad, samples, seed=99), expected)
+
     def test_bad_samples(self, write_json, capsys):
         path = write_json("u.json", UNIFORM_PROBS)
         code, _, _ = run_cli(capsys, "--mode", "mc-verify", "--input", path,
@@ -352,3 +366,43 @@ class TestInputHandling:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["chsh"]["satisfied"] is True
+
+
+class TestParseBoundary:
+    @pytest.mark.parametrize("tolerance, probs", [
+        ("nan", False), ("inf", False), ("-1", False), ("0", False), ("1e-5", False),
+        ("1", True),
+    ])
+    def test_tolerance_range(self, write_json, capsys, tolerance, probs):
+        # checked for every input; P(A) = 1.4 is not rescued by a loose tolerance
+        payload = {**UNIFORM_PROBS, "singles": {**UNIFORM_PROBS["singles"], "A": 1.4}}
+        path = write_json("in.json", payload if probs else SINGLET_STATE)
+        code, _, err = run_cli(capsys, "--mode", "construct3", "--input", path,
+                               "--tolerance", tolerance)
+        assert code == 2
+        assert "atol" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("case, field", [
+        ("werner_nan", "state"),
+        ("settings_string", "n_A'"),
+        ("settings_nan", "n_A'"),
+        ("bb_string", "t.bb"),
+        ("unwritable_output", "--output"),
+    ])
+    def test_bad_field_exits_2(self, write_json, capsys, tmp_path, case, field):
+        state = dict(SINGLET_STATE)
+        argv = ["--mode", "construct3"]
+        if case == "werner_nan":
+            state["state"] = "werner:NaN"
+        elif case.startswith("settings"):
+            bad = "x" if case == "settings_string" else float("nan")
+            state["settings"] = {**state["settings"], "n_A'": [bad, 0.0, 1.0]}
+        elif case == "bb_string":
+            argv += ["--params", write_json("p.json", {"t": {"bb": [0.5, "x", 0.5, 0.5]}})]
+        else:
+            argv += ["--output", str(tmp_path / "missing" / "report.json")]
+        argv += ["--input", write_json("in.json", state)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert field in json.loads(err)["message"]

@@ -122,8 +122,23 @@ class TestValidation:
             ExperimentalProbs(0.9, 0.5, 0.9, 0.5, 0.5, 0.25, 0.25, 0.25)
 
     def test_tolerance_override(self):
-        loose = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.55, 0.25, 0.25, 0.25, atol=0.1)
-        assert loose.p_ab == 0.55
+        # a value within atol of its domain is accepted and stored projected
+        loose = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.5 + 5e-7, 0.25, 0.25, 0.25, atol=1e-6)
+        assert loose.p_ab == 0.5
+
+    def test_atol_range(self):
+        for atol in (math.nan, math.inf, -1.0, 0.0, 1e-5):
+            with pytest.raises(ValidationError, match="atol"):
+                ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25, atol=atol)
+
+    def test_projection_onto_domain(self):
+        # singles are clamped first, then each double into its Fréchet bounds
+        probs = ExperimentalProbs(1.0 + 4e-10, 0.5, 1.0, 0.5, 1.0 + 8e-10, 0.5, 0.5,
+                                  0.25 - 5e-10)
+        assert probs.singles() == (1.0, 0.5, 1.0, 0.5)
+        assert probs.doubles() == (1.0, 0.5, 0.5, 0.25 - 5e-10)
+        inside = ExperimentalProbs(0.3, 0.6, 0.7, 0.2, 0.1, 0.05, 0.4, 0.1)
+        assert inside.doubles() == (0.1, 0.05, 0.4, 0.1)
 
     def test_three_experiment_skips_missing_pair(self):
         probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, None)

@@ -229,3 +229,12 @@ class TestStatesAndValidation:
     def test_settings_name_bad_field(self):
         with pytest.raises(ValidationError, match="n_B'"):
             AnalyzerSettings(Z, X, Z, (0.0, 0.0, 0.5))
+
+    def test_non_finite_rejected_by_field(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="n_A'"):
+                AnalyzerSettings(Z, (bad, 0.0, 1.0), Z, Z)
+            m = np.eye(4, dtype=complex) / 4
+            m[1, 2] = bad
+            with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(m)
