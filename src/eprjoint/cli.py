@@ -33,6 +33,7 @@ from .construction import (
     ConstructionTrace,
     FamilyParams,
     QuadDistribution,
+    check_sweep_budget,
     construct_3exp_trace,
     construct_4exp_trace,
     marginal_residuals,
@@ -210,15 +211,20 @@ def parse_params(obj) -> FamilyParams:
     )
 
 
-def _parse_grid(spec: str) -> list[float]:
+def _parse_grid(spec: str, axes: int) -> list[float]:
+    """The sweep axis of --grid, checked against the sweep's work budget
+    before it is built."""
     spec = spec.strip()
     try:
         if "," in spec:
-            axis = [float(v) for v in spec.split(",")]
+            values = spec.split(",")
+            check_sweep_budget(len(values), axes, "--grid list length")
+            axis = [float(v) for v in values]
         else:
             n = int(spec)
             if n < 1:
                 raise ValueError
+            check_sweep_budget(n, axes, "--grid")
             axis = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
     except ValueError as exc:
         raise ValidationError(
@@ -334,14 +340,14 @@ def cmd_oracle(config: RunConfig) -> dict:
 
 def cmd_sweep(config: RunConfig) -> dict:
     probs = _load_probs(config)
-    axis = _parse_grid(config.grid)
-    result = sweep_grid(probs, axis)
     if probs.has_all_four:
         quad_at = lambda params: construct_4exp_trace(probs, params).quad
         axes = 7
     else:
         quad_at = lambda params: construct_3exp_trace(probs, params).quad
         axes = 8
+    axis = _parse_grid(config.grid, axes)
+    result = sweep_grid(probs, axis)
     return {
         "mode": "sweep",
         "grid": {"axis": axis, "axes": axes, "total_points": result.total_points},
@@ -395,9 +401,12 @@ def cmd_mc_verify(config: RunConfig) -> dict:
             idx = marginal_indices(**kw(x, y))
             expected = float(sum(quad.entries[i] for i in idx))
             empirical = float(sum(counts[i] for i in idx)) / n
-            std_err = math.sqrt(max(expected * (1.0 - expected), 0.0) / n)
+            variance = max(expected * (1.0 - expected), 0.0)
+            std_err = math.sqrt(variance / n)
             if std_err > 0.0:
                 z = (empirical - expected) / std_err
+            elif variance > 0.0:  # variance / n underflowed (expected below ~n * 5e-324)
+                z = (empirical - expected) / math.sqrt(variance) * math.sqrt(n)
             else:
                 z = 0.0 if empirical == expected else float("inf")
             cell_label = outcome_label((x, y))

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
 from typing import Sequence
+
+import numpy as np
 
 from .chsh import chsh_probability_form
 from .errors import (
@@ -41,6 +42,10 @@ from .experiments import (
 from .indexing import SIGNS, Sign, marginal, outcome_label, quad_index
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
+
+# Work bound of sweep_grid: block cells 4 * n**(k - 3) for n points per axis
+# and k axes (45 points for four experiments, 21 for three).
+SWEEP_MAX_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,14 @@ def interval_p_plusplus(probs: ExperimentalProbs, primed: bool, p_dotdot: float)
     return result
 
 
+def _side_triples(probs: ExperimentalProbs, primed: bool, chosen, p_dotdot: float) -> tuple:
+    """The eight triple probabilities of one side, P(+.bb') then P(-.bb')
+    (P(.+bb') then P(.-bb') when primed), given the chosen P(+.++) (or
+    P(.+++)); a numpy array of chosen values gives arrays."""
+    return (*frechet_cells(*_side_inputs(probs, primed, 1), chosen),
+            *frechet_cells(*_side_inputs(probs, primed, -1), p_dotdot - chosen))
+
+
 def step1_triples(
     probs: ExperimentalProbs, p_a_pp: float, p_ap_pp: float, p_dotdot: float
 ) -> TripleProbs:
@@ -285,21 +298,17 @@ def step1_triples(
     cells P(x++), P(x+-) = P(x+.) - P(x++), P(x-+) = P(x.+) - P(x++),
     P(x--) = P(x..) - P(x+.) - P(x.+) + P(x++); same with primes.
     """
-    pa: list[float] = []
-    pap: list[float] = []
-    for primed, chosen, side in ((False, p_a_pp, pa), (True, p_ap_pp, pap)):
-        for sign in SIGNS:
-            with_b, with_bp, single = _side_inputs(probs, primed, sign)
-            base = chosen if sign > 0 else p_dotdot - chosen
-            cells = frechet_cells(with_b, with_bp, single, base)
-            if min(cells) < -probs.atol:
-                x = "+" if sign > 0 else "-"
-                raise InternalInvariantError(
-                    f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
-                    "have a negative entry; a chosen scalar violates its interval"
-                )
-            side.extend(cells)
-    return TripleProbs(tuple(pa), tuple(pap), atol=probs.atol)
+    sides = []
+    for primed, chosen in ((False, p_a_pp), (True, p_ap_pp)):
+        side = _side_triples(probs, primed, chosen, p_dotdot)
+        if min(side) < -probs.atol:
+            x, cells = ("+", side[:4]) if min(side[:4]) < -probs.atol else ("-", side[4:])
+            raise InternalInvariantError(
+                f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
+                "have a negative entry; a chosen scalar violates its interval"
+            )
+        sides.append(side)
+    return TripleProbs(*sides, atol=probs.atol)
 
 
 def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
@@ -523,27 +532,72 @@ class SweepResult:
         return self.valid_points == self.total_points
 
 
+def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None:
+    """UsageError, naming field, when a sweep with `points` values on each of
+    `axes` axes would evaluate more than SWEEP_MAX_CELLS block cells,
+    4 * points**(axes - 3)."""
+    cells = 4 * points ** (axes - 3)
+    if cells > SWEEP_MAX_CELLS:
+        limit = 1
+        while 4 * (limit + 1) ** (axes - 3) <= SWEEP_MAX_CELLS:
+            limit += 1
+        raise UsageError(
+            f"{field} = {points}: the {axes}-axis sweep needs 4*{points}^{axes - 3} = "
+            f"{cells} block cells, above the bound SWEEP_MAX_CELLS = {SWEEP_MAX_CELLS} "
+            f"(at most {limit} points per axis)"
+        )
+
+
+def _first_max(x, y):
+    """Python's max(x, y) elementwise: y only where y > x."""
+    return np.where(y > x, y, x)
+
+
+def _first_min(x, y):
+    """Python's min(x, y) elementwise: y only where y < x."""
+    return np.where(y < x, y, x)
+
+
+def _pick_array(lo, hi, t):
+    """Interval(lo, hi).pick(t) elementwise, with the same float operations."""
+    clamped = _first_min(_first_max(lo + t * (hi - lo), lo), hi)
+    return np.where(hi <= lo, (lo + hi) / 2.0, clamped)
+
+
+def _take(values: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
+    """values at index along axis, which is dropped."""
+    return np.take_along_axis(values, np.expand_dims(index, axis), axis).squeeze(axis)
+
+
 def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     """Evaluate the construction on the full t-grid axis^k (k = 7 for four
     experiments, 8 for three) and report validity counts and extremes.
 
-    Walks the grid in construction order, so each interval is computed once
-    per value of the parameters before it.  Once the first parameters fix
-    the triples, the four P(++bb') blocks are independent: validity and
-    min-entry statistics over the full grid factorize exactly over blocks.
-    Equivalent to enumerating every grid point through the scalar
-    construction (tested against it).
+    Walks the grid in construction order.  For each P(A'B') completion and
+    each t0 one numpy pass covers every (t1, t2): the picked P(+.++) and
+    P(.+++), the sixteen step-1 triples, the four P(++bb') intervals, and
+    the minimum cell of each block at every t, an array of shape
+    (4, n, n, n).  The blocks are independent once the triples are fixed,
+    so validity and min-entry statistics over the full grid factorize
+    exactly over blocks.  Every float operation is the scalar maps' own, so
+    the result equals enumerating the grid through them, ties going to the
+    first grid point in loop order.  A pass that fails one of their checks
+    is replayed through them to raise their error.  UsageError when the
+    grid exceeds SWEEP_MAX_CELLS block cells (see check_sweep_budget).
     """
     axis = [float(t) for t in axis]
     if not axis:
         raise UsageError("sweep needs at least one grid value per axis")
+    n = len(axis)
+    check_sweep_budget(n, 7 if probs.has_all_four else 8)
     if probs.has_all_four:
         completions = [(None, probs)]
-        total_points = len(axis) ** 7
+        total_points = n ** 7
     else:
         apbp_interval = interval_p_aprime_bprime(probs)
         completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
-        total_points = len(axis) ** 8
+        total_points = n ** 8
+    ts = np.array(axis)
 
     valid_points = 0
     min_entry = float("inf")
@@ -552,33 +606,55 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     best_choice: tuple | None = None
 
     for t_apbp, full in completions:
+        atol = full.atol
         dotdot_interval = interval_p_dotdot(full)
-        for t0 in axis:
-            p0 = dotdot_interval.pick(t0)
+        # picking every t0 first validates the whole axis before any pass
+        for t0, p0 in [(t0, dotdot_interval.pick(t0)) for t0 in axis]:
             a_interval = interval_p_plusplus(full, False, p0)
             ap_interval = interval_p_plusplus(full, True, p0)
-            for t1, t2 in product(axis, repeat=2):
-                triples = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
-                block_mins = []
-                for b, bp in BB_BLOCKS:
-                    iv = interval_p_pp_bb(triples, b, bp)
-                    margins = (triples.pa_value(1, b, bp), triples.pap_value(1, b, bp),
-                               triples.p_bb(b, bp))
-                    block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
+            # Triples: P(a.bb') varies with t1 (rows), P(.a'bb') with t2 (columns).
+            a_picks = _pick_array(a_interval.lo, a_interval.hi, ts)
+            ap_picks = _pick_array(ap_interval.lo, ap_interval.hi, ts)
+            pa = np.array(_side_triples(full, False, a_picks, p0))
+            pap = np.array(_side_triples(full, True, ap_picks, p0))
+            row, col = pa[:4, :, None], pap[:4, None, :]
+            total = 0.0 + pa[:4, :, None] + pa[4:, :, None]
+            total_ap = 0.0 + pap[:4, None, :] + pap[4:, None, :]
+            lo, hi = _first_max(0.0, row + col - total), _first_min(row, col)
+            if ((pa < -atol).any() or (pap < -atol).any()
+                    or (np.abs(total - total_ap) > atol).any() or (lo - hi > atol).any()):
+                _replay_pass(full, a_interval, ap_interval, p0, axis)
 
-                valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)
+            # Cells of every block at every t: shape (4 blocks, t1, t2, t).
+            row, col, total = row[..., None], col[..., None], total[..., None]
+            pp = _pick_array(lo[..., None], hi[..., None], ts)
+            mins = pp
+            for cell in frechet_cells(row, col, total, pp)[1:]:
+                mins = _first_min(mins, cell)
 
-                worst = min(min(mins) for mins in block_mins)
-                if worst < min_entry:
-                    min_entry = worst
-                    worst_ts = tuple(axis[mins.index(min(mins))] for mins in block_mins)
-                    min_choice = (t_apbp, t0, t1, t2, worst_ts)
+            # per prefix at most n**4 valid points: no int64 overflow within the budget
+            counts = (mins >= -atol).sum(axis=3)
+            valid_points += int(counts.prod(axis=0).sum())
 
-                best = min(max(mins) for mins in block_mins)
-                if best > best_min_entry:
-                    best_min_entry = best
-                    best_ts = tuple(axis[mins.index(max(mins))] for mins in block_mins)
-                    best_choice = (t_apbp, t0, t1, t2, best_ts)
+            low_t = mins.argmin(axis=3)
+            block_low = _take(mins, low_t, 3)
+            worst = _take(block_low, block_low.argmin(axis=0), 0)
+            k = int(worst.argmin())
+            if worst.flat[k] < min_entry:
+                i1, i2 = divmod(k, n)
+                min_entry = float(worst.flat[k])
+                worst_ts = tuple(axis[j] for j in low_t[:, i1, i2])
+                min_choice = (t_apbp, t0, axis[i1], axis[i2], worst_ts)
+
+            high_t = mins.argmax(axis=3)
+            block_high = _take(mins, high_t, 3)
+            best = _take(block_high, block_high.argmin(axis=0), 0)
+            k = int(best.argmax())
+            if best.flat[k] > best_min_entry:
+                i1, i2 = divmod(k, n)
+                best_min_entry = float(best.flat[k])
+                best_ts = tuple(axis[j] for j in high_t[:, i1, i2])
+                best_choice = (t_apbp, t0, axis[i1], axis[i2], best_ts)
 
     def to_params(choice: tuple) -> FamilyParams:
         t_apbp, t0, t1, t2, t_bb = choice
@@ -593,3 +669,16 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
         best_min_entry=best_min_entry,
         best_params=to_params(best_choice),
     )
+
+
+def _replay_pass(
+    probs: ExperimentalProbs, a_interval: Interval, ap_interval: Interval, p_dotdot: float,
+    axis: Sequence[float],
+) -> None:
+    """Rerun one sweep pass through the scalar maps, which raise the first
+    error in loop order (the same floats fail the same checks)."""
+    for t1, t2 in product(axis, repeat=2):
+        triples = step1_triples(probs, a_interval.pick(t1), ap_interval.pick(t2), p_dotdot)
+        for b, bp in BB_BLOCKS:
+            interval_p_pp_bb(triples, b, bp)
+    raise InternalInvariantError("a sweep pass failed a check that the scalar maps pass")

@@ -33,19 +33,25 @@ def outcome_label(outcome: Iterable[Sign]) -> str:
     return "".join("+" if s > 0 else "-" for s in outcome)
 
 
+# Indices entering each of the 81 marginal patterns, in outcome order: a 0
+# component ranges over both signs.
+_MARGINAL_INDICES: dict[tuple[Sign, Sign, Sign, Sign], tuple[int, ...]] = {
+    pattern: tuple(
+        quad_index(*outcome)
+        for outcome in product(*(SIGNS if p == 0 else (p,) for p in pattern))
+    )
+    for pattern in product((*SIGNS, 0), repeat=4)
+}
+
+
 def marginal_indices(a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> tuple[int, ...]:
     """Indices entering the marginal P(pattern); 0 components are summed over."""
-    pattern = (a, ap, b, bp)
-    return tuple(
-        quad_index(*outcome)
-        for outcome in ALL_OUTCOMES
-        if all(p == 0 or p == o for p, o in zip(pattern, outcome))
-    )
+    return _MARGINAL_INDICES[a, ap, b, bp]
 
 
 def marginal(entries: Sequence[float], a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0):
     """Marginal sum of a 16-entry quadruple table over the dotted (0) slots."""
     total = entries[0] - entries[0]  # zero of the entry type (float or Fraction)
-    for i in marginal_indices(a, ap, b, bp):
+    for i in _MARGINAL_INDICES[a, ap, b, bp]:
         total += entries[i]
     return total

@@ -63,19 +63,28 @@ class AnalyzerSettings:
 class DensityMatrix:
     """A validated 4x4 two-qubit density matrix.
 
-    Invariants: finite entries, Hermitian, unit trace, positive
-    semidefinite, each within DEFAULT_ATOL.  Positivity is checked through
-    the explicit eigenvalues of the Hermitian part (numpy.linalg.eigvalsh).
+    Invariants: finite entries with real and imaginary parts in [-1, 1],
+    Hermitian, unit trace, positive semidefinite, each within DEFAULT_ATOL.
+    Positivity is checked through the explicit eigenvalues of the Hermitian
+    part (numpy.linalg.eigvalsh).
     """
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = np.array(self.matrix, dtype=complex)  # a private, contiguous copy
         if mat.shape != (4, 4):
             raise ValidationError(f"density matrix must be 4x4, got shape {mat.shape}")
-        if not np.isfinite(mat).all():
+        # The largest real or imaginary part: |rho_ij| <= 1 in a unit-trace
+        # PSD matrix, and larger parts could overflow the checks below.
+        part = float(np.abs(mat.view(float)).max())
+        if not math.isfinite(part):
             raise ValidationError("density matrix has a non-finite entry")
+        if part > 1.0 + DEFAULT_ATOL:
+            raise ValidationError(
+                f"density matrix has an entry part of size {part!r} > 1, so it is not "
+                "a unit-trace positive semidefinite matrix"
+            )
         herm_defect = np.max(np.abs(mat - mat.conj().T))
         if herm_defect > DEFAULT_ATOL:
             raise ValidationError(f"density matrix is not Hermitian (defect {herm_defect!r})")
@@ -87,7 +96,6 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix is not positive semidefinite (min eigenvalue {min_eig!r})"
             )
-        mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

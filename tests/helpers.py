@@ -8,6 +8,9 @@ interval formulas) before the library was written.
 from __future__ import annotations
 
 import math
+from itertools import product
+from math import prod
+from typing import Sequence
 
 import numpy as np
 
@@ -15,10 +18,20 @@ from eprjoint import (
     AnalyzerSettings,
     DensityMatrix,
     ExperimentalProbs,
+    FamilyParams,
+    SweepResult,
+    UsageError,
     chsh_optimal_settings,
     experimental_probs,
+    interval_p_aprime_bprime,
+    interval_p_dotdot,
+    interval_p_plusplus,
+    interval_p_pp_bb,
+    step1_triples,
     werner,
 )
+from eprjoint.construction import BB_BLOCKS
+from eprjoint.experiments import frechet_cells
 
 SQRT2 = math.sqrt(2.0)
 
@@ -143,3 +156,67 @@ def trace_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> tuple[complex
     proj_b = [(eye + observable_matrix(n, first=False)) / 2 for n in (settings.n_b, settings.n_bp)]
     ops = [*proj_a, *proj_b, *(pa @ pb for pa in proj_a for pb in proj_b)]
     return tuple(np.trace(rho.matrix @ op) for op in ops)
+
+
+def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
+    """sweep_grid as nested Python loops over the prefixes (t_A'B', t0, t1,
+    t2) through the scalar maps; the array sweep must equal it exactly."""
+    axis = [float(t) for t in axis]
+    if not axis:
+        raise UsageError("sweep needs at least one grid value per axis")
+    if probs.has_all_four:
+        completions = [(None, probs)]
+        total_points = len(axis) ** 7
+    else:
+        apbp_interval = interval_p_aprime_bprime(probs)
+        completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
+        total_points = len(axis) ** 8
+
+    valid_points = 0
+    min_entry = float("inf")
+    min_choice: tuple | None = None
+    best_min_entry = float("-inf")
+    best_choice: tuple | None = None
+
+    for t_apbp, full in completions:
+        dotdot_interval = interval_p_dotdot(full)
+        for t0 in axis:
+            p0 = dotdot_interval.pick(t0)
+            a_interval = interval_p_plusplus(full, False, p0)
+            ap_interval = interval_p_plusplus(full, True, p0)
+            for t1, t2 in product(axis, repeat=2):
+                triples = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
+                block_mins = []
+                for b, bp in BB_BLOCKS:
+                    iv = interval_p_pp_bb(triples, b, bp)
+                    margins = (triples.pa_value(1, b, bp), triples.pap_value(1, b, bp),
+                               triples.p_bb(b, bp))
+                    block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
+
+                valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)
+
+                worst = min(min(mins) for mins in block_mins)
+                if worst < min_entry:
+                    min_entry = worst
+                    worst_ts = tuple(axis[mins.index(min(mins))] for mins in block_mins)
+                    min_choice = (t_apbp, t0, t1, t2, worst_ts)
+
+                best = min(max(mins) for mins in block_mins)
+                if best > best_min_entry:
+                    best_min_entry = best
+                    best_ts = tuple(axis[mins.index(max(mins))] for mins in block_mins)
+                    best_choice = (t_apbp, t0, t1, t2, best_ts)
+
+    def to_params(choice: tuple) -> FamilyParams:
+        t_apbp, t0, t1, t2, t_bb = choice
+        return FamilyParams(t0, t1, t2, t_bb, t_apbp)
+
+    assert min_choice is not None and best_choice is not None
+    return SweepResult(
+        total_points=total_points,
+        valid_points=valid_points,
+        min_entry=min_entry,
+        min_params=to_params(min_choice),
+        best_min_entry=best_min_entry,
+        best_params=to_params(best_choice),
+    )

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 from eprjoint import QuadDistribution
 from eprjoint.cli import SAMPLE_CHUNK, _sample_counts, main
+from eprjoint.construction import SWEEP_MAX_CELLS
 from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON
 
 S = 1.0 / math.sqrt(2.0)
@@ -262,6 +264,20 @@ class TestSweepMode:
         code, _, err = run_cli(capsys, "--mode", "sweep", "--input", path, "--grid", "x")
         assert code == 2
 
+    @pytest.mark.parametrize("grid, field", [
+        ("1000000000000", "--grid = 1000000000000:"),
+        (",".join(["0.5"] * 46), "--grid list length = 46:"),
+    ])
+    def test_oversized_grid_exits_2_at_once(self, write_json, capsys, grid, field):
+        path = write_json("u.json", UNIFORM_PROBS)
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "--mode", "sweep", "--input", path, "--grid", grid)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        error = json.loads(err)
+        assert error["error"] == "UsageError"
+        assert field in error["message"] and str(SWEEP_MAX_CELLS) in error["message"]
+
     def test_three_experiment_params_reproduce_tables(self, write_json, capsys):
         # the reported fractions, P(A'B') first, rebuild the reported tables
         path = write_json("s3.json", SINGLET_PROBS_3)
@@ -304,6 +320,18 @@ class TestMcVerifyMode:
         assert report["max_abs_z"] == 0.0
         cell = report["experiments"]["AB"]["cells"]["++"]
         assert cell["empirical"] == 1.0 and cell["std_error"] == 0.0
+
+    def test_denormal_cell_gives_finite_z(self, write_json, capsys):
+        # expected * (1 - expected) / samples underflows to 0 for this cell
+        path = write_json("t.json", {
+            "singles": {"A": 1.7556027711577845e-102, "A'": 0.0, "B": 0.0, "B'": 1.0},
+            "doubles": {"AB": 0.0, "AB'": 3.5e-323, "A'B": 0.0, "A'B'": 0.0},
+        })
+        code, out, _ = run_cli(capsys, "--mode", "mc-verify", "--input", path,
+                               "--samples", "2000")
+        assert code == 0
+        report = json.loads(out, parse_constant=lambda name: pytest.fail(name))
+        assert report["within_5_sigma"] is True and report["max_abs_z"] < 1e-40
 
     def test_three_experiment_mode(self, write_json, capsys):
         path = write_json("s3.json", SINGLET_PROBS_3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -34,9 +35,13 @@ from eprjoint import (
     step2_quadruple,
     sweep_grid,
 )
+from eprjoint import construction
+from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
+from eprjoint.indexing import ALL_OUTCOMES, marginal, marginal_indices, quad_index
 from helpers import (
     P_SINGLET_HIGH,
     det00_probs,
+    reference_sweep_grid,
     singlet_optimal_probs,
     synthetic_probs,
     uniform_probs,
@@ -391,6 +396,94 @@ class TestSweep:
             sweep_grid(singlet_optimal_probs(), [0.0, 1.0])
 
 
+def sweep_outcome(sweep, probs: ExperimentalProbs, axis) -> object:
+    """A sweep's result, or the type and message of the error it raised."""
+    try:
+        return sweep(probs, axis)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def deterministic_probs(a: int, ap: int, b: int, bp: int) -> ExperimentalProbs:
+    """The local strategy with fixed outcomes (1 for +, 0 for -)."""
+    return ExperimentalProbs(a, ap, b, bp, a * b, a * bp, ap * b, ap * bp)
+
+
+class TestSweepMatchesLoop:
+    """The array sweep equals the nested-loop reference exactly."""
+
+    AXES = ([0.0, 0.5, 1.0], [1.0, 0.0, 0.5, 0.5], [0.5], [0.0, 1 / 3, 2 / 3, 1.0])
+
+    def assert_identical(self, probs: ExperimentalProbs, axis) -> None:
+        for p in (probs, probs.without_aprime_bprime()):
+            result = sweep_outcome(sweep_grid, p, axis)
+            reference = sweep_outcome(reference_sweep_grid, p, axis)
+            assert result == reference
+            if not isinstance(result, tuple):
+                # == identifies 0.0 and -0.0; the reported floats must not differ
+                for name in ("min_entry", "best_min_entry"):
+                    assert float(getattr(result, name)).hex() == \
+                        float(getattr(reference, name)).hex()
+
+    def test_seeded_inputs(self):
+        rng = np.random.default_rng(109)
+        for i in range(8):
+            axis = self.AXES[i % len(self.AXES)]
+            self.assert_identical(satisfying_probs(rng), axis)
+            self.assert_identical(synthetic_probs(rng), axis)
+
+    def test_unsorted_axis_with_duplicates(self):
+        rng = np.random.default_rng(113)
+        axis = [1.0, 0.0, 0.5, 0.5]
+        for probs in (uniform_probs(), det00_probs(), satisfying_probs(rng)):
+            self.assert_identical(probs, axis)
+
+    def test_deterministic_strategies(self):
+        # zero-width intervals take the midpoint branch of pick
+        for signs in product((1, 0), repeat=4):
+            self.assert_identical(deterministic_probs(*signs), [0.0, 0.5, 1.0])
+
+    def test_single_point_axis(self):
+        rng = np.random.default_rng(127)
+        for probs in (uniform_probs(), satisfying_probs(rng)):
+            self.assert_identical(probs, [0.3])
+            result = sweep_grid(probs, [0.3])
+            assert result.total_points == 1 and result.min_params == result.best_params
+
+    def test_errors_match(self):
+        self.assert_identical(singlet_optimal_probs(), [0.0, 1.0])
+        self.assert_identical(uniform_probs(), [0.0, 1.5])
+
+    def test_failed_pass_raises_the_scalar_error(self, monkeypatch):
+        # a skewed table rule makes every step-1 triple negative: the pass's
+        # check fails and the replay raises step1_triples' own error
+        def skewed(row, col, total, pp):
+            return pp, row - pp - 0.5, col - pp, total + pp - row - col
+
+        monkeypatch.setattr(construction, "frechet_cells", skewed)
+        probs = uniform_probs()
+        result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
+        assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
+        assert result[0] is InternalInvariantError and "negative entry" in result[1]
+
+
+class TestSweepBudget:
+    def test_bound_in_points_per_axis(self):
+        check_sweep_budget(45, 7)
+        check_sweep_budget(21, 8)
+        assert 4 * 46**4 > SWEEP_MAX_CELLS and 4 * 22**5 > SWEEP_MAX_CELLS
+
+    @pytest.mark.parametrize("points, three", [(46, False), (22, True)])
+    def test_oversized_sweep_rejected(self, points, three):
+        probs = uniform_probs().without_aprime_bprime() if three else uniform_probs()
+        with pytest.raises(UsageError) as err:
+            sweep_grid(probs, [0.5] * points)
+        message = str(err.value)
+        cells = 4 * points ** (5 if three else 4)
+        assert f"len(axis) = {points}:" in message and str(cells) in message
+        assert str(SWEEP_MAX_CELLS) in message
+
+
 class TestQuadDistribution:
     def test_clamps_tiny_negatives(self):
         entries = [0.0625] * 16
@@ -409,6 +502,17 @@ class TestQuadDistribution:
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError, match="sums"):
             QuadDistribution(tuple([0.125] * 16))
+
+    def test_marginal_indices_of_every_pattern(self):
+        entries = [Fraction(i + 1, 136) for i in range(16)]
+        for pattern in product((1, -1, 0), repeat=4):
+            # the outcomes that agree with every nonzero component, in outcome order
+            indices = tuple(
+                quad_index(*outcome) for outcome in ALL_OUTCOMES
+                if all(p == 0 or p == o for p, o in zip(pattern, outcome))
+            )
+            assert marginal_indices(*pattern) == indices
+            assert marginal(entries, *pattern) == sum(entries[i] for i in indices)
 
     def test_to_probs_round_trip(self):
         rng = np.random.default_rng(107)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,4 +238,12 @@ class TestStatesAndValidation:
             m = np.eye(4, dtype=complex) / 4
             m[1, 2] = bad
             with pytest.raises(ValidationError, match="non-finite"):
+                DensityMatrix(m)
+
+    def test_huge_entries_rejected_without_overflow(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[3, 3] = complex(0.25, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="1e\\+308 > 1"):
                 DensityMatrix(m)
