@@ -321,7 +321,7 @@ def cmd_construct(config: RunConfig) -> dict:
 def cmd_oracle(config: RunConfig) -> dict:
     probs = _load_probs(config)
     system = build_system(probs)
-    result = solve_system(system, eps=probs.atol)
+    result = solve_system(system, atol=probs.atol)
     payload = {
         "mode": "oracle",
         "system_rhs": dict(zip(ROW_LABELS, (float(v) for v in system.rhs))),

@@ -5,7 +5,7 @@ Decides, without using the two-step construction, whether a nonnegative
 (normalization, four singles, four doubles).  The decision is made by
 maximizing the minimum entry: substituting p = q + (u - 1), q >= 0,
 u >= 0 turns the problem into a standard-form LP with 16 variables plus one
-auxiliary, solved by a dense two-phase simplex with Bland's rule.
+auxiliary, solved by a two-phase tableau simplex with Bland's rule.
 
 The substitution floors the objective at minimum entry -1.  That floor is
 inert for any rhs respecting the Fréchet bounds: gluing the three measured
@@ -14,17 +14,18 @@ three experiments, and the fourth marginal can be corrected by the pure
 parity kernel with entries +-delta/16, |delta| <= 2, so the optimum is
 always >= -1/8.
 
-The same tableau code runs on float64 or on exact Fractions (supplied as
-the system's rhs), giving a tolerance-free mode for dyadic inputs.
+Only the rhs column depends on the input: the constraint rows and the
+phase-1 reduced-cost row are built once at import and copied per call.  A
+pivot touches only the pivot row's nonzero columns, in the rows with a
+nonzero entry in the entering column.  The tableau is plain lists, so one
+code path runs on floats or on exact Fractions (supplied as the system's
+rhs), the latter a tolerance-free mode for dyadic inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
 
 from .construction import QuadDistribution
 from .errors import InternalInvariantError, UsageError
@@ -96,8 +97,9 @@ class FeasibilityResult:
     """Outcome of the max-min-entry LP.
 
     value is the largest achievable minimum entry (down to the -1 floor);
-    feasible means value >= -eps.  witness is the optimizing table when
-    feasible.  certificate holds the nine dual multipliers y: always
+    feasible means value >= -atol/8: a CHSH C-function sums eight entries,
+    so the C-unit atol is atol/8 per entry.  witness is the optimizing table
+    when feasible.  certificate holds the nine dual multipliers y: always
     y.(rhs + rowsums) = value + 1 with y.A >= 0 columnwise, so when
     infeasible, y.rhs < 0 exhibits a violated nonnegative combination of
     the marginal equations (a CHSH-type hyperplane).
@@ -111,146 +113,133 @@ class FeasibilityResult:
     floored: bool = False
 
 
-def _bland_entering(obj_row, allowed: int, tol) -> int | None:
-    for j in range(allowed):
-        if obj_row[j] < -tol:
-            return j
-    return None
+_M = 9                    # constraint rows; the reduced-cost row is row _M
+_N_STRUCT = 17            # 16 shifted entries + the auxiliary min-entry variable
+_AUX = 16
+_RHS = _N_STRUCT + _M     # last column
 
 
-def _bland_leaving(tableau, basis, col: int, m: int, tol) -> int | None:
-    best_ratio = None
-    best_row = None
-    for i in range(m):
-        coef = tableau[i][col]
-        if coef > tol:
-            ratio = tableau[i][-1] / coef
-            if best_ratio is None or ratio < best_ratio or (
-                ratio == best_ratio and basis[i] < basis[best_row]
-            ):
-                best_ratio = ratio
-                best_row = i
-    return best_row
+def _constant_tableau(cast) -> tuple[list, ...]:
+    """Constraint rows [A | A.1 | I | rhs slot] and the phase-1 reduced-cost
+    row (artificial costs minus every row), with the rhs column left zero."""
+    rows = [
+        [*row, sum(row), *(int(k == i) for k in range(_M)), 0]
+        for i, row in enumerate(STANDARD_ROWS)
+    ]
+    phase1 = [int(_N_STRUCT <= j < _RHS) - sum(col) for j, col in enumerate(zip(*rows))]
+    return tuple([cast(v) for v in row] for row in (*rows, phase1))
 
 
-def _pivot(tableau, basis, row: int, col: int) -> None:
-    tableau[row] = tableau[row] / tableau[row][col]
-    for i in range(len(tableau)):
-        if i != row:
-            factor = tableau[i][col]
-            if factor != 0:
-                tableau[i] = tableau[i] - factor * tableau[row]
-    basis[row] = col
+_TABLEAUS = {cast: _constant_tableau(cast) for cast in (float, Fraction)}
 
 
 class _Simplex:
-    """Dense tableau simplex over float64 or exact Fractions, Bland's rule."""
-
-    M = 9           # constraint rows
-    N_STRUCT = 17   # 16 shifted entries + the auxiliary min-entry variable
-    N = N_STRUCT + M
+    """Tableau simplex over lists of float or Fraction, Bland's rule."""
 
     def __init__(self, system: MarginalSystem):
         self.exact = system.exact
-        if self.exact:
-            self.zero, self.one, self.tol = Fraction(0), Fraction(1), Fraction(0)
-            cast = Fraction
-        else:
-            self.zero, self.one, self.tol = 0.0, 1.0, _PIVOT_TOL
-            cast = float
-        row_sums = [sum(row) for row in STANDARD_ROWS]
-        tableau = np.full((self.M + 1, self.N + 1), self.zero,
-                          dtype=object if self.exact else float)
-        for i, row in enumerate(STANDARD_ROWS):
-            for j, coef in enumerate(row):
-                tableau[i][j] = cast(coef)
-            tableau[i][16] = cast(row_sums[i])       # auxiliary column = A.1
-            tableau[i][self.N_STRUCT + i] = self.one  # artificial
-            tableau[i][-1] = cast(system.rhs[i]) + cast(row_sums[i])
-            if tableau[i][-1] < self.zero:
+        cast = Fraction if self.exact else float
+        self.zero, self.one = cast(0), cast(1)
+        self.tol = self.zero if self.exact else _PIVOT_TOL
+        self.tab = [row.copy() for row in _TABLEAUS[cast]]
+        gap = self.zero
+        for i, row in enumerate(self.tab[:_M]):
+            row[_RHS] = cast(system.rhs[i]) + row[_AUX]   # the auxiliary column is A.1
+            if row[_RHS] < self.zero:
                 raise UsageError(
                     f"rhs for row {ROW_LABELS[i]!r} is below the representable range"
                 )
-        self.tableau = tableau
-        self.basis = [self.N_STRUCT + i for i in range(self.M)]
+            gap = gap - row[_RHS]
+        self.tab[_M][_RHS] = gap
+        self.basis = list(range(_N_STRUCT, _RHS))
         self.iterations = 0
 
+    def pivot(self, row: int, col: int) -> None:
+        """Row-sparse pivot: only the pivot row's nonzero columns change, and
+        only in rows with a nonzero entry in the entering column."""
+        prow = self.tab[row]
+        p = prow[col]
+        nonzero = [(j, v / p) for j, v in enumerate(prow) if v]
+        for j, v in nonzero:
+            prow[j] = v
+        for i, r in enumerate(self.tab):
+            factor = r[col]
+            if factor and i != row:
+                for j, v in nonzero:
+                    r[j] -= factor * v
+        self.basis[row] = col
+        self.iterations += 1
+
     def run(self) -> None:
+        tab, basis, tol = self.tab, self.basis, self.tol
         while True:
-            col = _bland_entering(self.tableau[self.M], self.N_STRUCT, self.tol)
+            obj = tab[_M]
+            col = next((j for j in range(_N_STRUCT) if obj[j] < -tol), None)
             if col is None:
                 return
-            row = _bland_leaving(self.tableau, self.basis, col, self.M, self.tol)
+            # Bland's leaving rule: least ratio, ties to the least basic index.
+            row = None
+            for i in range(_M):
+                coef = tab[i][col]
+                if coef > tol:
+                    ratio = tab[i][_RHS] / coef
+                    if row is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                        row, best = i, ratio
             if row is None:
                 raise InternalInvariantError("unbounded direction in a bounded LP")
-            _pivot(self.tableau, self.basis, row, col)
-            self.iterations += 1
+            self.pivot(row, col)
             if self.iterations > _MAX_PIVOTS:
                 raise InternalInvariantError("simplex failed to terminate")
 
-    def set_objective(self, costs: Sequence) -> None:
-        """Load reduced costs for the given structural costs (artificials cost 0)."""
-        tab, m = self.tableau, self.M
-        for j in range(self.N + 1):
-            tab[m][j] = costs[j] if j < len(costs) else self.zero
-        for i in range(m):
-            factor = tab[m][self.basis[i]]
-            if factor != 0:
-                tab[m] = tab[m] - factor * tab[i]
-
-    def solution(self) -> list:
-        x = [self.zero] * self.N_STRUCT
-        for i in range(self.M):
-            if self.basis[i] < self.N_STRUCT:
-                x[self.basis[i]] = self.tableau[i][-1]
-        return x
+    def certificate(self) -> tuple:
+        return tuple(self.tab[_M][_N_STRUCT:_RHS])
 
 
-def solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) -> FeasibilityResult:
+def solve_system(system: MarginalSystem, atol: float = DEFAULT_ATOL) -> FeasibilityResult:
     """Run the two-phase simplex and report the max-min-entry optimum."""
     sx = _Simplex(system)
-    zero, one = sx.zero, sx.one
+    zero, one, tab, basis = sx.zero, sx.one, sx.tab, sx.basis
 
     # Phase 1: minimize the artificial mass.
-    art_costs = [zero] * sx.N_STRUCT + [one] * sx.M
-    sx.set_objective(art_costs)
     sx.run()
-    phase1_gap = -sx.tableau[sx.M][-1]
-    if phase1_gap > (zero if sx.exact else 1e-7):
+    if -tab[_M][_RHS] > (zero if sx.exact else 1e-7):
         # No table with entries >= -1 matches this rhs (impossible for
         # Fréchet-consistent inputs); report the floor.
-        certificate = tuple(sx.tableau[sx.M][sx.N_STRUCT + i] for i in range(sx.M))
         return FeasibilityResult(
             feasible=False, value=-one, witness=None,
-            certificate=certificate, iterations=sx.iterations, floored=True,
+            certificate=sx.certificate(), iterations=sx.iterations, floored=True,
         )
 
     # Drive any zero-level artificial out of the basis before phase 2.
-    for i in range(sx.M):
-        if sx.basis[i] >= sx.N_STRUCT:
-            for j in range(sx.N_STRUCT):
-                if abs(sx.tableau[i][j]) > sx.tol:
-                    _pivot(sx.tableau, sx.basis, i, j)
-                    sx.iterations += 1
+    for i in range(_M):
+        if basis[i] >= _N_STRUCT:
+            for j in range(_N_STRUCT):
+                if abs(tab[i][j]) > sx.tol:
+                    sx.pivot(i, j)
                     break
 
-    # Phase 2: maximize the auxiliary variable (minimize its negative).
-    costs = [zero] * sx.N_STRUCT
-    costs[16] = -one
-    sx.set_objective(costs)
+    # Phase 2: maximize the auxiliary variable (minimize its negative).  It
+    # is the only variable with a cost (-1), so pricing out the basis adds
+    # its row, if it is basic, to the costs.
+    obj = [zero] * (_RHS + 1)
+    obj[_AUX] = -one
+    if _AUX in basis:
+        obj = [c + v for c, v in zip(obj, tab[basis.index(_AUX)])]
+    tab[_M] = obj
     sx.run()
 
     # Reduced cost of artificial i is -y_i; the flipped sign is the dual of
     # the maximization, satisfying y.(rhs + rowsums) = value + 1, y.A >= 0.
-    certificate = tuple(sx.tableau[sx.M][sx.N_STRUCT + i] for i in range(sx.M))
-    x = sx.solution()
-    value = x[16] - one
-    witness = tuple(q + value for q in x[:16])
+    x = [zero] * _N_STRUCT
+    for i, b in enumerate(basis):
+        if b < _N_STRUCT:
+            x[b] = tab[i][_RHS]
+    value = x[_AUX] - one
     return FeasibilityResult(
-        feasible=bool(value >= -eps),
+        feasible=bool(value >= -atol / 8),
         value=value,
-        witness=witness,
-        certificate=certificate,
+        witness=tuple(q + value for q in x[:16]),
+        certificate=sx.certificate(),
         iterations=sx.iterations,
     )
 

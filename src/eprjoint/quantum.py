@@ -85,10 +85,10 @@ class DensityMatrix:
                 f"density matrix has an entry part of size {part!r} > 1, so it is not "
                 "a unit-trace positive semidefinite matrix"
             )
-        herm_defect = np.max(np.abs(mat - mat.conj().T))
+        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > DEFAULT_ATOL:
             raise ValidationError(f"density matrix is not Hermitian (defect {herm_defect!r})")
-        trace = mat.trace()
+        trace = complex(mat.trace())
         if abs(trace - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
         min_eig = float(np.linalg.eigvalsh(mat).min())

@@ -8,6 +8,7 @@ interval formulas) before the library was written.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 from math import prod
 from typing import Sequence
@@ -19,6 +20,9 @@ from eprjoint import (
     DensityMatrix,
     ExperimentalProbs,
     FamilyParams,
+    FeasibilityResult,
+    InternalInvariantError,
+    MarginalSystem,
     SweepResult,
     UsageError,
     chsh_optimal_settings,
@@ -31,7 +35,8 @@ from eprjoint import (
     werner,
 )
 from eprjoint.construction import BB_BLOCKS
-from eprjoint.experiments import frechet_cells
+from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
+from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
 
 SQRT2 = math.sqrt(2.0)
 
@@ -45,6 +50,8 @@ PAULI = (
 P_SINGLET_LOW = (2.0 - SQRT2) / 8.0    # 0.07322330470336313
 P_SINGLET_HIGH = (2.0 + SQRT2) / 8.0   # 0.4267766952966369
 TSIRELSON = 2.0 * SQRT2                # 2.8284271247461903
+# Popescu-Rohrlich box: C(AA'B'B) = -1/2, the most nonlocal no-signalling point
+PR_BOX = (Fraction(1, 2),) * 7 + (Fraction(0),)
 
 
 def uniform_probs() -> ExperimentalProbs:
@@ -135,6 +142,49 @@ def mixed_population(rng: np.random.Generator, count: int) -> list[ExperimentalP
     return population
 
 
+STRATEGIES = tuple(product((1, 0), repeat=4))
+
+
+def face_mixture(rng: np.random.Generator) -> list[float]:
+    """The eight probabilities of 1-4 strategies with weights k/32."""
+    terms = int(rng.integers(1, 5))
+    chosen = rng.choice(len(STRATEGIES), size=terms, replace=False)
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, 32), size=terms - 1, replace=False))
+    edges = [0, *cuts, 32]
+    values = [0.0] * 8
+    for k, s in enumerate(chosen):
+        a, ap, b, bp = STRATEGIES[int(s)]
+        weight = (edges[k + 1] - edges[k]) / 32
+        for j, hit in enumerate((a, ap, b, bp, a * b, a * bp, ap * b, ap * bp)):
+            values[j] += weight * hit
+    return values
+
+
+def near_face_inputs(seed: int, count: int):
+    """Face mixtures, each followed by a copy with one value moved by
+    +-10^u, u uniform in [-11, -8]: on, inside and outside the atol band."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        values = face_mixture(rng)
+        yield values
+        moved = list(values)
+        moved[int(rng.integers(8))] += float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-11, -8)
+        yield moved
+
+
+def dyadic_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem]:
+    """Exact systems of face mixtures; every other one is moved toward the
+    PR box by a weight k/8, most of those past the CHSH bound."""
+    systems = []
+    for i in range(count):
+        values = [Fraction(v) for v in face_mixture(rng)]
+        if i % 2:
+            w = Fraction(int(rng.integers(1, 9)), 8)
+            values = [(1 - w) * v + w * pr for v, pr in zip(values, PR_BOX)]
+        systems.append(MarginalSystem.from_values(*values))
+    return systems
+
+
 def observable_matrix(direction, first: bool) -> np.ndarray:
     """4x4 matrix of sigma.n on the first or second qubit, identity on the other."""
     local = sum(c * pauli for c, pauli in zip(direction, PAULI))
@@ -219,4 +269,149 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
         min_params=to_params(min_choice),
         best_min_entry=best_min_entry,
         best_params=to_params(best_choice),
+    )
+
+
+def _bland_entering(obj_row, allowed: int, tol) -> int | None:
+    for j in range(allowed):
+        if obj_row[j] < -tol:
+            return j
+    return None
+
+
+def _bland_leaving(tableau, basis, col: int, m: int, tol) -> int | None:
+    best_ratio = None
+    best_row = None
+    for i in range(m):
+        coef = tableau[i][col]
+        if coef > tol:
+            ratio = tableau[i][-1] / coef
+            if best_ratio is None or ratio < best_ratio or (
+                ratio == best_ratio and basis[i] < basis[best_row]
+            ):
+                best_ratio = ratio
+                best_row = i
+    return best_row
+
+
+def _pivot(tableau, basis, row: int, col: int) -> None:
+    tableau[row] = tableau[row] / tableau[row][col]
+    for i in range(len(tableau)):
+        if i != row:
+            factor = tableau[i][col]
+            if factor != 0:
+                tableau[i] = tableau[i] - factor * tableau[row]
+    basis[row] = col
+
+
+class _Simplex:
+    """Dense tableau simplex over float64 or exact Fractions, Bland's rule."""
+
+    M = 9           # constraint rows
+    N_STRUCT = 17   # 16 shifted entries + the auxiliary min-entry variable
+    N = N_STRUCT + M
+
+    def __init__(self, system: MarginalSystem):
+        self.exact = system.exact
+        if self.exact:
+            self.zero, self.one, self.tol = Fraction(0), Fraction(1), Fraction(0)
+            cast = Fraction
+        else:
+            self.zero, self.one, self.tol = 0.0, 1.0, _PIVOT_TOL
+            cast = float
+        row_sums = [sum(row) for row in STANDARD_ROWS]
+        tableau = np.full((self.M + 1, self.N + 1), self.zero,
+                          dtype=object if self.exact else float)
+        for i, row in enumerate(STANDARD_ROWS):
+            for j, coef in enumerate(row):
+                tableau[i][j] = cast(coef)
+            tableau[i][16] = cast(row_sums[i])       # auxiliary column = A.1
+            tableau[i][self.N_STRUCT + i] = self.one  # artificial
+            tableau[i][-1] = cast(system.rhs[i]) + cast(row_sums[i])
+            if tableau[i][-1] < self.zero:
+                raise UsageError(
+                    f"rhs for row {ROW_LABELS[i]!r} is below the representable range"
+                )
+        self.tableau = tableau
+        self.basis = [self.N_STRUCT + i for i in range(self.M)]
+        self.iterations = 0
+
+    def run(self) -> None:
+        while True:
+            col = _bland_entering(self.tableau[self.M], self.N_STRUCT, self.tol)
+            if col is None:
+                return
+            row = _bland_leaving(self.tableau, self.basis, col, self.M, self.tol)
+            if row is None:
+                raise InternalInvariantError("unbounded direction in a bounded LP")
+            _pivot(self.tableau, self.basis, row, col)
+            self.iterations += 1
+            if self.iterations > _MAX_PIVOTS:
+                raise InternalInvariantError("simplex failed to terminate")
+
+    def set_objective(self, costs: Sequence) -> None:
+        """Load reduced costs for the given structural costs (artificials cost 0)."""
+        tab, m = self.tableau, self.M
+        for j in range(self.N + 1):
+            tab[m][j] = costs[j] if j < len(costs) else self.zero
+        for i in range(m):
+            factor = tab[m][self.basis[i]]
+            if factor != 0:
+                tab[m] = tab[m] - factor * tab[i]
+
+    def solution(self) -> list:
+        x = [self.zero] * self.N_STRUCT
+        for i in range(self.M):
+            if self.basis[i] < self.N_STRUCT:
+                x[self.basis[i]] = self.tableau[i][-1]
+        return x
+
+
+def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) -> FeasibilityResult:
+    """solve_system as a dense numpy tableau, rebuilt and reloaded on every
+    call; the list simplex must equal it bit for bit, pivot for pivot."""
+    sx = _Simplex(system)
+    zero, one = sx.zero, sx.one
+
+    # Phase 1: minimize the artificial mass.
+    art_costs = [zero] * sx.N_STRUCT + [one] * sx.M
+    sx.set_objective(art_costs)
+    sx.run()
+    phase1_gap = -sx.tableau[sx.M][-1]
+    if phase1_gap > (zero if sx.exact else 1e-7):
+        # No table with entries >= -1 matches this rhs (impossible for
+        # Fréchet-consistent inputs); report the floor.
+        certificate = tuple(sx.tableau[sx.M][sx.N_STRUCT + i] for i in range(sx.M))
+        return FeasibilityResult(
+            feasible=False, value=-one, witness=None,
+            certificate=certificate, iterations=sx.iterations, floored=True,
+        )
+
+    # Drive any zero-level artificial out of the basis before phase 2.
+    for i in range(sx.M):
+        if sx.basis[i] >= sx.N_STRUCT:
+            for j in range(sx.N_STRUCT):
+                if abs(sx.tableau[i][j]) > sx.tol:
+                    _pivot(sx.tableau, sx.basis, i, j)
+                    sx.iterations += 1
+                    break
+
+    # Phase 2: maximize the auxiliary variable (minimize its negative).
+    costs = [zero] * sx.N_STRUCT
+    costs[16] = -one
+    sx.set_objective(costs)
+    sx.run()
+
+    # Reduced cost of artificial i is -y_i; the flipped sign is the dual of
+    # the maximization, satisfying y.(rhs + rowsums) = value + 1, y.A >= 0.
+    certificate = tuple(sx.tableau[sx.M][sx.N_STRUCT + i] for i in range(sx.M))
+    x = sx.solution()
+    value = x[16] - one
+    witness = tuple(q + value for q in x[:16])
+    return FeasibilityResult(
+        feasible=bool(value >= -eps),
+        value=value,
+        witness=witness,
+        certificate=certificate,
+        iterations=sx.iterations,
     )

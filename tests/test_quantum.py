@@ -210,12 +210,16 @@ class TestStatesAndValidation:
     def test_not_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 0.5
-        with pytest.raises(ValidationError, match="Hermitian"):
+        with pytest.raises(ValidationError, match="Hermitian") as err:
             DensityMatrix(m)
+        assert "np." not in str(err.value)
+        assert "(defect 0.5)" in str(err.value)
 
     def test_bad_trace(self):
-        with pytest.raises(ValidationError, match="trace"):
+        with pytest.raises(ValidationError, match="trace") as err:
             DensityMatrix(np.eye(4, dtype=complex))
+        assert "np." not in str(err.value)
+        assert "trace is (4+0j), expected 1" in str(err.value)
 
     def test_not_psd(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)

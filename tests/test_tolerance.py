@@ -6,16 +6,11 @@ Logic, 1989), where CHSH and Fréchet bounds are tight.  Each is used as
 floats and again with one of its eight values moved by +-10^u, u uniform in
 [-11, -8], so inputs land on, just inside and just outside the tolerance
 band.  Every accepted input must then satisfy Fine's equivalence (A. Fine,
-PRL 48, 291 (1982)): CHSH and the four-experiment construction decide
-alike, the LP agrees outside the band, and three experiments always admit a
-joint table.
+PRL 48, 291 (1982)): CHSH, the four-experiment construction and the LP
+decide alike, and three experiments always admit a joint table.
 """
 
 from __future__ import annotations
-
-from itertools import product
-
-import numpy as np
 
 from eprjoint import (
     ChshViolationError,
@@ -28,36 +23,9 @@ from eprjoint import (
     marginal_residuals,
     solve_system,
 )
+from helpers import near_face_inputs
 
-STRATEGIES = tuple(product((1, 0), repeat=4))
 RESIDUAL_LIMIT = 1e-10
-# One C-function sums 8 table entries; the LP's eps bounds a single entry.
-LP_BAND = 8
-
-
-def face_mixture(rng: np.random.Generator) -> list[float]:
-    """The eight probabilities of 1-4 strategies with weights k/32."""
-    terms = int(rng.integers(1, 5))
-    chosen = rng.choice(len(STRATEGIES), size=terms, replace=False)
-    cuts = sorted(int(c) for c in rng.choice(np.arange(1, 32), size=terms - 1, replace=False))
-    edges = [0, *cuts, 32]
-    values = [0.0] * 8
-    for k, s in enumerate(chosen):
-        a, ap, b, bp = STRATEGIES[int(s)]
-        weight = (edges[k + 1] - edges[k]) / 32
-        for j, hit in enumerate((a, ap, b, bp, a * b, a * bp, ap * b, ap * bp)):
-            values[j] += weight * hit
-    return values
-
-
-def near_face_inputs(seed: int, count: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        values = face_mixture(rng)
-        yield values
-        moved = list(values)
-        moved[int(rng.integers(8))] += float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-11, -8)
-        yield moved
 
 
 def check_residual(quad, probs, margin: float) -> None:
@@ -82,9 +50,8 @@ def test_routes_agree_near_faces():
         if quad is not None:
             check_residual(quad, probs, report.margin)
 
-        lp = solve_system(build_system(probs))
-        if lp.feasible != report.satisfied:
-            assert abs(report.margin) <= LP_BAND * probs.atol, (values, report.margin)
+        lp = solve_system(build_system(probs), atol=probs.atol)
+        assert lp.feasible == report.satisfied, (values, report.margin, lp.value)
 
         probs3 = probs.without_aprime_bprime()
         quad3, _ = construct_3exp(probs3)
