@@ -6,7 +6,6 @@ independent linear-feasibility oracle."""
 from .chsh import (
     ChshReport,
     CVariant,
-    c_from_quadruple,
     c_function,
     chsh_correlation_form,
     chsh_probability_form,
@@ -19,9 +18,8 @@ from .construction import (
     SweepResult,
     TripleProbs,
     construct_3exp,
-    construct_3exp_trace,
     construct_4exp,
-    construct_4exp_trace,
+    construct_trace,
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
@@ -43,9 +41,7 @@ from .errors import (
 from .experiments import (
     CorrelationSet,
     ExperimentalProbs,
-    PairOutcomeTable,
     correlations_of,
-    expand_pair,
     frechet_bounds,
 )
 from .oracle import (

@@ -19,17 +19,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
 
 from .experiments import DEFAULT_ATOL, CorrelationSet, ExperimentalProbs
-from .indexing import marginal
-
-_BASE_TRIPLE_PATTERNS = (
-    (1, 1, 0, -1),
-    (1, -1, -1, 0),
-    (-1, 1, 1, 0),
-    (-1, -1, 0, 1),
-)
 
 
 class CVariant(enum.Enum):
@@ -47,22 +38,6 @@ class CVariant(enum.Enum):
     @property
     def swap_b(self) -> bool:
         return self in (CVariant.SWAP_B, CVariant.SWAP_AB)
-
-    @property
-    def triple_patterns(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Marginal patterns whose sum equals this C for any quadruple table.
-
-        Interchanging arguments of C swaps outcome slots 1<->2 and/or 3<->4
-        in the base patterns.
-        """
-        patterns = []
-        for (sa, sap, sb, sbp) in _BASE_TRIPLE_PATTERNS:
-            if self.swap_a:
-                sa, sap = sap, sa
-            if self.swap_b:
-                sb, sbp = sbp, sb
-            patterns.append((sa, sap, sb, sbp))
-        return tuple(patterns)
 
 
 def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
@@ -82,12 +57,6 @@ def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
         + doubles[1 - x][y]
         - doubles[1 - x][1 - y]
     )
-
-
-def c_from_quadruple(entries: Sequence[float], variant: CVariant) -> float:
-    """C(variant) evaluated as the sum of four triple marginals of a
-    16-entry quadruple table (indexing module layout)."""
-    return sum(marginal(entries, *pattern) for pattern in variant.triple_patterns)
 
 
 def chsh_correlation_form(

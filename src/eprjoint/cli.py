@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Modes probs (state files only) and chsh report probabilities, correlations
+and both CHSH forms; construct3/4, sweep and mc-verify run construct_trace,
+which picks P(A'B') when the input lacks it; oracle runs the LP.  --grid is
+bounded by SWEEP_MAX_CELLS block cells, --samples by MAX_SAMPLES.
+
 One structured JSON schema covers states, settings, probabilities,
 parameters, and reports.  A state file holds {"state": ..., "settings":
 {"n_A": [x,y,z], ...}} where state is "singlet", "mixed", "werner:p",
@@ -28,26 +33,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .chsh import ChshReport, chsh_probability_form
+from .chsh import ChshReport, CVariant, chsh_probability_form
 from .construction import (
     ConstructionTrace,
     FamilyParams,
     QuadDistribution,
     check_sweep_budget,
-    construct_3exp_trace,
-    construct_4exp_trace,
+    construct_trace,
     marginal_residuals,
     sweep_grid,
 )
 from .errors import EprJointError, EXIT_OK, ValidationError
-from .experiments import (
-    correlations_of,
-    DEFAULT_ATOL,
-    ExperimentalProbs,
-    PAIR_LABELS,
-    SINGLE_LABELS,
-)
-from .indexing import SIGNS, marginal_indices, outcome_label
+from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs
+from .indexing import PAIR_LABELS, PAIR_SLOTS, SIGNS, SINGLE_LABELS, outcome_label, pair_marginals
 from .oracle import build_system, ROW_LABELS, solve_system
 from .quantum import (
     AnalyzerSettings,
@@ -59,8 +57,9 @@ from .quantum import (
     werner,
 )
 
-MODES = ("probs", "construct3", "construct4", "chsh", "oracle", "sweep", "mc-verify")
 DEFAULT_SAMPLES = 100_000
+# Work bound of mc-verify: 10**8 samples take about 5 s on a 2-CPU x86 host.
+MAX_SAMPLES = 10**8
 SAMPLE_CHUNK = 1 << 20
 SIGMA_LIMIT = 5.0
 
@@ -73,20 +72,19 @@ class RunConfig:
     seed: int = 0
     samples: int = DEFAULT_SAMPLES
     grid: str = "5"
-    tolerance: float | None = None
-    output: str | None = None
+    tolerance: float = DEFAULT_ATOL
 
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.samples < 1:
             raise ValidationError(f"samples must be >= 1, got {self.samples}")
+        if self.samples > MAX_SAMPLES:
+            raise ValidationError(
+                f"samples = {self.samples} is above the bound MAX_SAMPLES = {MAX_SAMPLES}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
-
-    @property
-    def atol(self) -> float:
-        return self.tolerance if self.tolerance is not None else DEFAULT_ATOL
 
 
 def _load_json(path: str):
@@ -148,47 +146,35 @@ def _parse_vector(obj, name: str) -> tuple[float, float, float]:
 
 
 def _parse_settings(obj) -> AnalyzerSettings:
-    return AnalyzerSettings(
-        n_a=_parse_vector(_require(obj, "n_A", "settings"), "n_A"),
-        n_ap=_parse_vector(_require(obj, "n_A'", "settings"), "n_A'"),
-        n_b=_parse_vector(_require(obj, "n_B", "settings"), "n_B"),
-        n_bp=_parse_vector(_require(obj, "n_B'", "settings"), "n_B'"),
-    )
+    return AnalyzerSettings(*(
+        _parse_vector(_require(obj, f"n_{label}", "settings"), f"n_{label}")
+        for label in SINGLE_LABELS
+    ))
 
 
 def _parse_probs(obj, atol: float) -> ExperimentalProbs:
     singles = _require(obj, "singles", "probability file")
     doubles = _require(obj, "doubles", "probability file")
-    def fetch(src, key, optional=False):
-        if optional and isinstance(src, dict) and key not in src:
-            return None
+    def fetch(src, key):
+        if key == "A'B'" and isinstance(src, dict) and key not in src:
+            return None  # three experiments
         return _number(_require(src, key, "probability file"), f"probability field {key!r}")
     return ExperimentalProbs(
-        p_a=fetch(singles, "A"),
-        p_ap=fetch(singles, "A'"),
-        p_b=fetch(singles, "B"),
-        p_bp=fetch(singles, "B'"),
-        p_ab=fetch(doubles, "AB"),
-        p_abp=fetch(doubles, "AB'"),
-        p_apb=fetch(doubles, "A'B"),
-        p_apbp=fetch(doubles, "A'B'", optional=True),
+        *(fetch(singles, key) for key in SINGLE_LABELS),
+        *(fetch(doubles, key) for key in PAIR_LABELS),
         atol=atol,
     )
 
 
-def _state_probs(obj, config: RunConfig) -> ExperimentalProbs:
-    """Probabilities of a state file, carrying the run's tolerance."""
-    rho = _parse_state(_require(obj, "state", config.input_path))
-    settings = _parse_settings(_require(obj, "settings", config.input_path))
-    return replace(experimental_probs(rho, settings), atol=config.atol)
-
-
 def _load_probs(config: RunConfig) -> ExperimentalProbs:
-    """Probability input, computed from a state file when one is given."""
+    """Probability input carrying the run's tolerance, computed from a state
+    file when one is given (always in probs mode)."""
     obj = _load_json(config.input_path)
-    if isinstance(obj, dict) and "state" in obj:
-        return _state_probs(obj, config)
-    return _parse_probs(obj, config.atol)
+    if config.mode == "probs" or isinstance(obj, dict) and "state" in obj:
+        rho = _parse_state(_require(obj, "state", config.input_path))
+        settings = _parse_settings(_require(obj, "settings", config.input_path))
+        return replace(experimental_probs(rho, settings), atol=config.tolerance)
+    return _parse_probs(obj, config.tolerance)
 
 
 def parse_params(obj) -> FamilyParams:
@@ -237,21 +223,16 @@ def _parse_grid(spec: str, axes: int) -> list[float]:
 
 
 def _probs_payload(probs: ExperimentalProbs) -> dict:
-    return {
-        "singles": dict(zip(SINGLE_LABELS, probs.singles())),
-        "doubles": {
-            label: value
-            for label, value in zip(PAIR_LABELS, probs.doubles())
-            if value is not None
-        },
-    }
+    doubles = zip(PAIR_LABELS, probs.doubles())
+    return {"singles": dict(zip(SINGLE_LABELS, probs.singles())),
+            "doubles": {label: value for label, value in doubles if value is not None}}
 
 
 def _chsh_payload(report: ChshReport) -> dict:
     return {
-        "s_values": dict(zip(("A", "A'", "B", "B'"), report.s_values)),
+        "s_values": dict(zip(SINGLE_LABELS, report.s_values)),
         "max_s_value": report.max_s_value,
-        "c_values": dict(zip(("AA'BB'", "A'ABB'", "AA'B'B", "A'AB'B"), report.c_values)),
+        "c_values": {variant.value: c for variant, c in zip(CVariant, report.c_values)},
         "slacks": report.slacks(),
         "satisfied": report.satisfied,
         "violated": not report.satisfied,
@@ -280,22 +261,12 @@ def _trace_payload(trace: ConstructionTrace) -> dict:
     return payload
 
 
-def cmd_probs(config: RunConfig) -> dict:
-    probs = _state_probs(_load_json(config.input_path), config)
-    report = chsh_probability_form(probs)
-    return {
-        "mode": "probs",
-        "probs": _probs_payload(probs),
-        "correlations": dict(zip(PAIR_LABELS, correlations_of(probs).as_tuple())),
-        "chsh": _chsh_payload(report),
-    }
-
-
 def cmd_chsh(config: RunConfig) -> dict:
+    """The probs and chsh modes: probabilities, correlations and both CHSH forms."""
     probs = _load_probs(config)
     report = chsh_probability_form(probs)
     return {
-        "mode": "chsh",
+        "mode": config.mode,
         "probs": _probs_payload(probs),
         "correlations": dict(zip(PAIR_LABELS, correlations_of(probs).as_tuple())),
         "chsh": _chsh_payload(report),
@@ -305,14 +276,12 @@ def cmd_chsh(config: RunConfig) -> dict:
 def cmd_construct(config: RunConfig) -> dict:
     probs = _load_probs(config)
     note = None
-    if config.mode == "construct3":
-        if probs.has_all_four:
-            note = {"measured_aprime_bprime_ignored": probs.p_apbp}
-            probs = probs.without_aprime_bprime()
-        trace = construct_3exp_trace(probs, config.params)
-    else:
-        trace = construct_4exp_trace(probs, config.params)
-    payload = {"mode": config.mode, **_trace_payload(trace)}
+    if config.mode == "construct4":
+        probs.require_all_four()
+    elif probs.has_all_four:
+        note = {"measured_aprime_bprime_ignored": probs.p_apbp}
+        probs = probs.without_aprime_bprime()
+    payload = {"mode": config.mode, **_trace_payload(construct_trace(probs, config.params))}
     if note:
         payload["note"] = note
     return payload
@@ -340,14 +309,10 @@ def cmd_oracle(config: RunConfig) -> dict:
 
 def cmd_sweep(config: RunConfig) -> dict:
     probs = _load_probs(config)
-    if probs.has_all_four:
-        quad_at = lambda params: construct_4exp_trace(probs, params).quad
-        axes = 7
-    else:
-        quad_at = lambda params: construct_3exp_trace(probs, params).quad
-        axes = 8
+    axes = 7 if probs.has_all_four else 8
     axis = _parse_grid(config.grid, axes)
     result = sweep_grid(probs, axis)
+    quad_at = lambda params: construct_trace(probs, params).quad
     return {
         "mode": "sweep",
         "grid": {"axis": axis, "axes": axes, "total_points": result.total_points},
@@ -375,32 +340,21 @@ def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarra
 
 
 def cmd_mc_verify(config: RunConfig) -> dict:
-    probs = _load_probs(config)
-    if probs.has_all_four:
-        trace = construct_4exp_trace(probs, config.params)
-        arity = 4
-    else:
-        trace = construct_3exp_trace(probs, config.params)
-        arity = 3
-    quad = trace.quad
-    counts = _sample_counts(quad, config.samples, config.seed)
+    trace = construct_trace(_load_probs(config), config.params)
+    constructed = trace.chosen_aprime_bprime is not None
+    counts = _sample_counts(trace.quad, config.samples, config.seed)
     n = float(config.samples)
 
-    kwargs_for = {
-        "AB": lambda x, y: dict(a=x, b=y),
-        "AB'": lambda x, y: dict(a=x, bp=y),
-        "A'B": lambda x, y: dict(ap=x, b=y),
-        "A'B'": lambda x, y: dict(ap=x, bp=y),
-    }
     experiments: dict = {}
     flagged: list[str] = []
     max_abs_z = 0.0
-    for label, kw in kwargs_for.items():
+    for label, (x, y) in zip(PAIR_LABELS, PAIR_SLOTS):
         cells = {}
-        for x, y in product(SIGNS, repeat=2):
-            idx = marginal_indices(**kw(x, y))
-            expected = float(sum(quad.entries[i] for i in idx))
-            empirical = float(sum(counts[i] for i in idx)) / n
+        for signs, expected, count in zip(product(SIGNS, repeat=2),
+                                          pair_marginals(trace.quad.entries, x, y),
+                                          pair_marginals(counts, x, y)):
+            expected = float(expected)
+            empirical = float(count) / n
             variance = max(expected * (1.0 - expected), 0.0)
             std_err = math.sqrt(variance / n)
             if std_err > 0.0:
@@ -409,7 +363,7 @@ def cmd_mc_verify(config: RunConfig) -> dict:
                 z = (empirical - expected) / math.sqrt(variance) * math.sqrt(n)
             else:
                 z = 0.0 if empirical == expected else float("inf")
-            cell_label = outcome_label((x, y))
+            cell_label = outcome_label(signs)
             ok = abs(z) <= SIGMA_LIMIT
             if not ok:
                 flagged.append(f"{label}:{cell_label}")
@@ -422,12 +376,12 @@ def cmd_mc_verify(config: RunConfig) -> dict:
                 "ok": ok,
             }
         experiments[label] = {
-            "constructed": (label == "A'B'" and arity == 3),
+            "constructed": label == "A'B'" and constructed,
             "cells": cells,
         }
     return {
         "mode": "mc-verify",
-        "arity": arity,
+        "arity": 3 if constructed else 4,
         "generator": "PCG64",
         "seed": config.seed,
         "samples": config.samples,
@@ -440,14 +394,15 @@ def cmd_mc_verify(config: RunConfig) -> dict:
 
 
 _COMMANDS = {
-    "probs": cmd_probs,
-    "chsh": cmd_chsh,
+    "probs": cmd_chsh,
     "construct3": cmd_construct,
     "construct4": cmd_construct,
+    "chsh": cmd_chsh,
     "oracle": cmd_oracle,
     "sweep": cmd_sweep,
     "mc-verify": cmd_mc_verify,
 }
+MODES = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> dict:
@@ -481,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo sample count")
     parser.add_argument("--grid", default="5",
                         help="sweep grid: points per axis or comma-separated fractions")
-    parser.add_argument("--tolerance", type=float, default=None,
+    parser.add_argument("--tolerance", type=float, default=DEFAULT_ATOL,
                         help="the one tolerance for every input and decision "
                              f"(default {DEFAULT_ATOL:g}, range [1e-12, 1e-6])")
     parser.add_argument("--output", default=None, help="report file (default stdout)")
@@ -501,7 +456,6 @@ def main(argv: list[str] | None = None) -> int:
             samples=args.samples,
             grid=args.grid,
             tolerance=args.tolerance,
-            output=args.output,
         )
         _emit(run(config), args.output)
     except EprJointError as exc:

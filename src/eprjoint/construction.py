@@ -39,9 +39,12 @@ from .experiments import (
     frechet_cells,
     pair_from_correlation,
 )
-from .indexing import SIGNS, Sign, marginal, outcome_label, quad_index
+from .indexing import (
+    PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, marginal, outcome_label, pair_marginals, quad_index,
+)
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
+_CELL_LABELS = tuple(outcome_label(signs) for signs in BB_BLOCKS)
 
 # Work bound of sweep_grid: block cells 4 * n**(k - 3) for n points per axis
 # and k axes (45 points for four experiments, 21 for three).
@@ -155,19 +158,6 @@ class QuadDistribution:
     def marginal(self, a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> float:
         return marginal(self.entries, a, ap, b, bp)
 
-    def to_probs(self) -> ExperimentalProbs:
-        """The eight measured probabilities this table reproduces."""
-        return ExperimentalProbs(
-            p_a=self.marginal(a=1),
-            p_ap=self.marginal(ap=1),
-            p_b=self.marginal(b=1),
-            p_bp=self.marginal(bp=1),
-            p_ab=self.marginal(a=1, b=1),
-            p_abp=self.marginal(a=1, bp=1),
-            p_apb=self.marginal(ap=1, b=1),
-            p_apbp=self.marginal(ap=1, bp=1),
-        )
-
     def labeled(self) -> dict[str, float]:
         return {
             outcome_label(outcome): self.entries[quad_index(*outcome)]
@@ -195,8 +185,7 @@ class TripleProbs:
                 if value < -self.atol:
                     raise ValidationError(f"{name} entry {value!r} is negative")
         for b, bp in BB_BLOCKS:
-            lhs = sum(self.pa_value(a, b, bp) for a in SIGNS)
-            rhs = sum(self.pap_value(ap, b, bp) for ap in SIGNS)
+            lhs, rhs = self.p_bb(b, bp), sum(self.pap_value(ap, b, bp) for ap in SIGNS)
             if abs(lhs - rhs) > self.atol:
                 raise ValidationError(
                     f"triple marginals disagree on P(..{outcome_label((b, bp))}): "
@@ -350,7 +339,11 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
 
 @dataclass(frozen=True)
 class ConstructionTrace:
-    """Full record of one construction run: intervals, chosen scalars, output."""
+    """Full record of one construction run: intervals, chosen scalars, output.
+
+    probs holds all four experiments; chosen_aprime_bprime is the P(A'B')
+    the construction picked, None when it was measured.
+    """
 
     probs: ExperimentalProbs
     params: FamilyParams
@@ -359,41 +352,6 @@ class ConstructionTrace:
     triples: TripleProbs
     quad: QuadDistribution
     chosen_aprime_bprime: float | None = None
-
-
-def construct_4exp_trace(
-    probs: ExperimentalProbs, params: FamilyParams | None = None
-) -> ConstructionTrace:
-    params = params if params is not None else FamilyParams()
-    probs.require_all_four()
-    intervals: dict[str, Interval] = {}
-    chosen: dict[str, float] = {}
-
-    intervals["P(..++)"] = iv = interval_p_dotdot(probs)
-    chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
-    intervals["P(+.++)"] = iv = interval_p_plusplus(probs, False, p_dotdot)
-    chosen["P(+.++)"] = p_a_pp = iv.pick(params.t_aplus)
-    intervals["P(.+++)"] = iv = interval_p_plusplus(probs, True, p_dotdot)
-    chosen["P(.+++)"] = p_ap_pp = iv.pick(params.t_aprimeplus)
-
-    triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
-
-    blocks: list[float] = []
-    for (b, bp), t in zip(BB_BLOCKS, params.t_bb):
-        label = f"P(++{outcome_label((b, bp))})"
-        intervals[label] = iv = interval_p_pp_bb(triples, b, bp)
-        chosen[label] = value = iv.pick(t)
-        blocks.append(value)
-    quad = step2_quadruple(triples, blocks)
-    return ConstructionTrace(probs, params, intervals, chosen, triples, quad)
-
-
-def construct_4exp(
-    probs: ExperimentalProbs, params: FamilyParams | None = None
-) -> QuadDistribution:
-    """A joint distribution fitting all four experiments; ChshViolationError
-    when none exists."""
-    return construct_4exp_trace(probs, params).quad
 
 
 def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
@@ -426,26 +384,53 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     return result
 
 
-def construct_3exp_trace(
+def construct_trace(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> ConstructionTrace:
+    """Run the construction and record every interval and chosen scalar.
+
+    Without a measured P(A'B'), first picks one at params.t_aprime_bprime
+    (default 0.5) within interval_p_aprime_bprime; the four-experiment
+    steps then run on the completed input.
+    """
     params = params if params is not None else FamilyParams()
-    if probs.p_apbp is not None:
-        raise UsageError(
-            "three-experiment construction takes probabilities without P(A'B'); "
-            "drop it with without_aprime_bprime()"
-        )
-    interval = interval_p_aprime_bprime(probs)
-    t = params.t_aprime_bprime if params.t_aprime_bprime is not None else 0.5
-    chosen = interval.pick(t)
-    full = probs.with_aprime_bprime(chosen)
-    trace = construct_4exp_trace(full, params)
-    intervals = {"P(A'B')": interval, **trace.intervals}
-    chosen_map = {"P(A'B')": chosen, **trace.chosen}
+    intervals: dict[str, Interval] = {}
+    chosen: dict[str, float] = {}
+    chosen_aprime_bprime = None
+    if not probs.has_all_four:
+        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
+        t = 0.5 if params.t_aprime_bprime is None else params.t_aprime_bprime
+        chosen["P(A'B')"] = chosen_aprime_bprime = iv.pick(t)
+        probs = probs.with_aprime_bprime(chosen_aprime_bprime)
+
+    intervals["P(..++)"] = iv = interval_p_dotdot(probs)
+    chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
+    intervals["P(+.++)"] = iv = interval_p_plusplus(probs, False, p_dotdot)
+    chosen["P(+.++)"] = p_a_pp = iv.pick(params.t_aplus)
+    intervals["P(.+++)"] = iv = interval_p_plusplus(probs, True, p_dotdot)
+    chosen["P(.+++)"] = p_ap_pp = iv.pick(params.t_aprimeplus)
+
+    triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
+
+    blocks: list[float] = []
+    for (b, bp), t in zip(BB_BLOCKS, params.t_bb):
+        label = f"P(++{outcome_label((b, bp))})"
+        intervals[label] = iv = interval_p_pp_bb(triples, b, bp)
+        chosen[label] = value = iv.pick(t)
+        blocks.append(value)
+    quad = step2_quadruple(triples, blocks)
     return ConstructionTrace(
-        full, params, intervals, chosen_map, trace.triples, trace.quad,
-        chosen_aprime_bprime=chosen,
+        probs, params, intervals, chosen, triples, quad, chosen_aprime_bprime
     )
+
+
+def construct_4exp(
+    probs: ExperimentalProbs, params: FamilyParams | None = None
+) -> QuadDistribution:
+    """A joint distribution fitting all four experiments; ChshViolationError
+    when none exists."""
+    probs.require_all_four()
+    return construct_trace(probs, params).quad
 
 
 def construct_3exp(
@@ -453,8 +438,12 @@ def construct_3exp(
 ) -> tuple[QuadDistribution, float]:
     """A joint distribution fitting the three measured experiments, together
     with the chosen P(A'B').  Works for arbitrary consistent inputs."""
-    trace = construct_3exp_trace(probs, params)
-    assert trace.chosen_aprime_bprime is not None
+    if probs.p_apbp is not None:
+        raise UsageError(
+            "three-experiment construction takes probabilities without P(A'B'); "
+            "drop it with without_aprime_bprime()"
+        )
+    trace = construct_trace(probs, params)
     return trace.quad, trace.chosen_aprime_bprime
 
 
@@ -493,24 +482,16 @@ def marginal_residuals(
 ) -> tuple[dict[str, dict[str, float]], float]:
     """Computed-minus-expected for every outcome cell of every measured
     experiment (12 cells for three experiments, 16 for four)."""
-    experiments = [
-        ("AB", probs.p_a, probs.p_b, probs.p_ab, lambda x, y: quad.marginal(a=x, b=y)),
-        ("AB'", probs.p_a, probs.p_bp, probs.p_abp, lambda x, y: quad.marginal(a=x, bp=y)),
-        ("A'B", probs.p_ap, probs.p_b, probs.p_apb, lambda x, y: quad.marginal(ap=x, b=y)),
-    ]
-    if probs.p_apbp is not None:
-        experiments.append(
-            ("A'B'", probs.p_ap, probs.p_bp, probs.p_apbp,
-             lambda x, y: quad.marginal(ap=x, bp=y))
-        )
+    singles = probs.singles()
     residuals: dict[str, dict[str, float]] = {}
     worst = 0.0
-    for label, p_x, p_y, p_xy, margin in experiments:
-        expected = frechet_cells(p_x, p_y, 1.0, p_xy)
+    for label, (x, y), p_xy in zip(PAIR_LABELS, PAIR_SLOTS, probs.doubles()):
+        if p_xy is None:
+            continue
+        expected = frechet_cells(singles[x], singles[y], 1.0, p_xy)
         cells = {}
-        for (x, y), want in zip(product(SIGNS, repeat=2), expected):
-            have = margin(x, y)
-            cells[outcome_label((x, y))] = have - want
+        for cell, have, want in zip(_CELL_LABELS, pair_marginals(quad.entries, x, y), expected):
+            cells[cell] = have - want
             worst = max(worst, abs(have - want))
         residuals[label] = cells
     return residuals, worst

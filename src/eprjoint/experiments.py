@@ -1,5 +1,5 @@
-"""Measured EPR probabilities, their per-experiment outcome tables, and
-conversions between double probabilities and spin-spin correlations.
+"""Measured EPR probabilities, the Fréchet bounds of their 2x2 outcome
+tables, and conversions between double probabilities and spin-spin correlations.
 
 Notation follows the usual shorthand P(A) = P(A=+1), P(AB) = P(A=+1, B=+1).
 The eight independent measured numbers are the four singles P(A), P(A'),
@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .errors import InputInconsistencyError, UsageError, ValidationError
+from .errors import UsageError, ValidationError
+from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
 
-PAIR_LABELS = ("AB", "AB'", "A'B", "A'B'")
-SINGLE_LABELS = ("A", "A'", "B", "B'")
+_SINGLE_FIELDS = tuple(zip(("p_a", "p_ap", "p_b", "p_bp"), SINGLE_LABELS))
+_PAIR_FIELDS = tuple(zip(("p_ab", "p_abp", "p_apb", "p_apbp"), PAIR_LABELS, PAIR_SLOTS))
 
 
 def correlation_from_pair(p_xy: float, p_x: float, p_y: float) -> float:
@@ -68,15 +69,11 @@ class ExperimentalProbs:
     def __post_init__(self) -> None:
         if not 1e-12 <= self.atol <= 1e-6:
             raise ValidationError(f"atol = {self.atol!r} is outside [1e-12, 1e-6]")
-        for name, label in zip(("p_a", "p_ap", "p_b", "p_bp"), SINGLE_LABELS):
+        for name, label in _SINGLE_FIELDS:
             self._project(name, label, "unit-interval", 0.0, 1.0)
-        pairs = [("p_ab", "AB", self.p_a, self.p_b),
-                 ("p_abp", "AB'", self.p_a, self.p_bp),
-                 ("p_apb", "A'B", self.p_ap, self.p_b)]
-        if self.p_apbp is not None:
-            pairs.append(("p_apbp", "A'B'", self.p_ap, self.p_bp))
-        for name, label, p_x, p_y in pairs:
-            self._project(name, label, "Fréchet", *frechet_bounds(p_x, p_y))
+        singles = self.singles()
+        for name, label, (x, y) in _PAIR_FIELDS[:4 if self.p_apbp is not None else 3]:
+            self._project(name, label, "Fréchet", *frechet_bounds(singles[x], singles[y]))
 
     def _project(self, name: str, label: str, domain: str, lo: float, hi: float) -> None:
         value = getattr(self, name)
@@ -113,27 +110,6 @@ class ExperimentalProbs:
 
 
 @dataclass(frozen=True)
-class PairOutcomeTable:
-    """The four outcome probabilities of a single EPR experiment."""
-
-    pp: float
-    pm: float
-    mp: float
-    mm: float
-
-    def __post_init__(self) -> None:
-        total = self.pp + self.pm + self.mp + self.mm
-        for name, value in zip(("(+,+)", "(+,-)", "(-,+)", "(-,-)"), self.as_tuple()):
-            if value < -DEFAULT_ATOL:
-                raise ValidationError(f"outcome probability {name} = {value!r} is negative")
-        if abs(total - 1.0) > DEFAULT_ATOL:
-            raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.pp, self.pm, self.mp, self.mm)
-
-
-@dataclass(frozen=True)
 class CorrelationSet:
     """The four spin-spin correlations <AB>, <AB'>, <A'B>, <A'B'>."""
 
@@ -151,38 +127,11 @@ class CorrelationSet:
         return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
 
 
-_CELL_BOUNDS = (
-    ("(+,+)", "P(XY) >= 0"),
-    ("(+,-)", "P(XY) <= P(X)"),
-    ("(-,+)", "P(XY) <= P(Y)"),
-    ("(-,-)", "P(XY) >= P(X) + P(Y) - 1"),
-)
-
-
-def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
-    """Expand raw (P(X), P(Y), P(XY)) into the four outcome probabilities.
-
-    P(+,-) = P(X) - P(XY), P(-,+) = P(Y) - P(XY),
-    P(-,-) = 1 - P(X) - P(Y) + P(XY).
-    """
-    for name, value in (("P(X)", p_x), ("P(Y)", p_y), ("P(XY)", p_xy)):
-        if not -DEFAULT_ATOL <= value <= 1.0 + DEFAULT_ATOL:
-            raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
-    cells = frechet_cells(p_x, p_y, 1.0, p_xy)
-    for (name, bound), value in zip(_CELL_BOUNDS, cells):
-        if value < -DEFAULT_ATOL:
-            raise InputInconsistencyError(
-                f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
-            )
-    return PairOutcomeTable(*cells)
-
-
 def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
     """Correlations of all four experiments via the affine formula."""
-    p_apbp = probs.require_all_four()
-    return CorrelationSet(
-        e_ab=correlation_from_pair(probs.p_ab, probs.p_a, probs.p_b),
-        e_abp=correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp),
-        e_apb=correlation_from_pair(probs.p_apb, probs.p_ap, probs.p_b),
-        e_apbp=correlation_from_pair(p_apbp, probs.p_ap, probs.p_bp),
-    )
+    probs.require_all_four()
+    singles = probs.singles()
+    return CorrelationSet(*[
+        correlation_from_pair(p_xy, singles[x], singles[y])
+        for p_xy, (x, y) in zip(probs.doubles(), PAIR_SLOTS)
+    ])

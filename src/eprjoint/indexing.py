@@ -4,6 +4,10 @@ Outcomes are +1 or -1.  The 16 joint probabilities P(aa'bb') are stored as a
 flat tuple in lexicographic order with + before -, i.e. index
 8*i(a) + 4*i(a') + 2*i(b) + i(b') where i(+1) = 0 and i(-1) = 1.
 A 0 in a marginal pattern means "summed over" (the dot in P(a.b.)).
+
+The four measured experiments are written once, in PAIR_SLOTS: experiment
+PAIR_LABELS[k] pairs the observables in slots PAIR_SLOTS[k] of (a, a', b, b'),
+which is also the order of the singles SINGLE_LABELS.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ Sign = int  # +1 or -1
 
 SIGNS: tuple[Sign, Sign] = (1, -1)
 
-ALL_OUTCOMES: tuple[tuple[Sign, Sign, Sign, Sign], ...] = tuple(
-    product(SIGNS, repeat=4)
-)
+SINGLE_LABELS = ("A", "A'", "B", "B'")
+PAIR_LABELS = ("AB", "AB'", "A'B", "A'B'")
+PAIR_SLOTS: tuple[tuple[int, int], ...] = ((0, 2), (0, 3), (1, 2), (1, 3))
 
 
 def quad_index(a: Sign, ap: Sign, b: Sign, bp: Sign) -> int:
@@ -49,9 +53,25 @@ def marginal_indices(a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> tu
     return _MARGINAL_INDICES[a, ap, b, bp]
 
 
-def marginal(entries: Sequence[float], a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0):
+def marginal(entries: Sequence, a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0):
     """Marginal sum of a 16-entry quadruple table over the dotted (0) slots."""
-    total = entries[0] - entries[0]  # zero of the entry type (float or Fraction)
+    total = entries[0] - entries[0]  # zero of the entry type (float, Fraction or count)
     for i in _MARGINAL_INDICES[a, ap, b, bp]:
         total += entries[i]
     return total
+
+
+# The marginal patterns of the four cells (++, +-, -+, --) of each measured pair.
+_PAIR_CELLS: dict[tuple[int, int], tuple[tuple[Sign, ...], ...]] = {
+    (x, y): tuple(
+        tuple(sx if k == x else sy if k == y else 0 for k in range(4))
+        for sx, sy in product(SIGNS, repeat=2)
+    )
+    for x, y in PAIR_SLOTS
+}
+
+
+def pair_marginals(entries: Sequence, x: int, y: int) -> tuple:
+    """The cells (++, +-, -+, --) of the measured table of slots (x, y), a
+    PAIR_SLOTS entry, summed from a 16-entry quadruple table."""
+    return tuple(marginal(entries, *pattern) for pattern in _PAIR_CELLS[x, y])

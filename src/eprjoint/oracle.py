@@ -30,28 +30,18 @@ from fractions import Fraction
 from .construction import QuadDistribution
 from .errors import InternalInvariantError, UsageError
 from .experiments import DEFAULT_ATOL, ExperimentalProbs
-from .indexing import marginal_indices
+from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS, marginal_indices
 
 _PIVOT_TOL = 1e-11
 _MAX_PIVOTS = 10_000
 
-ROW_LABELS = ("norm", "A", "A'", "B", "B'", "AB", "AB'", "A'B", "A'B'")
+ROW_LABELS = ("norm", *SINGLE_LABELS, *PAIR_LABELS)
 
-_ROW_PATTERNS = (
-    (0, 0, 0, 0),
-    (1, 0, 0, 0),
-    (0, 1, 0, 0),
-    (0, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 0, 1, 0),
-    (1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (0, 1, 0, 1),
-)
-
+# Row k sums the entries with a + in every slot it names: none for the
+# normalization, one per single, the two of PAIR_SLOTS per double.
 STANDARD_ROWS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(1 if i in marginal_indices(*pattern) else 0 for i in range(16))
-    for pattern in _ROW_PATTERNS
+    tuple(int(i in marginal_indices(*(int(k in slots) for k in range(4)))) for i in range(16))
+    for slots in ((), *((k,) for k in range(4)), *PAIR_SLOTS)
 )
 
 
@@ -85,11 +75,8 @@ class MarginalSystem:
 
 def build_system(probs: ExperimentalProbs) -> MarginalSystem:
     """Marginal system of a full set of measured probabilities."""
-    p_apbp = probs.require_all_four()
-    return MarginalSystem.from_values(
-        probs.p_a, probs.p_ap, probs.p_b, probs.p_bp,
-        probs.p_ab, probs.p_abp, probs.p_apb, p_apbp,
-    )
+    probs.require_all_four()
+    return MarginalSystem.from_values(*probs.singles(), *probs.doubles())
 
 
 @dataclass(frozen=True)

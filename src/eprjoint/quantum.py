@@ -54,9 +54,8 @@ class AnalyzerSettings:
     n_bp: Vec3
 
     def __post_init__(self) -> None:
-        labels = {"n_a": "n_A", "n_ap": "n_A'", "n_b": "n_B", "n_bp": "n_B'"}
-        for name, label in labels.items():
-            object.__setattr__(self, name, _as_unit_vector(label, getattr(self, name)))
+        for name, label in zip(("n_a", "n_ap", "n_b", "n_bp"), SINGLE_LABELS):
+            object.__setattr__(self, name, _as_unit_vector(f"n_{label}", getattr(self, name)))
 
 
 @dataclass(frozen=True, eq=False)

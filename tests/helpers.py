@@ -1,4 +1,6 @@
-"""Shared generators and frozen reference values for the test suite.
+"""Shared generators, frozen reference values and test-only views of the
+library (pair outcome tables, C-functions summed from a quadruple table)
+for the test suite.
 
 Expected values tagged "frozen" were computed with independent scratch
 oracles (direct 4x4 trace enumeration, literal substitution into the
@@ -8,6 +10,7 @@ interval formulas) before the library was written.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -17,14 +20,18 @@ import numpy as np
 
 from eprjoint import (
     AnalyzerSettings,
+    CVariant,
     DensityMatrix,
     ExperimentalProbs,
     FamilyParams,
     FeasibilityResult,
+    InputInconsistencyError,
     InternalInvariantError,
     MarginalSystem,
+    QuadDistribution,
     SweepResult,
     UsageError,
+    ValidationError,
     chsh_optimal_settings,
     experimental_probs,
     interval_p_aprime_bprime,
@@ -36,6 +43,7 @@ from eprjoint import (
 )
 from eprjoint.construction import BB_BLOCKS
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
+from eprjoint.indexing import SIGNS, marginal
 from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
 
 SQRT2 = math.sqrt(2.0)
@@ -52,6 +60,100 @@ P_SINGLET_HIGH = (2.0 + SQRT2) / 8.0   # 0.4267766952966369
 TSIRELSON = 2.0 * SQRT2                # 2.8284271247461903
 # Popescu-Rohrlich box: C(AA'B'B) = -1/2, the most nonlocal no-signalling point
 PR_BOX = (Fraction(1, 2),) * 7 + (Fraction(0),)
+
+
+ALL_OUTCOMES: tuple[tuple[int, int, int, int], ...] = tuple(product(SIGNS, repeat=4))
+
+
+@dataclass(frozen=True)
+class PairOutcomeTable:
+    """The four outcome probabilities of a single EPR experiment."""
+
+    pp: float
+    pm: float
+    mp: float
+    mm: float
+
+    def __post_init__(self) -> None:
+        total = self.pp + self.pm + self.mp + self.mm
+        for name, value in zip(("(+,+)", "(+,-)", "(-,+)", "(-,-)"), self.as_tuple()):
+            if value < -DEFAULT_ATOL:
+                raise ValidationError(f"outcome probability {name} = {value!r} is negative")
+        if abs(total - 1.0) > DEFAULT_ATOL:
+            raise ValidationError(f"outcome probabilities sum to {total!r}, not 1")
+
+    def as_tuple(self) -> tuple[float, float, float, float]:
+        return (self.pp, self.pm, self.mp, self.mm)
+
+
+_CELL_BOUNDS = (
+    ("(+,+)", "P(XY) >= 0"),
+    ("(+,-)", "P(XY) <= P(X)"),
+    ("(-,+)", "P(XY) <= P(Y)"),
+    ("(-,-)", "P(XY) >= P(X) + P(Y) - 1"),
+)
+
+
+def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
+    """Expand raw (P(X), P(Y), P(XY)) into the four outcome probabilities.
+
+    P(+,-) = P(X) - P(XY), P(-,+) = P(Y) - P(XY),
+    P(-,-) = 1 - P(X) - P(Y) + P(XY).
+    """
+    for name, value in (("P(X)", p_x), ("P(Y)", p_y), ("P(XY)", p_xy)):
+        if not -DEFAULT_ATOL <= value <= 1.0 + DEFAULT_ATOL:
+            raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
+    cells = frechet_cells(p_x, p_y, 1.0, p_xy)
+    for (name, bound), value in zip(_CELL_BOUNDS, cells):
+        if value < -DEFAULT_ATOL:
+            raise InputInconsistencyError(
+                f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
+            )
+    return PairOutcomeTable(*cells)
+
+
+def to_probs(quad: QuadDistribution) -> ExperimentalProbs:
+    """The eight measured probabilities a quadruple table reproduces."""
+    return ExperimentalProbs(
+        p_a=quad.marginal(a=1),
+        p_ap=quad.marginal(ap=1),
+        p_b=quad.marginal(b=1),
+        p_bp=quad.marginal(bp=1),
+        p_ab=quad.marginal(a=1, b=1),
+        p_abp=quad.marginal(a=1, bp=1),
+        p_apb=quad.marginal(ap=1, b=1),
+        p_apbp=quad.marginal(ap=1, bp=1),
+    )
+
+
+_BASE_TRIPLE_PATTERNS = (
+    (1, 1, 0, -1),
+    (1, -1, -1, 0),
+    (-1, 1, 1, 0),
+    (-1, -1, 0, 1),
+)
+
+
+def triple_patterns(variant: CVariant) -> tuple[tuple[int, int, int, int], ...]:
+    """Marginal patterns whose sum equals C(variant) for any quadruple table.
+
+    Interchanging arguments of C swaps outcome slots 1<->2 and/or 3<->4
+    in the base patterns.
+    """
+    patterns = []
+    for (sa, sap, sb, sbp) in _BASE_TRIPLE_PATTERNS:
+        if variant.swap_a:
+            sa, sap = sap, sa
+        if variant.swap_b:
+            sb, sbp = sbp, sb
+        patterns.append((sa, sap, sb, sbp))
+    return tuple(patterns)
+
+
+def c_from_quadruple(entries: Sequence[float], variant: CVariant) -> float:
+    """C(variant) evaluated as the sum of four triple marginals of a
+    16-entry quadruple table (indexing module layout)."""
+    return sum(marginal(entries, *pattern) for pattern in triple_patterns(variant))
 
 
 def uniform_probs() -> ExperimentalProbs:

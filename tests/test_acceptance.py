@@ -18,7 +18,6 @@ from eprjoint import (
     CVariant,
     FamilyParams,
     build_system,
-    c_from_quadruple,
     c_function,
     chsh_probability_form,
     chsh_optimal_settings,
@@ -27,7 +26,6 @@ from eprjoint import (
     correlations_of,
     chsh_correlation_form,
     experimental_probs,
-    expand_pair,
     feasible,
     invert_params,
     marginal_residuals,
@@ -41,6 +39,8 @@ from eprjoint.indexing import SIGNS, marginal_indices
 from helpers import (
     P_SINGLET_HIGH,
     TSIRELSON,
+    c_from_quadruple,
+    expand_pair,
     ginibre_density,
     mixed_population,
     random_pure,

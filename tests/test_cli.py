@@ -363,9 +363,14 @@ class TestMcVerifyMode:
 
     def test_bad_samples(self, write_json, capsys):
         path = write_json("u.json", UNIFORM_PROBS)
-        code, _, _ = run_cli(capsys, "--mode", "mc-verify", "--input", path,
-                             "--samples", "0")
-        assert code == 2
+        for samples in ("0", "1000000000000"):
+            start = time.perf_counter()
+            code, _, err = run_cli(capsys, "--mode", "mc-verify", "--input", path,
+                                   "--samples", samples)
+            assert code == 2
+            assert time.perf_counter() - start < 1.0
+        # the bound is a constant; the error names the field, value and bound
+        assert "samples = 1000000000000" in err and "MAX_SAMPLES = 100000000" in err
 
 
 class TestInputHandling:

@@ -18,13 +18,11 @@ from eprjoint import (
     QuadDistribution,
     UsageError,
     ValidationError,
-    c_from_quadruple,
     c_function,
     chsh_probability_form,
     construct_3exp,
-    construct_3exp_trace,
     construct_4exp,
-    construct_4exp_trace,
+    construct_trace,
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
@@ -37,13 +35,18 @@ from eprjoint import (
 )
 from eprjoint import construction
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
-from eprjoint.indexing import ALL_OUTCOMES, marginal, marginal_indices, quad_index
+from eprjoint.indexing import (
+    PAIR_LABELS, PAIR_SLOTS, marginal, marginal_indices, pair_marginals, quad_index,
+)
 from helpers import (
+    ALL_OUTCOMES,
     P_SINGLET_HIGH,
+    c_from_quadruple,
     det00_probs,
     reference_sweep_grid,
     singlet_optimal_probs,
     synthetic_probs,
+    to_probs,
     uniform_probs,
 )
 
@@ -124,7 +127,7 @@ class TestSplitIntervals:
         rng = np.random.default_rng(131)
         for _ in range(300):
             probs = satisfying_probs(rng)
-            trace = construct_4exp_trace(probs, random_params(rng))
+            trace = construct_trace(probs, random_params(rng))
             p_dotdot = trace.chosen["P(..++)"]
             for primed, label, side, p_x, p_xbb in (
                 (False, "P(+.++)", trace.triples.pa, probs.p_a, (probs.p_ab, probs.p_abp)),
@@ -262,7 +265,7 @@ class TestConstruct4:
                 assert sum(quad.entries) == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_reports_intervals(self):
-        trace = construct_4exp_trace(uniform_probs())
+        trace = construct_trace(uniform_probs())
         assert set(trace.intervals) == {
             "P(..++)", "P(+.++)", "P(.+++)",
             "P(++++)", "P(+++-)", "P(++-+)", "P(++--)",
@@ -306,6 +309,8 @@ class TestIntervalAprimeBprime:
     def test_requires_missing_fourth(self):
         with pytest.raises(UsageError):
             construct_3exp(uniform_probs())
+        with pytest.raises(UsageError):
+            construct_4exp(uniform_probs().without_aprime_bprime())
 
 
 class TestConstruct3:
@@ -330,7 +335,7 @@ class TestConstruct3:
                 assert worst < 1e-10
 
     def test_trace_carries_interval(self):
-        trace = construct_3exp_trace(uniform_probs().without_aprime_bprime())
+        trace = construct_trace(uniform_probs().without_aprime_bprime())
         assert "P(A'B')" in trace.intervals
         assert trace.chosen_aprime_bprime == pytest.approx(0.25, abs=1e-15)
 
@@ -514,11 +519,25 @@ class TestQuadDistribution:
             assert marginal_indices(*pattern) == indices
             assert marginal(entries, *pattern) == sum(entries[i] for i in indices)
 
+    def test_pair_marginals_follow_the_table(self):
+        # experiment PAIR_LABELS[k] pairs the slots PAIR_SLOTS[k] of (a, a', b, b')
+        entries = [Fraction(i + 1, 136) for i in range(16)]
+        literal = {"AB": (1, 0, 1, 0), "AB'": (1, 0, 0, 1),
+                   "A'B": (0, 1, 1, 0), "A'B'": (0, 1, 0, 1)}
+        assert PAIR_SLOTS == ((0, 2), (0, 3), (1, 2), (1, 3))
+        for label, (x, y) in zip(PAIR_LABELS, PAIR_SLOTS):
+            pattern = literal[label]
+            cells = tuple(
+                marginal(entries, *(s * p for s, p in zip((sx, sx, sy, sy), pattern)))
+                for sx, sy in product((1, -1), repeat=2)
+            )
+            assert pair_marginals(entries, x, y) == cells
+
     def test_to_probs_round_trip(self):
         rng = np.random.default_rng(107)
         probs = satisfying_probs(rng)
         quad = construct_4exp(probs, random_params(rng))
-        back = quad.to_probs()
+        back = to_probs(quad)
         assert back.singles() == pytest.approx(probs.singles(), abs=1e-12)
         assert back.doubles() == pytest.approx(probs.doubles(), abs=1e-12)
 

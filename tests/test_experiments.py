@@ -17,11 +17,10 @@ from eprjoint import (
     construct_3exp,
     construct_4exp,
     correlations_of,
-    expand_pair,
     marginal_residuals,
 )
 from eprjoint.experiments import correlation_from_pair, pair_from_correlation
-from helpers import quantum_probs, synthetic_probs, uniform_probs
+from helpers import expand_pair, quantum_probs, synthetic_probs, uniform_probs
 
 SQRT2 = math.sqrt(2.0)
 

@@ -25,6 +25,7 @@ from eprjoint import (
     werner,
 )
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
+from eprjoint.indexing import PAIR_LABELS, SINGLE_LABELS, marginal_indices
 from eprjoint.oracle import ROW_LABELS, STANDARD_ROWS
 from helpers import (
     P_SINGLET_HIGH,
@@ -57,6 +58,12 @@ class TestSystemStructure:
             assert sum(row) == 4
         for row in STANDARD_ROWS:
             assert set(row) <= {0, 1}
+
+    def test_rows_follow_the_pair_table(self):
+        assert ROW_LABELS == ("norm", *SINGLE_LABELS, *PAIR_LABELS)
+        literal = ((1, 0, 1, 0), (1, 0, 0, 1), (0, 1, 1, 0), (0, 1, 0, 1))
+        for row, pattern in zip(STANDARD_ROWS[5:], literal, strict=True):
+            assert row == tuple(int(i in marginal_indices(*pattern)) for i in range(16))
 
     def test_uniform_rhs(self):
         system = build_system(uniform_probs())
@@ -367,3 +374,18 @@ class TestClosedFormOptimum:
             assert solve_system(system).value == pytest.approx(
                 closed_form_optimum(system.rhs), abs=1e-14
             )
+
+    def test_midpoint_construction_attains_optimum(self):
+        # construct_4exp at default params is an optimal point of the LP: its
+        # least entry is min(min cell / 4, CHSH margin / 8)
+        feasible_count = 0
+        for probs in mixed_population(np.random.default_rng(2006), 4000):
+            try:
+                quad = construct_4exp(probs)
+            except ChshViolationError:
+                continue
+            feasible_count += 1
+            assert min(quad.entries) == pytest.approx(
+                closed_form_optimum(build_system(probs).rhs), abs=1e-15
+            )
+        assert feasible_count == 3291
