@@ -16,7 +16,6 @@ from .construction import (
     Interval,
     QuadDistribution,
     SweepResult,
-    TripleProbs,
     construct_3exp,
     construct_4exp,
     construct_trace,

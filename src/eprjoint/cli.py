@@ -98,6 +98,8 @@ def _load_json(path: str):
         raise ValidationError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # too many digits or nesting levels
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _require(obj: dict, key: str, where: str):
@@ -106,14 +108,19 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _number(value, where: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        number = math.nan
+def _finite(number: float, value, where: str) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"{where} must be a finite number, got {value!r}")
     return number
+
+
+def _number(value, where: str) -> float:
+    """A JSON number (int or float, not bool) as a finite float."""
+    try:
+        return _finite(float(value) if type(value) in (int, float) else math.nan, value, where)
+    except OverflowError:  # an int beyond the float range
+        raise ValidationError(
+            f"{where} is a {len(str(value))}-digit integer, outside the float range") from None
 
 
 def _parse_state(spec) -> DensityMatrix:
@@ -123,7 +130,12 @@ def _parse_state(spec) -> DensityMatrix:
         if spec == "mixed":
             return maximally_mixed()
         if spec.startswith("werner:"):
-            return werner(_number(spec.split(":", 1)[1], "field 'state' werner parameter"))
+            text = spec.split(":", 1)[1]
+            try:
+                p = float(text)
+            except ValueError:
+                p = math.nan
+            return werner(_finite(p, text, "field 'state' werner parameter"))
         if spec.startswith("ket:"):
             return ket_state(spec.split(":", 1)[1])
         raise ValidationError(f"unknown named state {spec!r}")
@@ -290,21 +302,17 @@ def cmd_construct(config: RunConfig) -> dict:
 def cmd_oracle(config: RunConfig) -> dict:
     probs = _load_probs(config)
     system = build_system(probs)
-    result = solve_system(system, atol=probs.atol)
-    payload = {
+    result = solve_system(system)
+    quad = result.quad
+    return {
         "mode": "oracle",
         "system_rhs": dict(zip(ROW_LABELS, (float(v) for v in system.rhs))),
         "feasible": result.feasible,
         "max_min_entry": float(result.value),
         "dual_certificate": [float(c) for c in result.certificate],
         "iterations": result.iterations,
+        "witness": None if quad is None else quad.labeled(),
     }
-    if result.feasible and result.witness is not None:
-        quad = QuadDistribution.from_raw([max(float(w), 0.0) for w in result.witness])
-        payload["witness"] = quad.labeled()
-    else:
-        payload["witness"] = None
-    return payload
 
 
 def cmd_sweep(config: RunConfig) -> dict:

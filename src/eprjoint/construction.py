@@ -45,6 +45,8 @@ from .indexing import (
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
 _CELL_LABELS = tuple(outcome_label(signs) for signs in BB_BLOCKS)
+_BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
+_QUAD_LABELS = tuple(outcome_label(outcome) for outcome in product(SIGNS, repeat=4))
 
 # Work bound of sweep_grid: block cells 4 * n**(k - 3) for n points per axis
 # and k axes (45 points for four experiments, 21 for three).
@@ -134,12 +136,9 @@ class QuadDistribution:
         object.__setattr__(self, "entries", entries)
         if len(entries) != 16:
             raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
-        for outcome in product(SIGNS, repeat=4):
-            value = entries[quad_index(*outcome)]
+        for label, value in zip(_QUAD_LABELS, entries):
             if value < -DEFAULT_ATOL:
-                raise ValidationError(
-                    f"P({outcome_label(outcome)}) = {value!r} is negative"
-                )
+                raise ValidationError(f"P({label}) = {value!r} is negative")
         total = sum(entries)
         if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"quadruple table sums to {total!r}, not 1")
@@ -159,52 +158,26 @@ class QuadDistribution:
         return marginal(self.entries, a, ap, b, bp)
 
     def labeled(self) -> dict[str, float]:
-        return {
-            outcome_label(outcome): self.entries[quad_index(*outcome)]
-            for outcome in product(SIGNS, repeat=4)
-        }
+        return dict(zip(_QUAD_LABELS, self.entries))
 
 
 @dataclass(frozen=True)
 class TripleProbs:
-    """The sixteen triple probabilities P(a.bb') and P(.a'bb').
+    """The sixteen triple probabilities P(a.bb') and P(.a'bb') of step 1.
 
-    Indexed 4*i(first sign) + 2*i(b) + i(b') with i(+1)=0, i(-1)=1.  atol
-    carries the input's tolerance into step 2.
+    Indexed 4*i(first sign) + k, k = 2*i(b) + i(b') the BB_BLOCKS index,
+    i(+1)=0 and i(-1)=1; atol carries the input's tolerance into step 2.
     """
 
     pa: tuple[float, ...]
     pap: tuple[float, ...]
     atol: float = field(default=DEFAULT_ATOL, compare=False)
 
-    def __post_init__(self) -> None:
-        for name, side in (("P(a.bb')", self.pa), ("P(.a'bb')", self.pap)):
-            if len(side) != 8:
-                raise ValidationError(f"{name} needs 8 entries, got {len(side)}")
-            for value in side:
-                if value < -self.atol:
-                    raise ValidationError(f"{name} entry {value!r} is negative")
-        for b, bp in BB_BLOCKS:
-            lhs, rhs = self.p_bb(b, bp), sum(self.pap_value(ap, b, bp) for ap in SIGNS)
-            if abs(lhs - rhs) > self.atol:
-                raise ValidationError(
-                    f"triple marginals disagree on P(..{outcome_label((b, bp))}): "
-                    f"{lhs!r} vs {rhs!r}"
-                )
 
-    @staticmethod
-    def _index(first: Sign, b: Sign, bp: Sign) -> int:
-        return (4 if first < 0 else 0) + (2 if b < 0 else 0) + (1 if bp < 0 else 0)
-
-    def pa_value(self, a: Sign, b: Sign, bp: Sign) -> float:
-        return self.pa[self._index(a, b, bp)]
-
-    def pap_value(self, ap: Sign, b: Sign, bp: Sign) -> float:
-        return self.pap[self._index(ap, b, bp)]
-
-    def p_bb(self, b: Sign, bp: Sign) -> float:
-        """P(..bb') summed from the a side."""
-        return sum(self.pa_value(a, b, bp) for a in SIGNS)
+def _block(triples: TripleProbs, k: int) -> tuple[float, float, float]:
+    """Margins of block k of step 2: P(+.bb'), P(.+bb') and P(..bb') summed
+    from the a side."""
+    return triples.pa[k], triples.pap[k], 0 + triples.pa[k] + triples.pa[k + 4]
 
 
 def _side_inputs(probs: ExperimentalProbs, primed: bool, sign: Sign) -> tuple[float, float, float]:
@@ -297,18 +270,20 @@ def step1_triples(
                 "have a negative entry; a chosen scalar violates its interval"
             )
         sides.append(side)
+    for k, cell in enumerate(_CELL_LABELS):
+        lhs, rhs = (0 + side[k] + side[k + 4] for side in sides)
+        if abs(lhs - rhs) > probs.atol:
+            raise ValidationError(f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
     return TripleProbs(*sides, atol=probs.atol)
 
 
 def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
     """Allowed interval of P(++bb') given the step-1 triples."""
-    result = Interval(*frechet_bounds(
-        triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp)
-    ))
+    k = BB_BLOCKS.index((b, bp))
+    result = Interval(*frechet_bounds(*_block(triples, k)))
     if result.lo - result.hi > triples.atol:
         raise InternalInvariantError(
-            f"empty interval for P(++{outcome_label((b, bp))}): "
-            "triples violate their sum rules"
+            f"empty interval for {_BLOCK_LABELS[k]}: triples violate their sum rules"
         )
     return result
 
@@ -323,17 +298,15 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
     if len(p_pp_bb) != 4:
         raise UsageError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
     entries = [0.0] * 16
-    for (b, bp), chosen in zip(BB_BLOCKS, p_pp_bb):
-        cells = frechet_cells(
-            triples.pa_value(1, b, bp), triples.pap_value(1, b, bp), triples.p_bb(b, bp), chosen
-        )
-        for (a, ap), value in zip(BB_BLOCKS, cells):
+    for k, chosen in enumerate(p_pp_bb):
+        # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
+        for j, value in enumerate(frechet_cells(*_block(triples, k), chosen)):
             if value < -triples.atol:
                 raise InternalInvariantError(
-                    f"P({outcome_label((a, ap, b, bp))}) = {value!r} is negative; "
+                    f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
                     "a block value violates its interval"
                 )
-            entries[quad_index(a, ap, b, bp)] = max(value, 0.0)
+            entries[4 * j + k] = max(value, 0.0)
     return QuadDistribution.from_raw(entries)
 
 
@@ -384,6 +357,13 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     return result
 
 
+def _complete(probs: ExperimentalProbs, t: float) -> tuple[Interval, float, ExperimentalProbs]:
+    """The interval of the unmeasured P(A'B'), its pick at t, and probs with it."""
+    iv = interval_p_aprime_bprime(probs)
+    chosen = iv.pick(t)
+    return iv, chosen, probs.with_aprime_bprime(chosen)
+
+
 def construct_trace(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> ConstructionTrace:
@@ -398,10 +378,9 @@ def construct_trace(
     chosen: dict[str, float] = {}
     chosen_aprime_bprime = None
     if not probs.has_all_four:
-        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
         t = 0.5 if params.t_aprime_bprime is None else params.t_aprime_bprime
-        chosen["P(A'B')"] = chosen_aprime_bprime = iv.pick(t)
-        probs = probs.with_aprime_bprime(chosen_aprime_bprime)
+        iv, chosen_aprime_bprime, probs = _complete(probs, t)
+        intervals["P(A'B')"], chosen["P(A'B')"] = iv, chosen_aprime_bprime
 
     intervals["P(..++)"] = iv = interval_p_dotdot(probs)
     chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
@@ -412,16 +391,11 @@ def construct_trace(
 
     triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
 
-    blocks: list[float] = []
-    for (b, bp), t in zip(BB_BLOCKS, params.t_bb):
-        label = f"P(++{outcome_label((b, bp))})"
+    for (b, bp), label, t in zip(BB_BLOCKS, _BLOCK_LABELS, params.t_bb):
         intervals[label] = iv = interval_p_pp_bb(triples, b, bp)
-        chosen[label] = value = iv.pick(t)
-        blocks.append(value)
-    quad = step2_quadruple(triples, blocks)
-    return ConstructionTrace(
-        probs, params, intervals, chosen, triples, quad, chosen_aprime_bprime
-    )
+        chosen[label] = iv.pick(t)
+    quad = step2_quadruple(triples, [chosen[label] for label in _BLOCK_LABELS])
+    return ConstructionTrace(probs, params, intervals, chosen, triples, quad, chosen_aprime_bprime)
 
 
 def construct_4exp(
@@ -454,20 +428,16 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
     construct_4exp reproduces quad (up to rounding) whenever quad's
     marginals equal probs.
     """
-    p_dotdot = quad.marginal(b=1, bp=1)
-    iv = interval_p_dotdot(probs)
-    t_dotdot = iv.position(p_dotdot)
-    p_dotdot = iv.pick(t_dotdot)
+    def snap(iv: Interval, x: float) -> tuple[float, float]:
+        """The position t of x in iv and the point picked at t."""
+        t = iv.position(x)
+        return t, iv.pick(t)
 
-    p_a_pp = quad.marginal(a=1, b=1, bp=1)
+    t_dotdot, p_dotdot = snap(interval_p_dotdot(probs), quad.marginal(b=1, bp=1))
     iv = interval_p_plusplus(probs, False, p_dotdot)
-    t_aplus = iv.position(p_a_pp)
-    p_a_pp = iv.pick(t_aplus)
-
-    p_ap_pp = quad.marginal(ap=1, b=1, bp=1)
+    t_aplus, p_a_pp = snap(iv, quad.marginal(a=1, b=1, bp=1))
     iv = interval_p_plusplus(probs, True, p_dotdot)
-    t_aprimeplus = iv.position(p_ap_pp)
-    p_ap_pp = iv.pick(t_aprimeplus)
+    t_aprimeplus, p_ap_pp = snap(iv, quad.marginal(ap=1, b=1, bp=1))
 
     triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
     t_bb = tuple(
@@ -575,16 +545,15 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
         completions = [(None, probs)]
         total_points = n ** 7
     else:
-        apbp_interval = interval_p_aprime_bprime(probs)
-        completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
+        completions = [(t, _complete(probs, t)[2]) for t in axis]
         total_points = n ** 8
     ts = np.array(axis)
 
     valid_points = 0
     min_entry = float("inf")
-    min_choice: tuple | None = None
+    min_params: FamilyParams | None = None
     best_min_entry = float("-inf")
-    best_choice: tuple | None = None
+    best_params: FamilyParams | None = None
 
     for t_apbp, full in completions:
         atol = full.atol
@@ -624,8 +593,8 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
             if worst.flat[k] < min_entry:
                 i1, i2 = divmod(k, n)
                 min_entry = float(worst.flat[k])
-                worst_ts = tuple(axis[j] for j in low_t[:, i1, i2])
-                min_choice = (t_apbp, t0, axis[i1], axis[i2], worst_ts)
+                worst_ts = [axis[j] for j in low_t[:, i1, i2]]
+                min_params = FamilyParams(t0, axis[i1], axis[i2], worst_ts, t_apbp)
 
             high_t = mins.argmax(axis=3)
             block_high = _take(mins, high_t, 3)
@@ -634,21 +603,17 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
             if best.flat[k] > best_min_entry:
                 i1, i2 = divmod(k, n)
                 best_min_entry = float(best.flat[k])
-                best_ts = tuple(axis[j] for j in high_t[:, i1, i2])
-                best_choice = (t_apbp, t0, axis[i1], axis[i2], best_ts)
+                best_ts = [axis[j] for j in high_t[:, i1, i2]]
+                best_params = FamilyParams(t0, axis[i1], axis[i2], best_ts, t_apbp)
 
-    def to_params(choice: tuple) -> FamilyParams:
-        t_apbp, t0, t1, t2, t_bb = choice
-        return FamilyParams(t0, t1, t2, t_bb, t_apbp)
-
-    assert min_choice is not None and best_choice is not None
+    assert min_params is not None and best_params is not None
     return SweepResult(
         total_points=total_points,
         valid_points=valid_points,
         min_entry=min_entry,
-        min_params=to_params(min_choice),
+        min_params=min_params,
         best_min_entry=best_min_entry,
-        best_params=to_params(best_choice),
+        best_params=best_params,
     )
 
 

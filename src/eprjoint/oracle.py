@@ -24,7 +24,7 @@ rhs), the latter a tolerance-free mode for dyadic inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .construction import QuadDistribution
@@ -48,13 +48,14 @@ STANDARD_ROWS: tuple[tuple[int, ...], ...] = tuple(
 @dataclass(frozen=True)
 class MarginalSystem:
     """The nine marginal equalities STANDARD_ROWS (0/1 coefficients) with
-    their rhs values.
+    their rhs values, and the tolerance atol of the feasibility decision.
 
     Row order matches ROW_LABELS.  rhs entries may be floats or exact
     Fractions; Fractions switch the solver to exact arithmetic.
     """
 
     rhs: tuple
+    atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.rhs) != 9:
@@ -74,9 +75,9 @@ class MarginalSystem:
 
 
 def build_system(probs: ExperimentalProbs) -> MarginalSystem:
-    """Marginal system of a full set of measured probabilities."""
+    """Marginal system of a full set of measured probabilities, at their atol."""
     probs.require_all_four()
-    return MarginalSystem.from_values(*probs.singles(), *probs.doubles())
+    return replace(MarginalSystem.from_values(*probs.singles(), *probs.doubles()), atol=probs.atol)
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,12 @@ class FeasibilityResult:
     """Outcome of the max-min-entry LP.
 
     value is the largest achievable minimum entry (down to the -1 floor);
-    feasible means value >= -atol/8: a CHSH C-function sums eight entries,
-    so the C-unit atol is atol/8 per entry.  witness is the optimizing table
-    when feasible.  certificate holds the nine dual multipliers y: always
-    y.(rhs + rowsums) = value + 1 with y.A >= 0 columnwise, so when
-    infeasible, y.rhs < 0 exhibits a violated nonnegative combination of
-    the marginal equations (a CHSH-type hyperplane).
+    feasible means value >= -atol/8 at the system's atol: a C-function sums
+    eight entries.  witness is the optimizing table when feasible.
+    certificate holds the nine dual multipliers y: always y.(rhs + rowsums)
+    = value + 1 with y.A >= 0 columnwise, so when infeasible, y.rhs < 0
+    exhibits a violated nonnegative combination of the marginal equations
+    (a CHSH-type hyperplane).
     """
 
     feasible: bool
@@ -98,6 +99,13 @@ class FeasibilityResult:
     certificate: tuple
     iterations: int
     floored: bool = False
+
+    @property
+    def quad(self) -> QuadDistribution | None:
+        """The witness as a distribution (negative entries zeroed), None if infeasible."""
+        if not self.feasible:
+            return None
+        return QuadDistribution.from_raw([max(float(w), 0.0) for w in self.witness])
 
 
 _M = 9                    # constraint rows; the reduced-cost row is row _M
@@ -182,7 +190,7 @@ class _Simplex:
         return tuple(self.tab[_M][_N_STRUCT:_RHS])
 
 
-def solve_system(system: MarginalSystem, atol: float = DEFAULT_ATOL) -> FeasibilityResult:
+def solve_system(system: MarginalSystem) -> FeasibilityResult:
     """Run the two-phase simplex and report the max-min-entry optimum."""
     sx = _Simplex(system)
     zero, one, tab, basis = sx.zero, sx.one, sx.tab, sx.basis
@@ -223,7 +231,7 @@ def solve_system(system: MarginalSystem, atol: float = DEFAULT_ATOL) -> Feasibil
             x[b] = tab[i][_RHS]
     value = x[_AUX] - one
     return FeasibilityResult(
-        feasible=bool(value >= -atol / 8),
+        feasible=bool(value >= -system.atol / 8),
         value=value,
         witness=tuple(q + value for q in x[:16]),
         certificate=sx.certificate(),
@@ -233,7 +241,5 @@ def solve_system(system: MarginalSystem, atol: float = DEFAULT_ATOL) -> Feasibil
 
 def feasible(system: MarginalSystem) -> tuple[bool, QuadDistribution | None]:
     """Feasibility decision plus a witness distribution when one exists."""
-    result = solve_system(system)
-    if not result.feasible or result.witness is None:
-        return False, None
-    return True, QuadDistribution.from_raw([max(float(w), 0.0) for w in result.witness])
+    quad = solve_system(system).quad
+    return quad is not None, quad

@@ -262,15 +262,17 @@ def face_mixture(rng: np.random.Generator) -> list[float]:
     return values
 
 
-def near_face_inputs(seed: int, count: int):
+def near_face_inputs(seed: int, count: int, exponents: tuple[float, float] = (-11, -8)):
     """Face mixtures, each followed by a copy with one value moved by
-    +-10^u, u uniform in [-11, -8]: on, inside and outside the atol band."""
+    +-10^u, u uniform in exponents ([-11, -8] straddles the default atol
+    band): on, inside and outside the band."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         values = face_mixture(rng)
         yield values
         moved = list(values)
-        moved[int(rng.integers(8))] += float(rng.choice((-1.0, 1.0))) * 10.0 ** rng.uniform(-11, -8)
+        slot, sign = int(rng.integers(8)), float(rng.choice((-1.0, 1.0)))
+        moved[slot] += sign * 10.0 ** rng.uniform(*exponents)
         yield moved
 
 
@@ -339,10 +341,10 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
             for t1, t2 in product(axis, repeat=2):
                 triples = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
                 block_mins = []
-                for b, bp in BB_BLOCKS:
+                pa, pap = triples.pa, triples.pap
+                for k, (b, bp) in enumerate(BB_BLOCKS):
                     iv = interval_p_pp_bb(triples, b, bp)
-                    margins = (triples.pa_value(1, b, bp), triples.pap_value(1, b, bp),
-                               triples.p_bb(b, bp))
+                    margins = (pa[k], pap[k], sum((pa[k], pa[k + 4])))
                     block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
 
                 valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)

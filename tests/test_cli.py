@@ -419,19 +419,35 @@ class TestParseBoundary:
         ("werner_nan", "state"),
         ("settings_string", "n_A'"),
         ("settings_nan", "n_A'"),
+        ("settings_huge", "n_A'"),
+        ("state_huge", "state"),
+        ("probs_numeric", "'A'"),
+        ("probs_bool", "'A'"),
+        ("probs_huge", "'A'"),
         ("bb_string", "t.bb"),
+        ("bb_bool", "t.bb"),
+        ("dotdot_huge", "t.dotdot"),
         ("unwritable_output", "--output"),
     ])
     def test_bad_field_exits_2(self, write_json, capsys, tmp_path, case, field):
+        # JSON numbers only: no strings (numeric ones included), no booleans,
+        # no integers beyond the float range
+        bad = {"string": "x", "nan": float("nan"), "huge": 10**400, "numeric": "0.5",
+               "bool": True}.get(case.rsplit("_", 1)[-1])
         state = dict(SINGLET_STATE)
         argv = ["--mode", "construct3"]
         if case == "werner_nan":
             state["state"] = "werner:NaN"
         elif case.startswith("settings"):
-            bad = "x" if case == "settings_string" else float("nan")
             state["settings"] = {**state["settings"], "n_A'": [bad, 0.0, 1.0]}
-        elif case == "bb_string":
-            argv += ["--params", write_json("p.json", {"t": {"bb": [0.5, "x", 0.5, 0.5]}})]
+        elif case == "state_huge":
+            state["state"] = [[bad, 0.0], *([[0.0, 0.0]] * 15)]
+        elif case.startswith("probs"):
+            state = {**UNIFORM_PROBS, "singles": {**UNIFORM_PROBS["singles"], "A": bad}}
+        elif case.startswith("bb"):
+            argv += ["--params", write_json("p.json", {"t": {"bb": [0.5, bad, 0.5, 0.5]}})]
+        elif case == "dotdot_huge":
+            argv += ["--params", write_json("p.json", {"t": {"dotdot": bad}})]
         else:
             argv += ["--output", str(tmp_path / "missing" / "report.json")]
         argv += ["--input", write_json("in.json", state)]
@@ -439,3 +455,14 @@ class TestParseBoundary:
         assert code == 2
         assert out == ""
         assert field in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("text", [
+        '{"singles": {"A": 1' + "0" * 5000 + "}}",  # above Python's int digit limit
+        "[" * 100_000 + "]" * 100_000,  # above the parser's nesting limit
+    ], ids=["digits", "nesting"])
+    def test_unparsable_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "--mode", "chsh", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert "in.json" in json.loads(err)["message"]

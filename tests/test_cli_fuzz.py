@@ -29,6 +29,7 @@ JUNK = st.one_of(
     st.integers(-2, 2),
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308, -0.0, 1.5]),
+    st.sampled_from([10**400, "0.5"]),
     st.text(max_size=4),
     st.lists(st.floats(0.0, 1.0), max_size=3),
     st.dictionaries(st.text(max_size=2), st.integers(0, 1), max_size=2),

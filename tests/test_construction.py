@@ -150,15 +150,15 @@ class TestStep1:
 
     def test_deterministic(self):
         triples = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
-        assert triples.pa_value(1, 1, 1) == 1.0
+        assert triples.pa[0] == 1.0
         assert sum(triples.pa) == 1.0 and sum(triples.pap) == 1.0
 
     def test_boundary_choice(self):
         triples = step1_triples(uniform_probs(), 0.0, 0.0, 0.0)
-        assert triples.pa_value(1, 1, 1) == 0.0
-        assert triples.pa_value(1, 1, -1) == 0.25
-        assert triples.pa_value(1, -1, 1) == 0.25
-        assert triples.pa_value(1, -1, -1) == 0.0
+        assert triples.pa[0] == 0.0
+        assert triples.pa[1] == 0.25
+        assert triples.pa[2] == 0.25
+        assert triples.pa[3] == 0.0
 
     def test_negative_triple_is_internal_error(self):
         with pytest.raises(InternalInvariantError, match="negative"):
@@ -175,7 +175,7 @@ class TestStep1:
             assert sum(triples.pa) == pytest.approx(1.0, abs=1e-12)
             for a in (1, -1):
                 single = probs.p_a if a > 0 else 1.0 - probs.p_a
-                total = sum(triples.pa_value(a, b, bp) for b in (1, -1) for bp in (1, -1))
+                total = sum(triples.pa[:4] if a > 0 else triples.pa[4:])
                 assert total == pytest.approx(single, abs=1e-12)
 
 
@@ -470,6 +470,23 @@ class TestSweepMatchesLoop:
         result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
         assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
         assert result[0] is InternalInvariantError and "negative entry" in result[1]
+
+    def test_disagreeing_triple_marginals_raise(self, monkeypatch):
+        # a skewed primed side: P(.+++) gains 0.01, so the two sides' P(..++)
+        # disagree; step1_triples raises, and the sweep's replay raises the same
+        side_triples = construction._side_triples
+
+        def skewed(probs, primed, chosen, p_dotdot):
+            side = side_triples(probs, primed, chosen, p_dotdot)
+            return (side[0] + 0.01, *side[1:]) if primed else side
+
+        monkeypatch.setattr(construction, "_side_triples", skewed)
+        probs = uniform_probs()
+        with pytest.raises(ValidationError, match=r"triple marginals disagree on P\(\.\.\+\+\)"):
+            step1_triples(probs, 0.125, 0.125, 0.25)
+        result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
+        assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
+        assert result[0] is ValidationError and "triple marginals disagree" in result[1]
 
 
 class TestSweepBudget:
