@@ -3,6 +3,9 @@ probability form, and the complete family of joint quadruple distributions
 reproducing three or four EPR experiments, cross-validated by an
 independent linear-feasibility oracle."""
 
+import importlib
+import types
+
 from .chsh import (
     ChshReport,
     CVariant,
@@ -27,7 +30,6 @@ from .construction import (
     marginal_residuals,
     step1_triples,
     step2_quadruple,
-    sweep_grid,
 )
 from .errors import (
     ChshViolationError,
@@ -50,15 +52,41 @@ from .oracle import (
     feasible,
     solve_system,
 )
-from .quantum import (
-    AnalyzerSettings,
-    DensityMatrix,
-    chsh_optimal_settings,
-    experimental_probs,
-    ket_state,
-    maximally_mixed,
-    singlet,
-    werner,
-)
 
 __version__ = "0.1.0"
+
+# Names whose modules import numpy, loaded on first access (PEP 562), so
+# `import eprjoint` and the scalar routes do not pay for numpy.
+_LAZY = {
+    **dict.fromkeys((
+        "AnalyzerSettings",
+        "DensityMatrix",
+        "chsh_optimal_settings",
+        "experimental_probs",
+        "ket_state",
+        "maximally_mixed",
+        "singlet",
+        "werner",
+    ), "quantum"),
+    "sweep_grid": "sweep",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
+
+# `from eprjoint import *` copies only the module's globals unless __all__
+# names the lazy ones too.
+__all__ = sorted([
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + list(_LAZY))

@@ -3,7 +3,9 @@
 Modes probs (state files only) and chsh report probabilities, correlations
 and both CHSH forms; construct3/4, sweep and mc-verify run construct_trace,
 which picks P(A'B') when the input lacks it; oracle runs the LP.  --grid is
-bounded by SWEEP_MAX_CELLS block cells, --samples by MAX_SAMPLES.
+bounded by SWEEP_MAX_CELLS block cells, --samples by MAX_SAMPLES.  numpy
+is imported only by the modes that use arrays: state files, sweep and
+mc-verify sampling.
 
 One structured JSON schema covers states, settings, probabilities,
 parameters, and reports.  A state file holds {"state": ..., "settings":
@@ -30,8 +32,7 @@ import sys
 from dataclasses import dataclass, replace
 from itertools import product
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .chsh import ChshReport, CVariant, chsh_probability_form
 from .construction import (
@@ -41,21 +42,16 @@ from .construction import (
     check_sweep_budget,
     construct_trace,
     marginal_residuals,
-    sweep_grid,
 )
 from .errors import EprJointError, EXIT_OK, ValidationError
 from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SIGNS, SINGLE_LABELS, outcome_label, pair_marginals
 from .oracle import build_system, ROW_LABELS, solve_system
-from .quantum import (
-    AnalyzerSettings,
-    DensityMatrix,
-    experimental_probs,
-    ket_state,
-    maximally_mixed,
-    singlet,
-    werner,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quantum import AnalyzerSettings, DensityMatrix
 
 DEFAULT_SAMPLES = 100_000
 # Work bound of mc-verify: 10**8 samples take about 5 s on a 2-CPU x86 host.
@@ -124,6 +120,8 @@ def _number(value, where: str) -> float:
 
 
 def _parse_state(spec) -> DensityMatrix:
+    from .quantum import DensityMatrix, ket_state, maximally_mixed, singlet, werner
+
     if isinstance(spec, str):
         if spec == "singlet":
             return singlet()
@@ -147,7 +145,7 @@ def _parse_state(spec) -> DensityMatrix:
                     for re, im in spec]
         except (TypeError, ValueError) as exc:
             raise ValidationError("field 'state' entries must be [re, im] pairs") from exc
-        return DensityMatrix(np.array(flat, dtype=complex).reshape(4, 4))
+        return DensityMatrix([flat[row:row + 4] for row in range(0, 16, 4)])
     raise ValidationError("field 'state' must be a name or 16 [re, im] pairs")
 
 
@@ -158,6 +156,8 @@ def _parse_vector(obj, name: str) -> tuple[float, float, float]:
 
 
 def _parse_settings(obj) -> AnalyzerSettings:
+    from .quantum import AnalyzerSettings
+
     return AnalyzerSettings(*(
         _parse_vector(_require(obj, f"n_{label}", "settings"), f"n_{label}")
         for label in SINGLE_LABELS
@@ -183,6 +183,8 @@ def _load_probs(config: RunConfig) -> ExperimentalProbs:
     file when one is given (always in probs mode)."""
     obj = _load_json(config.input_path)
     if config.mode == "probs" or isinstance(obj, dict) and "state" in obj:
+        from .quantum import experimental_probs
+
         rho = _parse_state(_require(obj, "state", config.input_path))
         settings = _parse_settings(_require(obj, "settings", config.input_path))
         return replace(experimental_probs(rho, settings), atol=config.tolerance)
@@ -319,6 +321,8 @@ def cmd_sweep(config: RunConfig) -> dict:
     probs = _load_probs(config)
     axes = 7 if probs.has_all_four else 8
     axis = _parse_grid(config.grid, axes)
+    from .sweep import sweep_grid
+
     result = sweep_grid(probs, axis)
     quad_at = lambda params: construct_trace(probs, params).quad
     return {
@@ -337,6 +341,8 @@ def cmd_sweep(config: RunConfig) -> dict:
 
 
 def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarray:
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(np.asarray(quad.entries))
     cdf[-1] = 1.0

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
-import numpy as np
-
 from .chsh import chsh_probability_form
 from .errors import (
     ChshViolationError,
@@ -497,134 +495,3 @@ def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None
             f"{cells} block cells, above the bound SWEEP_MAX_CELLS = {SWEEP_MAX_CELLS} "
             f"(at most {limit} points per axis)"
         )
-
-
-def _first_max(x, y):
-    """Python's max(x, y) elementwise: y only where y > x."""
-    return np.where(y > x, y, x)
-
-
-def _first_min(x, y):
-    """Python's min(x, y) elementwise: y only where y < x."""
-    return np.where(y < x, y, x)
-
-
-def _pick_array(lo, hi, t):
-    """Interval(lo, hi).pick(t) elementwise, with the same float operations."""
-    clamped = _first_min(_first_max(lo + t * (hi - lo), lo), hi)
-    return np.where(hi <= lo, (lo + hi) / 2.0, clamped)
-
-
-def _take(values: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
-    """values at index along axis, which is dropped."""
-    return np.take_along_axis(values, np.expand_dims(index, axis), axis).squeeze(axis)
-
-
-def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
-    """Evaluate the construction on the full t-grid axis^k (k = 7 for four
-    experiments, 8 for three) and report validity counts and extremes.
-
-    Walks the grid in construction order.  For each P(A'B') completion and
-    each t0 one numpy pass covers every (t1, t2): the picked P(+.++) and
-    P(.+++), the sixteen step-1 triples, the four P(++bb') intervals, and
-    the minimum cell of each block at every t, an array of shape
-    (4, n, n, n).  The blocks are independent once the triples are fixed,
-    so validity and min-entry statistics over the full grid factorize
-    exactly over blocks.  Every float operation is the scalar maps' own, so
-    the result equals enumerating the grid through them, ties going to the
-    first grid point in loop order.  A pass that fails one of their checks
-    is replayed through them to raise their error.  UsageError when the
-    grid exceeds SWEEP_MAX_CELLS block cells (see check_sweep_budget).
-    """
-    axis = [float(t) for t in axis]
-    if not axis:
-        raise UsageError("sweep needs at least one grid value per axis")
-    n = len(axis)
-    check_sweep_budget(n, 7 if probs.has_all_four else 8)
-    if probs.has_all_four:
-        completions = [(None, probs)]
-        total_points = n ** 7
-    else:
-        completions = [(t, _complete(probs, t)[2]) for t in axis]
-        total_points = n ** 8
-    ts = np.array(axis)
-
-    valid_points = 0
-    min_entry = float("inf")
-    min_params: FamilyParams | None = None
-    best_min_entry = float("-inf")
-    best_params: FamilyParams | None = None
-
-    for t_apbp, full in completions:
-        atol = full.atol
-        dotdot_interval = interval_p_dotdot(full)
-        # picking every t0 first validates the whole axis before any pass
-        for t0, p0 in [(t0, dotdot_interval.pick(t0)) for t0 in axis]:
-            a_interval = interval_p_plusplus(full, False, p0)
-            ap_interval = interval_p_plusplus(full, True, p0)
-            # Triples: P(a.bb') varies with t1 (rows), P(.a'bb') with t2 (columns).
-            a_picks = _pick_array(a_interval.lo, a_interval.hi, ts)
-            ap_picks = _pick_array(ap_interval.lo, ap_interval.hi, ts)
-            pa = np.array(_side_triples(full, False, a_picks, p0))
-            pap = np.array(_side_triples(full, True, ap_picks, p0))
-            row, col = pa[:4, :, None], pap[:4, None, :]
-            total = 0.0 + pa[:4, :, None] + pa[4:, :, None]
-            total_ap = 0.0 + pap[:4, None, :] + pap[4:, None, :]
-            lo, hi = _first_max(0.0, row + col - total), _first_min(row, col)
-            if ((pa < -atol).any() or (pap < -atol).any()
-                    or (np.abs(total - total_ap) > atol).any() or (lo - hi > atol).any()):
-                _replay_pass(full, a_interval, ap_interval, p0, axis)
-
-            # Cells of every block at every t: shape (4 blocks, t1, t2, t).
-            row, col, total = row[..., None], col[..., None], total[..., None]
-            pp = _pick_array(lo[..., None], hi[..., None], ts)
-            mins = pp
-            for cell in frechet_cells(row, col, total, pp)[1:]:
-                mins = _first_min(mins, cell)
-
-            # per prefix at most n**4 valid points: no int64 overflow within the budget
-            counts = (mins >= -atol).sum(axis=3)
-            valid_points += int(counts.prod(axis=0).sum())
-
-            low_t = mins.argmin(axis=3)
-            block_low = _take(mins, low_t, 3)
-            worst = _take(block_low, block_low.argmin(axis=0), 0)
-            k = int(worst.argmin())
-            if worst.flat[k] < min_entry:
-                i1, i2 = divmod(k, n)
-                min_entry = float(worst.flat[k])
-                worst_ts = [axis[j] for j in low_t[:, i1, i2]]
-                min_params = FamilyParams(t0, axis[i1], axis[i2], worst_ts, t_apbp)
-
-            high_t = mins.argmax(axis=3)
-            block_high = _take(mins, high_t, 3)
-            best = _take(block_high, block_high.argmin(axis=0), 0)
-            k = int(best.argmax())
-            if best.flat[k] > best_min_entry:
-                i1, i2 = divmod(k, n)
-                best_min_entry = float(best.flat[k])
-                best_ts = [axis[j] for j in high_t[:, i1, i2]]
-                best_params = FamilyParams(t0, axis[i1], axis[i2], best_ts, t_apbp)
-
-    assert min_params is not None and best_params is not None
-    return SweepResult(
-        total_points=total_points,
-        valid_points=valid_points,
-        min_entry=min_entry,
-        min_params=min_params,
-        best_min_entry=best_min_entry,
-        best_params=best_params,
-    )
-
-
-def _replay_pass(
-    probs: ExperimentalProbs, a_interval: Interval, ap_interval: Interval, p_dotdot: float,
-    axis: Sequence[float],
-) -> None:
-    """Rerun one sweep pass through the scalar maps, which raise the first
-    error in loop order (the same floats fail the same checks)."""
-    for t1, t2 in product(axis, repeat=2):
-        triples = step1_triples(probs, a_interval.pick(t1), ap_interval.pick(t2), p_dotdot)
-        for b, bp in BB_BLOCKS:
-            interval_p_pp_bb(triples, b, bp)
-    raise InternalInvariantError("a sweep pass failed a check that the scalar maps pass")

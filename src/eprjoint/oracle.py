@@ -19,7 +19,8 @@ phase-1 reduced-cost row are built once at import and copied per call.  A
 pivot touches only the pivot row's nonzero columns, in the rows with a
 nonzero entry in the entering column.  The tableau is plain lists, so one
 code path runs on floats or on exact Fractions (supplied as the system's
-rhs), the latter a tolerance-free mode for dyadic inputs.
+rhs), the latter a tolerance-free mode for dyadic inputs: an exact system
+is feasible when its max-min entry is >= 0.
 """
 
 from __future__ import annotations
@@ -85,8 +86,9 @@ class FeasibilityResult:
     """Outcome of the max-min-entry LP.
 
     value is the largest achievable minimum entry (down to the -1 floor);
-    feasible means value >= -atol/8 at the system's atol: a C-function sums
-    eight entries.  witness is the optimizing table when feasible.
+    feasible means value >= -atol/8 at the system's atol for float rhs (a
+    C-function sums eight entries) and value >= 0 for exact rhs, which no
+    tolerance widens.  witness is the optimizing table when feasible.
     certificate holds the nine dual multipliers y: always y.(rhs + rowsums)
     = value + 1 with y.A >= 0 columnwise, so when infeasible, y.rhs < 0
     exhibits a violated nonnegative combination of the marginal equations
@@ -231,7 +233,7 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
             x[b] = tab[i][_RHS]
     value = x[_AUX] - one
     return FeasibilityResult(
-        feasible=bool(value >= -system.atol / 8),
+        feasible=bool(value >= (zero if sx.exact else -system.atol / 8)),
         value=value,
         witness=tuple(q + value for q in x[:16]),
         certificate=sx.certificate(),

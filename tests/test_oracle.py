@@ -30,6 +30,7 @@ from eprjoint.oracle import ROW_LABELS, STANDARD_ROWS
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
+    PR_BOX,
     det00_probs,
     dyadic_systems,
     mixed_population,
@@ -208,6 +209,17 @@ class TestExactMode:
         result = solve_system(system)
         assert not result.feasible
         assert result.value == Fraction(-1, 16)
+
+    def test_exact_decides_at_zero(self):
+        # the uniform/PR-box mixture just past the CHSH face is infeasible
+        # exactly, however small the excess; on the face it is feasible
+        uniform = [Fraction(1, 2)] * 4 + [Fraction(1, 4)] * 4
+        for w, value in ((Fraction(1, 2) + Fraction(1, 10**10), Fraction(-1, 80_000_000_000)),
+                         (Fraction(1, 2), Fraction(0))):
+            mixture = [(1 - w) * u + w * pr for u, pr in zip(uniform, PR_BOX)]
+            result = solve_system(MarginalSystem.from_values(*mixture))
+            assert result.value == value
+            assert result.feasible is (value >= 0)
 
     def test_exact_witness_margins(self):
         system = MarginalSystem.from_values(*([Fraction(1, 2)] * 4 + [Fraction(1, 8)] * 4))
