@@ -484,7 +484,7 @@ class SweepResult:
 def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None:
     """UsageError, naming field, when a sweep with `points` values on each of
     `axes` axes would evaluate more than SWEEP_MAX_CELLS block cells,
-    4 * points**(axes - 3)."""
+    4 * points**(axes - 3); its bound is the most points per axis allowed."""
     cells = 4 * points ** (axes - 3)
     if cells > SWEEP_MAX_CELLS:
         limit = 1
@@ -493,5 +493,6 @@ def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None
         raise UsageError(
             f"{field} = {points}: the {axes}-axis sweep needs 4*{points}^{axes - 3} = "
             f"{cells} block cells, above the bound SWEEP_MAX_CELLS = {SWEEP_MAX_CELLS} "
-            f"(at most {limit} points per axis)"
+            f"(at most {limit} points per axis)",
+            field=field, value=points, bound=limit,
         )

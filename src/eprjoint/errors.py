@@ -10,9 +10,20 @@ EXIT_INTERNAL = 5
 
 
 class EprJointError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    A raise site that checks one input against a bound may name them: field
+    (the input's name), value (the value found) and bound (the limit it
+    broke).  Each is None when not given.
+    """
 
     exit_code = EXIT_INTERNAL
+
+    def __init__(self, message: str, *, field: str | None = None, value=None, bound=None):
+        super().__init__(message)
+        self.field = field
+        self.value = value
+        self.bound = bound
 
 
 class ValidationError(EprJointError):

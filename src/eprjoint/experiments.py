@@ -83,7 +83,8 @@ class ExperimentalProbs:
             side, bound = ("lower", lo) if value < lo else ("upper", hi)
             raise ValidationError(
                 f"P({label}) = {value!r} violates the {domain} {side} bound {bound!r} "
-                f"by more than atol = {self.atol:g}"
+                f"by more than atol = {self.atol:g}",
+                field=label, value=value, bound=bound,
             )
         object.__setattr__(self, name, min(max(value, lo), hi))
 

@@ -519,3 +519,20 @@ def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) ->
         certificate=certificate,
         iterations=sx.iterations,
     )
+
+
+# The chunk size of the sampler that reference_sample_counts keeps.
+REFERENCE_SAMPLE_CHUNK = 1 << 20
+
+
+def reference_sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarray:
+    """mc-verify's sampler before its guide table: one binary search per
+    draw.  cli._sample_counts must give the same counts."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    cdf = np.cumsum(np.asarray(quad.entries))
+    cdf[-1] = 1.0
+    counts = np.zeros(16, dtype=np.int64)
+    for start in range(0, samples, REFERENCE_SAMPLE_CHUNK):
+        draws = rng.random(min(REFERENCE_SAMPLE_CHUNK, samples - start))
+        counts += np.bincount(np.searchsorted(cdf, draws, side="right"), minlength=16)
+    return counts

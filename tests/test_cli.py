@@ -5,14 +5,15 @@ from __future__ import annotations
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eprjoint import QuadDistribution
-from eprjoint.cli import SAMPLE_CHUNK, _sample_counts, main
+from eprjoint import ExperimentalProbs, QuadDistribution, construct_trace
+from eprjoint.cli import BUCKETS, MAX_SAMPLES, SAMPLE_CHUNK, _sample_counts, main
 from eprjoint.construction import SWEEP_MAX_CELLS
-from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON
+from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON, reference_sample_counts
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -371,6 +372,138 @@ class TestMcVerifyMode:
             assert time.perf_counter() - start < 1.0
         # the bound is a constant; the error names the field, value and bound
         assert "samples = 1000000000000" in err and "MAX_SAMPLES = 100000000" in err
+
+
+SAMPLE_SIZES = (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 12_345)
+
+
+def _dyadic(rng: np.random.Generator, denominator: int) -> np.ndarray:
+    """16 entries k/denominator summing to 1: the cdf lands on multiples of
+    1/denominator."""
+    cuts = np.sort(rng.integers(0, denominator + 1, 15))
+    return np.diff(np.concatenate(([0], cuts, [denominator]))) / denominator
+
+
+def _from_cdf(cdf: list[float]) -> np.ndarray:
+    # consecutive cdf values lie within a factor 2, so each difference and
+    # the cumsum that rebuilds cdf from it are exact
+    entries = np.diff(np.concatenate(([0.0], cdf)))
+    assert np.array_equal(np.cumsum(entries), cdf)
+    return entries
+
+
+def referee_tables() -> list[tuple[str, np.ndarray]]:
+    """Named tables on which the guide-table sampler must equal the search."""
+    rng = np.random.Generator(np.random.PCG64(2006))
+    tables = []
+    for i in range(210):
+        entries = rng.random(16) * (rng.random(16) < rng.uniform(0.05, 1.0))
+        entries[rng.integers(16)] += 0.01  # never all zero
+        tables.append((f"sparse{i}", entries / entries.sum()))
+    for cell in (0, 7, 15):
+        tables.append((f"point{cell}", np.eye(16)[cell]))
+    for i in range(3):
+        tables.append((f"dyadic4096_{i}", _dyadic(rng, BUCKETS)))
+        tables.append((f"dyadic8192_{i}", _dyadic(rng, 2 * BUCKETS)))
+    tables.append(("tiny", np.array([2.0**-20] * 15 + [1.0 - 15 * 2.0**-20])))
+    # bucket edges and the middle of the last bucket, each with both neighbours
+    edges = [j / BUCKETS for j in (1, 1024, 2048, 4095, 4095.5)]
+    tables.append(("ulp", _from_cdf([
+        *(v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))), 1.0])))
+    denormal = ExperimentalProbs(1.7556027711577845e-102, 0.0, 0.0, 1.0, 0.0, 3.5e-323, 0.0, 0.0)
+    tables.append(("denormal", np.array(construct_trace(denormal).quad.entries)))
+    overshoot = np.array([1 / 11] * 11 + [0.0] * 5)
+    assert np.cumsum(overshoot)[-2] > 1.0  # so cdf[-1] = 1.0 sits below cdf[-2]
+    tables.append(("overshoot", overshoot))
+    return tables
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("samples", SAMPLE_SIZES)
+    def test_equal_to_one_search_per_draw(self, samples):
+        # every special table at every size; the seeded tables take the sizes in turn
+        for i, (name, entries) in enumerate(referee_tables()):
+            if name.startswith("sparse") and SAMPLE_SIZES[i % len(SAMPLE_SIZES)] != samples:
+                continue
+            quad = QuadDistribution(tuple(entries))
+            for seed in (i, 2**64 - 1 - i):
+                got = _sample_counts(quad, samples, seed)
+                assert np.array_equal(got, reference_sample_counts(quad, samples, seed)), name
+
+    @pytest.mark.parametrize("seed", [3, 2006, 2**64 - 1])
+    def test_draws_equal_to_cdf_values(self, seed):
+        # cdf values that are draws of the stream itself: a tie d == cdf[k]
+        # falls in cell k + 1 (searchsorted side="right")
+        head = np.random.Generator(np.random.PCG64(seed)).random(64)
+        cdf = [*sorted(set(head[head >= 0.5]))[:15], 1.0]
+        quad = QuadDistribution(tuple(_from_cdf(cdf)))
+        for samples in SAMPLE_SIZES[1:]:
+            got = _sample_counts(quad, samples, seed)
+            assert np.array_equal(got, reference_sample_counts(quad, samples, seed))
+
+    def test_memory_does_not_grow_with_samples(self):
+        quad = QuadDistribution(tuple([1 / 16] * 16))
+        _sample_counts(quad, SAMPLE_CHUNK, 1)  # warm-up: numpy's lazy state
+
+        def traced_peak(samples: int) -> int:
+            tracemalloc.start()
+            try:
+                _sample_counts(quad, samples, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = traced_peak(4 * SAMPLE_CHUNK), traced_peak(40 * SAMPLE_CHUNK)
+        assert large - small <= 64 * 1024
+        assert large < 4 * 1024 * 1024
+
+
+class TestStructuredErrors:
+    """Errors that check one input against a bound name the field, the value
+    and the bound in the error JSON."""
+
+    def error_of(self, capsys, *argv: str) -> dict:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        return json.loads(err)
+
+    @pytest.mark.parametrize("samples, bound", [(10 * MAX_SAMPLES, MAX_SAMPLES), (0, 1)])
+    def test_samples_outside_bounds(self, write_json, capsys, samples, bound):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "mc-verify", "--input", path,
+                              "--samples", str(samples))
+        assert (error["field"], error["value"], error["bound"]) == ("samples", samples, bound)
+
+    def test_sweep_budget(self, write_json, capsys):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "sweep", "--input", path, "--grid", "46")
+        # seven axes: 4 * 45**4 block cells fit in SWEEP_MAX_CELLS, 4 * 46**4 do not
+        assert 4 * 45**4 <= SWEEP_MAX_CELLS < 4 * 46**4
+        assert (error["field"], error["value"], error["bound"]) == ("--grid", 46, 45)
+        assert "at most 45 points per axis" in error["message"]
+
+    def test_number_outside_float_range(self, write_json, capsys):
+        huge = {**UNIFORM_PROBS, "singles": {**UNIFORM_PROBS["singles"], "A'": 10**400}}
+        error = self.error_of(capsys, "--mode", "chsh", "--input", write_json("h.json", huge))
+        assert (error["field"], error["value"], error["bound"]) == (
+            "A'", 10**400, 1.7976931348623157e308)
+        # a value JSON cannot hold is given as its repr, and no bound applies
+        nan = {**UNIFORM_PROBS, "singles": {**UNIFORM_PROBS["singles"], "A'": float("nan")}}
+        error = self.error_of(capsys, "--mode", "chsh", "--input", write_json("n.json", nan))
+        assert (error["field"], error["value"], "bound" in error) == ("A'", "nan", False)
+
+    @pytest.mark.parametrize("field, value, bound", [("B", 1.25, 1.0), ("AB'", 0.75, 0.5)])
+    def test_probability_outside_domain(self, write_json, capsys, field, value, bound):
+        group = "singles" if len(field) == 1 else "doubles"
+        probs = {**UNIFORM_PROBS, group: {**UNIFORM_PROBS[group], field: value}}
+        error = self.error_of(capsys, "--mode", "chsh", "--input", write_json("p.json", probs))
+        assert (error["field"], error["value"], error["bound"]) == (field, value, bound)
+        assert f"P({field}) = {value!r}" in error["message"]
+
+    def test_errors_without_a_bound_add_no_keys(self, write_json, capsys):
+        error = self.error_of(capsys, "--mode", "chsh", "--input",
+                              write_json("x.json", {"singles": {"A": 0.5}}))
+        assert set(error) == {"error", "message"}
 
 
 class TestInputHandling:
