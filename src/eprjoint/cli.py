@@ -86,7 +86,8 @@ class RunConfig:
                 field="samples", value=self.samples, bound=MAX_SAMPLES,
             )
         if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}", field="seed",
+                                  value=self.seed, bound=0 if self.seed < 0 else 2**64 - 1)
 
 
 def _load_json(path: str):
@@ -106,7 +107,7 @@ def _load_json(path: str):
 
 def _require(obj: dict, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
-        raise ValidationError(f"{where}: missing required field {key!r}")
+        raise ValidationError(f"{where}: missing required field {key!r}", field=key)
     return obj[key]
 
 
@@ -210,7 +211,9 @@ def parse_params(obj) -> FamilyParams:
         raise ValidationError("parameter field 't' must be an object")
     bb = t.get("bb", (0.5, 0.5, 0.5, 0.5))
     if not isinstance(bb, (list, tuple)) or len(bb) != 4:
-        raise ValidationError("parameter field 't.bb' must hold 4 numbers")
+        raise ValidationError("parameter field 't.bb' must hold 4 numbers", field="t.bb",
+                              value=len(bb) if isinstance(bb, (list, tuple)) else repr(bb),
+                              bound=4)
 
     def fraction(key: str) -> float:
         return _number(t.get(key, 0.5), f"parameter field 't.{key}'", f"t.{key}")
@@ -245,7 +248,8 @@ def _parse_grid(spec: str, axes: int) -> list[float]:
         ) from exc
     for v in axis:
         if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"grid fraction {v!r} is outside [0, 1]")
+            raise ValidationError(f"grid fraction {v!r} is outside [0, 1]", field="--grid",
+                                  value=v, bound=0.0 if v < 0.0 else 1.0 if v > 1.0 else None)
     return axis
 
 
@@ -471,8 +475,28 @@ def _emit(report: dict, output: str | None) -> None:
         raise ValidationError(f"cannot write --output {output!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ValidationError, so they reach the
+    JSON error report (exit 2) instead of printing usage text."""
+
+    def error(self, message: str):
+        raise ValidationError(message)
+
+
+def _flag_value(convert, flag: str):
+    """An argparse type: convert(text), or a ValidationError naming the flag
+    and the raw text (argparse passes on exceptions other than ValueError)."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ValidationError(f"argument {flag}: invalid {convert.__name__} value: {text!r}",
+                                  field=flag, value=text) from None
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eprjoint",
         description=(
             "EPR probabilities, Bell-CHSH checks, and joint quadruple "
@@ -482,12 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--mode", required=True, choices=MODES)
     parser.add_argument("--input", required=True, help="input JSON file")
     parser.add_argument("--params", help="JSON file with construction parameters t")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (PCG64)")
-    parser.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
+    parser.add_argument("--seed", type=_flag_value(int, "--seed"), default=0,
+                        help="64-bit RNG seed (PCG64)")
+    parser.add_argument("--samples", type=_flag_value(int, "--samples"), default=DEFAULT_SAMPLES,
                         help="Monte Carlo sample count")
     parser.add_argument("--grid", default="5",
                         help="sweep grid: points per axis or comma-separated fractions")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_ATOL,
+    parser.add_argument("--tolerance", type=_flag_value(float, "--tolerance"), default=DEFAULT_ATOL,
                         help="the one tolerance for every input and decision "
                              f"(default {DEFAULT_ATOL:g}, range [1e-12, 1e-6])")
     parser.add_argument("--output", default=None, help="report file (default stdout)")
@@ -495,9 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         params = parse_params(_load_json(args.params)) if args.params else None
         config = RunConfig(
             mode=args.mode,

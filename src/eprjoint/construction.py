@@ -99,7 +99,8 @@ class FamilyParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_bb", tuple(float(t) for t in self.t_bb))
         if len(self.t_bb) != 4:
-            raise ValidationError(f"t_bb needs 4 entries, got {len(self.t_bb)}")
+            raise ValidationError(f"t_bb needs 4 entries, got {len(self.t_bb)}",
+                                  field="t_bb", value=len(self.t_bb), bound=4)
         named = [
             ("t_dotdot", self.t_dotdot),
             ("t_aplus", self.t_aplus),

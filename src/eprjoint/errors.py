@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CHSH_VIOLATION = 3
@@ -14,7 +16,8 @@ class EprJointError(Exception):
 
     A raise site that checks one input against a bound may name them: field
     (the input's name), value (the value found) and bound (the limit it
-    broke).  Each is None when not given.
+    broke).  Each is None when not given.  A non-finite float value is kept
+    as its repr, since JSON has no NaN or infinities.
     """
 
     exit_code = EXIT_INTERNAL
@@ -22,7 +25,7 @@ class EprJointError(Exception):
     def __init__(self, message: str, *, field: str | None = None, value=None, bound=None):
         super().__init__(message)
         self.field = field
-        self.value = value
+        self.value = repr(value) if isinstance(value, float) and not math.isfinite(value) else value
         self.bound = bound
 
 

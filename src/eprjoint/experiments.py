@@ -68,7 +68,10 @@ class ExperimentalProbs:
 
     def __post_init__(self) -> None:
         if not 1e-12 <= self.atol <= 1e-6:
-            raise ValidationError(f"atol = {self.atol!r} is outside [1e-12, 1e-6]")
+            raise ValidationError(
+                f"atol = {self.atol!r} is outside [1e-12, 1e-6]", field="atol", value=self.atol,
+                bound=1e-12 if self.atol < 1e-12 else 1e-6 if self.atol > 1e-6 else None,
+            )
         for name, label in _SINGLE_FIELDS:
             self._project(name, label, "unit-interval", 0.0, 1.0)
         singles = self.singles()

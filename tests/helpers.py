@@ -471,9 +471,8 @@ class _Simplex:
         return x
 
 
-def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) -> FeasibilityResult:
-    """solve_system as a dense numpy tableau, rebuilt and reloaded on every
-    call; the list simplex must equal it bit for bit, pivot for pivot."""
+def _reference_run(system: MarginalSystem, eps: float) -> tuple[FeasibilityResult, list[int]]:
+    """The two-phase solve and the basis it ends in."""
     sx = _Simplex(system)
     zero, one = sx.zero, sx.one
 
@@ -489,7 +488,7 @@ def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) ->
         return FeasibilityResult(
             feasible=False, value=-one, witness=None,
             certificate=certificate, iterations=sx.iterations, floored=True,
-        )
+        ), sx.basis
 
     # Drive any zero-level artificial out of the basis before phase 2.
     for i in range(sx.M):
@@ -518,7 +517,19 @@ def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) ->
         witness=witness,
         certificate=certificate,
         iterations=sx.iterations,
-    )
+    ), sx.basis
+
+
+def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) -> FeasibilityResult:
+    """The max-min-entry LP by a two-phase dense numpy tableau (phase 1 on
+    artificials, drive-out, phase 2), rebuilt and reloaded on every call:
+    solve_system must reach the same optimum and verdict."""
+    return _reference_run(system, eps)[0]
+
+
+def reference_basis(system: MarginalSystem) -> tuple[int, ...]:
+    """The basic column of each row where the two-phase solve ends."""
+    return tuple(_reference_run(system, DEFAULT_ATOL)[1])
 
 
 # The chunk size of the sampler that reference_sample_counts keeps.

@@ -502,8 +502,63 @@ class TestStructuredErrors:
 
     def test_errors_without_a_bound_add_no_keys(self, write_json, capsys):
         error = self.error_of(capsys, "--mode", "chsh", "--input",
-                              write_json("x.json", {"singles": {"A": 0.5}}))
+                              write_json("x.json", {**SINGLET_STATE, "state": "bogus"}))
         assert set(error) == {"error", "message"}
+
+    @pytest.mark.parametrize("flag, text, kind", [
+        ("--samples", "abc", "int"), ("--seed", "x", "int"), ("--tolerance", "abc", "float"),
+        ("--samples", "1.5", "int"), ("--seed", "", "int"),
+    ])
+    def test_flag_value_argparse_cannot_convert(self, write_json, capsys, flag, text, kind):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "mc-verify", "--input", path, flag, text)
+        assert (error["error"], error["field"], error["value"]) == ("ValidationError", flag, text)
+        assert error["message"] == f"argument {flag}: invalid {kind} value: {text!r}"
+
+    @pytest.mark.parametrize("argv", [
+        ("--input", "x.json"), ("--mode", "nope", "--input", "x.json"),
+        ("--mode", "chsh", "--input", "x.json", "--extra"), ("--mode", "chsh", "--input"),
+    ])
+    def test_usage_errors_are_json(self, capsys, argv):
+        error = self.error_of(capsys, *argv)
+        assert error["error"] == "ValidationError" and "usage" not in error["message"]
+
+    @pytest.mark.parametrize("seed, bound", [(-1, 0), (2**64, 2**64 - 1)])
+    def test_seed_outside_64_bits(self, write_json, capsys, seed, bound):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "chsh", "--input", path, "--seed", str(seed))
+        assert (error["field"], error["value"], error["bound"]) == ("seed", seed, bound)
+        assert error["message"] == f"seed must fit in 64 bits, got {seed}"
+
+    @pytest.mark.parametrize("tolerance, value, bound", [
+        ("1e-13", 1e-13, 1e-12), ("0.1", 0.1, 1e-6), ("inf", "inf", 1e-6), ("nan", "nan", None),
+    ])
+    def test_atol_outside_range(self, write_json, capsys, tolerance, value, bound):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "chsh", "--input", path, "--tolerance", tolerance)
+        assert (error["field"], error["value"], error.get("bound")) == ("atol", value, bound)
+
+    def test_missing_field_is_named(self, write_json, capsys):
+        probs = {**UNIFORM_PROBS, "doubles": {"AB": 0.25}}
+        error = self.error_of(capsys, "--mode", "chsh", "--input", write_json("m.json", probs))
+        assert (error["field"], "value" in error, "bound" in error) == ("AB'", False, False)
+        assert error["message"] == "probability file: missing required field \"AB'\""
+
+    @pytest.mark.parametrize("bb, value", [([0.5] * 3, 3), ([0.5] * 5, 5), (0.5, "0.5")])
+    def test_bb_length(self, write_json, capsys, bb, value):
+        path = write_json("u.json", UNIFORM_PROBS)
+        params = write_json("t.json", {"t": {"bb": bb}})
+        error = self.error_of(capsys, "--mode", "construct4", "--input", path, "--params", params)
+        assert (error["field"], error["value"], error["bound"]) == ("t.bb", value, 4)
+
+    @pytest.mark.parametrize("grid, value, bound", [
+        ("0,1.5", 1.5, 1.0), ("-0.25,1", -0.25, 0.0), ("0,nan", "nan", None),
+    ])
+    def test_grid_fraction_outside_unit_interval(self, write_json, capsys, grid, value, bound):
+        path = write_json("u.json", UNIFORM_PROBS)
+        error = self.error_of(capsys, "--mode", "sweep", "--input", path, f"--grid={grid}")
+        assert (error["field"], error["value"], error.get("bound")) == ("--grid", value, bound)
+        assert error["message"].endswith("is outside [0, 1]")
 
 
 class TestInputHandling:

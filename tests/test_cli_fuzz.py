@@ -3,7 +3,8 @@
 Valid probability, state and parameter files are generated and then
 mutated: fields deleted, replaced by values of the wrong type or by
 non-finite numbers, and extra keys added.  Each file is fed to every mode
-through the in-process entry point.  Every run must exit with a documented
+through the in-process entry point, with flag values that are valid, out
+of range, or text argparse cannot convert.  Every run must exit with a documented
 code (0, 2, 3 or 4, never 5 or a traceback) and write a strict JSON
 report: the result on success, the error otherwise.
 """
@@ -108,12 +109,26 @@ def mutated(draw, documents):
     return holder[0]
 
 
+# Flag text with no decimal digit, so it never names a large valid grid or
+# sample count; a leading "-" makes argparse read it as a flag.
+JUNK_TEXT = st.one_of(
+    st.sampled_from(["abc", "", " ", "-", "--", "-h", "--x", "0x10", "1e3", "1.5", "inf"]),
+    st.text(st.characters(blacklist_categories=("Nd", "Cs")), max_size=4),
+)
 GRIDS = st.one_of(
     st.sampled_from(["1", "2", "3", "0,1", "1,0,0.5"]),
-    st.sampled_from(["0", "-1", "x", "0.5,2", "nan", "46"]),
+    st.sampled_from(["0", "-1", "x", "0.5,2", "nan", "46", "0,nan", "-0.5,1"]),
+    JUNK_TEXT,
 )
 TOLERANCES = st.one_of(
-    st.none(), st.sampled_from(["1e-9", "1e-12", "1e-6"]), st.sampled_from(["0.1", "nan", "0"])
+    st.none(), st.sampled_from(["1e-9", "1e-12", "1e-6"]), st.sampled_from(["0.1", "nan", "0"]),
+    JUNK_TEXT,
+)
+SAMPLES = st.one_of(
+    st.sampled_from(["2000", "1", "0", "-3", "100000001", "9" * 30]), JUNK_TEXT
+)
+SEEDS = st.one_of(
+    st.none(), st.sampled_from(["0", "7", "-1", str(2**64), "9" * 30]), JUNK_TEXT
 )
 
 
@@ -131,18 +146,23 @@ def strict_json(text: str):
     params=st.one_of(st.none(), mutated(T_FILES)),
     grid=GRIDS,
     tolerance=TOLERANCES,
+    samples=SAMPLES,
+    seed=SEEDS,
 )
-def test_every_input_exits_documented_code_with_json(mode, data, params, grid, tolerance):
+def test_every_input_exits_documented_code_with_json(mode, data, params, grid, tolerance,
+                                                     samples, seed):
     with tempfile.TemporaryDirectory() as folder:
         input_path = Path(folder, "input.json")
         input_path.write_text(json.dumps(data))
-        argv = ["--mode", mode, "--input", str(input_path), "--grid", grid, "--samples", "2000"]
+        argv = ["--mode", mode, "--input", str(input_path), "--grid", grid, "--samples", samples]
         if params is not None:
             params_path = Path(folder, "params.json")
             params_path.write_text(json.dumps(params))
             argv += ["--params", str(params_path)]
         if tolerance is not None:
             argv += ["--tolerance", tolerance]
+        if seed is not None:
+            argv += ["--seed", seed]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():

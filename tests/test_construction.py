@@ -568,6 +568,11 @@ class TestFamilyParams:
         with pytest.raises(ValidationError):
             FamilyParams(t_aprime_bprime=2.0)
 
+    def test_bb_length_names_field_and_bound(self):
+        with pytest.raises(ValidationError, match="t_bb needs 4 entries, got 3") as info:
+            FamilyParams(t_bb=(0.5, 0.5, 0.5))
+        assert (info.value.field, info.value.value, info.value.bound) == ("t_bb", 3, 4)
+
     def test_defaults_are_midpoints(self):
         params = FamilyParams()
         assert params.as_tuple() == (0.5,) * 7

@@ -26,7 +26,7 @@ from eprjoint import (
 )
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import PAIR_LABELS, SINGLE_LABELS, marginal_indices
-from eprjoint.oracle import ROW_LABELS, STANDARD_ROWS
+from eprjoint.oracle import _START_BASIS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS, _start_tableau
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
@@ -35,6 +35,7 @@ from helpers import (
     dyadic_systems,
     mixed_population,
     near_face_inputs,
+    reference_basis,
     reference_solve_system,
     singlet_optimal_probs,
     synthetic_probs,
@@ -156,6 +157,17 @@ class TestCertificate:
             system = build_system(synthetic_probs(rng, spicy=True))
             self.farkas_checks(system, solve_system(system))
 
+    def test_normalized_certificate_is_dual_vertex(self, dual_vertices):
+        # y / y.(A.1) is one of the 24 vertices: the constraint that binds
+        row_sums = [sum(row) for row in STANDARD_ROWS]
+        normalize = lambda y: tuple(v / sum(s * w for s, w in zip(row_sums, y)) for v in y)
+        for system in dyadic_systems(np.random.default_rng(167), 100):
+            assert normalize(solve_system(system).certificate) in dual_vertices
+        vertices = np.array([[float(v) for v in vertex] for vertex in dual_vertices])
+        for probs in mixed_population(np.random.default_rng(173), 2000):
+            y = np.array(normalize(solve_system(build_system(probs)).certificate))
+            assert np.abs(vertices - y).max(axis=1).min() <= 1e-12
+
 
 class TestWitnessQuality:
     def test_witness_solves_equalities(self):
@@ -243,19 +255,12 @@ class TestAgreement:
             assert ok == satisfied == constructed
 
 
-def result_bits(result):
-    """Every field of a FeasibilityResult, floats by float.hex."""
-    bits = lambda v: v if isinstance(v, Fraction) else float(v).hex()
-    witness = None if result.witness is None else tuple(map(bits, result.witness))
-    return (result.feasible, bits(result.value), witness,
-            tuple(map(bits, result.certificate)), result.iterations, result.floored)
-
-
 class TestMatchesReference:
-    """The list simplex equals the dense numpy tableau it replaced, field by
-    field and pivot for pivot (the reference decides at eps = atol/8)."""
+    """The dual simplex reaches the optimum of the two-phase dense tableau it
+    replaced (which decides at eps = atol/8), with the same verdict.  The
+    optimal vertex, and so the pivots, witness and certificate, may differ."""
 
-    def test_float_bit_for_bit(self):
+    def test_float_value_and_verdict(self):
         systems = [build_system(p) for p in mixed_population(np.random.default_rng(131), 1000)]
         for values in near_face_inputs(seed=137, count=600):
             try:
@@ -268,13 +273,73 @@ class TestMatchesReference:
         for system in systems:
             result = solve_system(system)
             expected = reference_solve_system(system, eps=DEFAULT_ATOL / 8)
-            assert result_bits(result) == result_bits(expected), system
+            assert abs(result.value - expected.value) <= 1e-14, system
+            assert (result.feasible, result.floored) == (expected.feasible, expected.floored)
             verdicts.add(result.feasible)
         assert verdicts == {True, False}
 
     def test_exact_equal(self):
         for system in dyadic_systems(np.random.default_rng(139), 100):
-            assert result_bits(solve_system(system)) == result_bits(reference_solve_system(system))
+            result, expected = solve_system(system), reference_solve_system(system, eps=0)
+            assert result.value == expected.value
+            assert (result.feasible, result.floored) == (expected.feasible, expected.floored)
+
+    def test_start_basis_is_the_uniform_optimum(self):
+        # rederived from STANDARD_ROWS alone: where the two-phase solve ends
+        # on the uniform table's exact rhs ...
+        uniform = MarginalSystem.from_values(*([Fraction(1, 2)] * 4 + [Fraction(1, 4)] * 4))
+        basis = reference_basis(uniform)
+        assert basis == _START_BASIS
+        # ... and dual feasible: y B = c_B leaves every reduced cost c_j - y.A_j
+        # of [A | A.1] nonnegative (zero on the basis), whatever the rhs
+        columns = [[row[j] for row in STANDARD_ROWS] for j in range(16)]
+        columns.append([sum(row) for row in STANDARD_ROWS])
+        cost = [0] * 16 + [-1]
+        y = exact_solve([columns[j] for j in basis], [cost[j] for j in basis])
+        reduced = [c - sum(v * w for v, w in zip(y, col)) for c, col in zip(cost, columns)]
+        assert min(reduced) >= 0
+        assert all(reduced[j] == 0 for j in basis)
+
+    def test_exact_tableau_equals_float_one(self):
+        # the import-time float pivots are exact: pivoting in Fractions
+        # gives the same start tableau
+        exact = _start_tableau(Fraction)
+        assert exact == _TABLEAUS[Fraction]
+        assert all(type(v) is Fraction for row in _TABLEAUS[Fraction] for v in row)
+
+
+class TestPivotCount:
+    """Pivots per solve, counted rather than timed: a two-phase start from
+    the identity basis (about 17 per solve) fails these bounds."""
+
+    def test_exact_average(self):
+        # the face mixtures (even positions) take about 2 pivots, those moved
+        # past the CHSH face about 5
+        counts = [solve_system(s).iterations for s in dyadic_systems(np.random.default_rng(157), 200)]
+        assert sum(counts[0::2]) / len(counts[0::2]) <= 3
+        assert sum(counts) / len(counts) <= 4
+
+    def test_float_average_and_max(self):
+        counts = [solve_system(build_system(p)).iterations
+                  for p in mixed_population(np.random.default_rng(163), 2000)]
+        assert sum(counts) / len(counts) <= 6
+        assert max(counts) <= 20
+
+
+def exact_solve(matrix, rhs) -> list[Fraction]:
+    """x with matrix x = rhs for a nonsingular square matrix, by Gauss-Jordan
+    elimination over Fractions."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(n):
+            factor = rows[i][col]
+            if i != col and factor:
+                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[col])]
+    return [row[n] for row in rows]
 
 
 def exact_rank(rows) -> int:
