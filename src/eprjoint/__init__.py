@@ -10,7 +10,6 @@ from .chsh import (
     ChshReport,
     CVariant,
     c_function,
-    chsh_correlation_form,
     chsh_probability_form,
 )
 from .construction import (
@@ -40,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
-    CorrelationSet,
     ExperimentalProbs,
     correlations_of,
     frechet_bounds,
@@ -49,7 +47,6 @@ from .oracle import (
     FeasibilityResult,
     MarginalSystem,
     build_system,
-    feasible,
     solve_system,
 )
 

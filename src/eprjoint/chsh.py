@@ -1,18 +1,15 @@
-"""Bell-CHSH inequalities in two equivalent forms.
-
-Correlation form: the four absolute-sum combinations |<XY> +- <XY'>| +
-|<X'Y> -+ <X'Y'>| <= 2, one for each observable taking the role of the
-sign-flipped pair.
-
-Probability form: 0 <= C <= 1 for the four C-functions
+"""Bell-CHSH inequalities, decided in probability form: 0 <= C <= 1 for the
+four C-functions
 
     C(AA'BB') = P(A) + P(B') - [P(AB) + P(AB') - P(A'B) + P(A'B')],
 
 the other three obtained by interchanging A with A' and/or B with B' in the
 arguments.  Each C equals a sum of four triple probabilities of any joint
-quadruple distribution, hence the bounds.  The two forms are related by
-C = (2 - T)/4 where T is a signed combination of the four correlations, so
-deciding all four C in [0, 1] is exactly deciding all eight CHSH bounds.
+quadruple distribution, hence the bounds.  The correlation form, the four
+absolute-sum combinations |<XY> +- <XY'>| + |<X'Y> -+ <X'Y'>| <= 2, follows
+from C = (2 - T)/4 with T a signed combination of the four correlations, so
+deciding all four C in [0, 1] is exactly deciding all eight CHSH bounds; the
+report reads its s-values from the same C.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .experiments import DEFAULT_ATOL, CorrelationSet, ExperimentalProbs
+from .experiments import ExperimentalProbs
 
 
 class CVariant(enum.Enum):
@@ -57,26 +54,6 @@ def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
         + doubles[1 - x][y]
         - doubles[1 - x][1 - y]
     )
-
-
-def chsh_correlation_form(
-    corrs: CorrelationSet,
-) -> tuple[tuple[float, float, float, float], bool]:
-    """The four absolute-sum CHSH combinations, ordered by the observable
-    whose correlation pair carries the relative minus sign: (A, A', B, B').
-
-    Satisfied when every combination is <= 2 + 4*DEFAULT_ATOL; the factor 4
-    makes this decision identical to the probability form at the default
-    tolerance (C-distances scale by 1/4 under C = (2 - T)/4).
-    """
-    e1, e2, e3, e4 = corrs.as_tuple()
-    s_values = (
-        abs(e1 - e2) + abs(e3 + e4),
-        abs(e1 + e2) + abs(e3 - e4),
-        abs(e1 - e3) + abs(e2 + e4),
-        abs(e1 + e3) + abs(e2 - e4),
-    )
-    return s_values, max(s_values) <= 2.0 + 4.0 * DEFAULT_ATOL
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -151,7 +151,8 @@ def _parse_state(spec) -> DensityMatrix:
         raise ValidationError(f"unknown named state {spec!r}")
     if isinstance(spec, list):
         if len(spec) != 16:
-            raise ValidationError(f"state matrix needs 16 entries, got {len(spec)}")
+            raise ValidationError(f"state matrix needs 16 entries, got {len(spec)}",
+                                  field="state", value=len(spec), bound=16)
         try:
             flat = [complex(_number(re, "field 'state' entry", "state"),
                             _number(im, "field 'state' entry", "state"))
@@ -164,7 +165,8 @@ def _parse_state(spec) -> DensityMatrix:
 
 def _parse_vector(obj, name: str) -> tuple[float, float, float]:
     if not isinstance(obj, list) or len(obj) != 3:
-        raise ValidationError(f"settings field {name!r} must be 3 real numbers")
+        raise ValidationError(f"settings field {name!r} must be 3 real numbers", field=name,
+                              value=len(obj) if isinstance(obj, list) else repr(obj), bound=3)
     return tuple(_number(c, f"settings field {name!r}", name) for c in obj)
 
 
@@ -201,7 +203,7 @@ def _load_probs(config: RunConfig) -> ExperimentalProbs:
 
         rho = _parse_state(_require(obj, "state", config.input_path))
         settings = _parse_settings(_require(obj, "settings", config.input_path))
-        return replace(experimental_probs(rho, settings), atol=config.tolerance)
+        return experimental_probs(rho, settings, atol=config.tolerance)
     return _parse_probs(obj, config.tolerance)
 
 
@@ -287,8 +289,8 @@ def _trace_payload(trace: ConstructionTrace) -> dict:
         "distribution": trace.quad.labeled(),
         "marginal_check": {"residuals": residuals, "max_residual": worst},
     }
-    if trace.chosen_aprime_bprime is not None:
-        payload["chosen_aprime_bprime"] = trace.chosen_aprime_bprime
+    if "P(A'B')" in trace.chosen:
+        payload["chosen_aprime_bprime"] = trace.chosen["P(A'B')"]
     return payload
 
 
@@ -299,7 +301,7 @@ def cmd_chsh(config: RunConfig) -> dict:
     return {
         "mode": config.mode,
         "probs": _probs_payload(probs),
-        "correlations": dict(zip(PAIR_LABELS, correlations_of(probs).as_tuple())),
+        "correlations": dict(zip(PAIR_LABELS, correlations_of(probs))),
         "chsh": _chsh_payload(report),
     }
 
@@ -396,7 +398,7 @@ def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarra
 
 def cmd_mc_verify(config: RunConfig) -> dict:
     trace = construct_trace(_load_probs(config), config.params)
-    constructed = trace.chosen_aprime_bprime is not None
+    chosen = trace.chosen.get("P(A'B')")
     counts = _sample_counts(trace.quad, config.samples, config.seed)
     n = float(config.samples)
 
@@ -431,16 +433,16 @@ def cmd_mc_verify(config: RunConfig) -> dict:
                 "ok": ok,
             }
         experiments[label] = {
-            "constructed": label == "A'B'" and constructed,
+            "constructed": label == "A'B'" and chosen is not None,
             "cells": cells,
         }
     return {
         "mode": "mc-verify",
-        "arity": 3 if constructed else 4,
+        "arity": 4 if chosen is None else 3,
         "generator": "PCG64",
         "seed": config.seed,
         "samples": config.samples,
-        "chosen_aprime_bprime": trace.chosen_aprime_bprime,
+        "chosen_aprime_bprime": chosen,
         "experiments": experiments,
         "max_abs_z": max_abs_z,
         "flagged": flagged,

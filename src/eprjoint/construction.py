@@ -111,7 +111,10 @@ class FamilyParams:
             named.append(("t_aprime_bprime", self.t_aprime_bprime))
         for name, value in named:
             if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} = {value!r} is outside [0, 1]")
+                raise ValidationError(
+                    f"{name} = {value!r} is outside [0, 1]", field=name, value=value,
+                    bound=0.0 if value < 0.0 else 1.0 if value > 1.0 else None,
+                )
 
     def as_tuple(self) -> tuple[float, ...]:
         """The fractions in construction order, t_aprime_bprime first when set."""
@@ -150,12 +153,6 @@ class QuadDistribution:
             clamped = [e / total for e in clamped]
         return cls(tuple(clamped))
 
-    def value(self, a: Sign, ap: Sign, b: Sign, bp: Sign) -> float:
-        return self.entries[quad_index(a, ap, b, bp)]
-
-    def marginal(self, a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> float:
-        return marginal(self.entries, a, ap, b, bp)
-
     def labeled(self) -> dict[str, float]:
         return dict(zip(_QUAD_LABELS, self.entries))
 
@@ -170,7 +167,7 @@ class TripleProbs:
 
     pa: tuple[float, ...]
     pap: tuple[float, ...]
-    atol: float = field(default=DEFAULT_ATOL, compare=False)
+    atol: float = field(compare=False)
 
 
 def _block(triples: TripleProbs, k: int) -> tuple[float, float, float]:
@@ -313,8 +310,8 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
 class ConstructionTrace:
     """Full record of one construction run: intervals, chosen scalars, output.
 
-    probs holds all four experiments; chosen_aprime_bprime is the P(A'B')
-    the construction picked, None when it was measured.
+    probs holds all four experiments; chosen["P(A'B')"] is the P(A'B') the
+    construction picked, absent when it was measured.
     """
 
     probs: ExperimentalProbs
@@ -323,7 +320,6 @@ class ConstructionTrace:
     chosen: dict[str, float]
     triples: TripleProbs
     quad: QuadDistribution
-    chosen_aprime_bprime: float | None = None
 
 
 def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
@@ -375,11 +371,9 @@ def construct_trace(
     params = params if params is not None else FamilyParams()
     intervals: dict[str, Interval] = {}
     chosen: dict[str, float] = {}
-    chosen_aprime_bprime = None
     if not probs.has_all_four:
         t = 0.5 if params.t_aprime_bprime is None else params.t_aprime_bprime
-        iv, chosen_aprime_bprime, probs = _complete(probs, t)
-        intervals["P(A'B')"], chosen["P(A'B')"] = iv, chosen_aprime_bprime
+        intervals["P(A'B')"], chosen["P(A'B')"], probs = _complete(probs, t)
 
     intervals["P(..++)"] = iv = interval_p_dotdot(probs)
     chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
@@ -394,7 +388,7 @@ def construct_trace(
         intervals[label] = iv = interval_p_pp_bb(triples, b, bp)
         chosen[label] = iv.pick(t)
     quad = step2_quadruple(triples, [chosen[label] for label in _BLOCK_LABELS])
-    return ConstructionTrace(probs, params, intervals, chosen, triples, quad, chosen_aprime_bprime)
+    return ConstructionTrace(probs, params, intervals, chosen, triples, quad)
 
 
 def construct_4exp(
@@ -417,7 +411,7 @@ def construct_3exp(
             "drop it with without_aprime_bprime()"
         )
     trace = construct_trace(probs, params)
-    return trace.quad, trace.chosen_aprime_bprime
+    return trace.quad, trace.chosen["P(A'B')"]
 
 
 def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyParams:
@@ -432,15 +426,15 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
         t = iv.position(x)
         return t, iv.pick(t)
 
-    t_dotdot, p_dotdot = snap(interval_p_dotdot(probs), quad.marginal(b=1, bp=1))
+    t_dotdot, p_dotdot = snap(interval_p_dotdot(probs), marginal(quad.entries, b=1, bp=1))
     iv = interval_p_plusplus(probs, False, p_dotdot)
-    t_aplus, p_a_pp = snap(iv, quad.marginal(a=1, b=1, bp=1))
+    t_aplus, p_a_pp = snap(iv, marginal(quad.entries, a=1, b=1, bp=1))
     iv = interval_p_plusplus(probs, True, p_dotdot)
-    t_aprimeplus, p_ap_pp = snap(iv, quad.marginal(ap=1, b=1, bp=1))
+    t_aprimeplus, p_ap_pp = snap(iv, marginal(quad.entries, ap=1, b=1, bp=1))
 
     triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
     t_bb = tuple(
-        interval_p_pp_bb(triples, b, bp).position(quad.value(1, 1, b, bp))
+        interval_p_pp_bb(triples, b, bp).position(quad.entries[quad_index(1, 1, b, bp)])
         for b, bp in BB_BLOCKS
     )
     return FamilyParams(t_dotdot, t_aplus, t_aprimeplus, t_bb)

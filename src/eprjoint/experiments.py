@@ -113,29 +113,11 @@ class ExperimentalProbs:
         return replace(self, p_apbp=p_apbp)
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
-    """The four spin-spin correlations <AB>, <AB'>, <A'B>, <A'B'>."""
-
-    e_ab: float
-    e_abp: float
-    e_apb: float
-    e_apbp: float
-
-    def __post_init__(self) -> None:
-        for name, value in zip(PAIR_LABELS, self.as_tuple()):
-            if not (-1.0 - DEFAULT_ATOL <= value <= 1.0 + DEFAULT_ATOL):
-                raise ValidationError(f"<{name}> = {value!r} is outside [-1, 1]")
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.e_ab, self.e_abp, self.e_apb, self.e_apbp)
-
-
-def correlations_of(probs: ExperimentalProbs) -> CorrelationSet:
-    """Correlations of all four experiments via the affine formula."""
+def correlations_of(probs: ExperimentalProbs) -> tuple[float, float, float, float]:
+    """The correlations (<AB>, <AB'>, <A'B>, <A'B'>) by the affine formula."""
     probs.require_all_four()
     singles = probs.singles()
-    return CorrelationSet(*[
+    return tuple(
         correlation_from_pair(p_xy, singles[x], singles[y])
         for p_xy, (x, y) in zip(probs.doubles(), PAIR_SLOTS)
-    ])
+    )

@@ -232,8 +232,3 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
         iterations=iterations,
     )
 
-
-def feasible(system: MarginalSystem) -> tuple[bool, QuadDistribution | None]:
-    """Feasibility decision plus a witness distribution when one exists."""
-    quad = solve_system(system).quad
-    return quad is not None, quad

@@ -29,7 +29,7 @@ _SIGMA = np.array([
 # the flattened transpose of rho is tr(rho sigma_m x sigma_n).
 _PAULI_PAIRS = np.einsum("mik,njl->mnijkl", _SIGMA, _SIGMA).reshape(16, 16)
 
-_PROB_LABELS = tuple(f"P({label})" for label in SINGLE_LABELS + PAIR_LABELS)
+_LABELS = SINGLE_LABELS + PAIR_LABELS
 
 Vec3 = tuple[float, float, float]
 
@@ -37,10 +37,12 @@ Vec3 = tuple[float, float, float]
 def _as_unit_vector(name: str, direction) -> Vec3:
     vec = tuple(float(c) for c in direction)
     if len(vec) != 3:
-        raise ValidationError(f"{name} must have 3 components, got {len(vec)}")
+        raise ValidationError(f"{name} must have 3 components, got {len(vec)}", field=name,
+                              value=len(vec), bound=3)
     norm = math.sqrt(sum(c * c for c in vec))
     if not abs(norm - 1.0) <= DEFAULT_ATOL:
-        raise ValidationError(f"{name} has norm {norm!r}, expected a unit vector")
+        raise ValidationError(f"{name} has norm {norm!r}, expected a unit vector", field=name,
+                              value=norm, bound=1.0)
     return vec
 
 
@@ -58,6 +60,11 @@ class AnalyzerSettings:
             object.__setattr__(self, name, _as_unit_vector(f"n_{label}", getattr(self, name)))
 
 
+def _state_error(message: str, value, bound=None) -> ValidationError:
+    """The error of a failed density-matrix check, naming field state."""
+    return ValidationError(f"density matrix {message}", field="state", value=value, bound=bound)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated 4x4 two-qubit density matrix.
@@ -73,28 +80,25 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)  # a private, contiguous copy
         if mat.shape != (4, 4):
-            raise ValidationError(f"density matrix must be 4x4, got shape {mat.shape}")
+            raise _state_error(f"must be 4x4, got shape {mat.shape}", list(mat.shape))
         # The largest real or imaginary part: |rho_ij| <= 1 in a unit-trace
         # PSD matrix, and larger parts could overflow the checks below.
         part = float(np.abs(mat.view(float)).max())
         if not math.isfinite(part):
-            raise ValidationError("density matrix has a non-finite entry")
+            raise _state_error("has a non-finite entry", part)
         if part > 1.0 + DEFAULT_ATOL:
-            raise ValidationError(
-                f"density matrix has an entry part of size {part!r} > 1, so it is not "
-                "a unit-trace positive semidefinite matrix"
-            )
+            raise _state_error(f"has an entry part of size {part!r} > 1, so it is not a "
+                               "unit-trace positive semidefinite matrix", part, 1.0)
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > DEFAULT_ATOL:
-            raise ValidationError(f"density matrix is not Hermitian (defect {herm_defect!r})")
+            raise _state_error(f"is not Hermitian (defect {herm_defect!r})", herm_defect, 0.0)
         trace = complex(mat.trace())
-        if abs(trace - 1.0) > DEFAULT_ATOL:
-            raise ValidationError(f"density matrix trace is {trace!r}, expected 1")
+        if abs(trace - 1.0) > DEFAULT_ATOL:  # JSON holds no complex: report the real part
+            raise _state_error(f"trace is {trace!r}, expected 1", trace.real, 1.0)
         min_eig = float(np.linalg.eigvalsh(mat).min())
         if min_eig < -DEFAULT_ATOL:
-            raise ValidationError(
-                f"density matrix is not positive semidefinite (min eigenvalue {min_eig!r})"
-            )
+            raise _state_error(
+                f"is not positive semidefinite (min eigenvalue {min_eig!r})", min_eig, 0.0)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -134,12 +138,14 @@ def chsh_optimal_settings() -> AnalyzerSettings:
     )
 
 
-def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> ExperimentalProbs:
+def experimental_probs(
+    rho: DensityMatrix, settings: AnalyzerSettings, atol: float = DEFAULT_ATOL
+) -> ExperimentalProbs:
     """All eight independent measured probabilities of the four EPR experiments.
 
     With u = (1, n_X) and v = (1, n_Y): P(X) = u.R[:, 0]/2, P(Y) = R[0, :].v/2
     and P(XY) = u R v^T/4, the traces tr(rho Pi+) and tr(rho Pi+_X Pi+_Y).
-    ExperimentalProbs validates the real parts at DEFAULT_ATOL.
+    The real parts are validated, and the imaginary parts checked, at atol.
     """
     pauli = (_PAULI_PAIRS @ rho.matrix.T.reshape(16)).reshape(4, 4)
     u = np.array([(1.0, *settings.n_a), (1.0, *settings.n_ap)])
@@ -147,10 +153,10 @@ def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> Experi
     values = np.concatenate((
         u @ pauli[:, 0] / 2.0, pauli[0] @ v.T / 2.0, (u @ pauli @ v.T).reshape(4) / 4.0
     ))
-    imag = np.abs(values.imag)
-    if imag.max() > DEFAULT_ATOL:
-        k = int(imag.argmax())
-        raise ValidationError(
-            f"{_PROB_LABELS[k]} trace has imaginary part {float(values[k].imag)!r}"
-        )
-    return ExperimentalProbs(*values.real.tolist())
+    probs = ExperimentalProbs(*values.real.tolist(), atol=atol)
+    k = int(np.abs(values.imag).argmax())
+    part = float(values[k].imag)
+    if abs(part) > atol:
+        raise ValidationError(f"P({_LABELS[k]}) trace has imaginary part {part!r}",
+                              field=_LABELS[k], value=part, bound=0.0)
+    return probs

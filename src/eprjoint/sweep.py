@@ -53,6 +53,18 @@ def _take(values: np.ndarray, index: np.ndarray, axis: int) -> np.ndarray:
     return np.take_along_axis(values, np.expand_dims(index, axis), axis).squeeze(axis)
 
 
+def _extreme(mins: np.ndarray, arg: str) -> tuple[np.float64, int, np.ndarray]:
+    """The extreme entry of one pass under arg, "argmin" or "argmax": each
+    block's least cell at the t that arg picks, the least over blocks, and
+    arg's pick over (t1, t2).  Returns the entry, its flat (t1, t2) index and
+    each block's t index per (t1, t2); ties go to the first in loop order."""
+    at_t = getattr(mins, arg)(axis=3)
+    per_block = _take(mins, at_t, 3)
+    entries = _take(per_block, per_block.argmin(axis=0), 0)
+    k = int(getattr(entries, arg)())
+    return entries.flat[k], k, at_t
+
+
 def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     """Evaluate the construction on the full t-grid axis^k (k = 7 for four
     experiments, 8 for three) and report validity counts and extremes.
@@ -83,10 +95,8 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     ts = np.array(axis)
 
     valid_points = 0
-    min_entry = float("inf")
-    min_params: FamilyParams | None = None
-    best_min_entry = float("-inf")
-    best_params: FamilyParams | None = None
+    # (entry, params) of the least entry and of the most interior point
+    extremes = {"argmin": (float("inf"), None), "argmax": (float("-inf"), None)}
 
     for t_apbp, full in completions:
         atol = full.atol
@@ -119,27 +129,14 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
             counts = (mins >= -atol).sum(axis=3)
             valid_points += int(counts.prod(axis=0).sum())
 
-            low_t = mins.argmin(axis=3)
-            block_low = _take(mins, low_t, 3)
-            worst = _take(block_low, block_low.argmin(axis=0), 0)
-            k = int(worst.argmin())
-            if worst.flat[k] < min_entry:
-                i1, i2 = divmod(k, n)
-                min_entry = float(worst.flat[k])
-                worst_ts = [axis[j] for j in low_t[:, i1, i2]]
-                min_params = FamilyParams(t0, axis[i1], axis[i2], worst_ts, t_apbp)
+            for arg, (entry, _) in extremes.items():
+                found, k, at_t = _extreme(mins, arg)
+                if (found < entry) if arg == "argmin" else (found > entry):
+                    i1, i2 = divmod(k, n)
+                    t_bb = [axis[j] for j in at_t[:, i1, i2]]
+                    extremes[arg] = float(found), FamilyParams(t0, axis[i1], axis[i2], t_bb, t_apbp)
 
-            high_t = mins.argmax(axis=3)
-            block_high = _take(mins, high_t, 3)
-            best = _take(block_high, block_high.argmin(axis=0), 0)
-            k = int(best.argmax())
-            if best.flat[k] > best_min_entry:
-                i1, i2 = divmod(k, n)
-                best_min_entry = float(best.flat[k])
-                best_ts = [axis[j] for j in high_t[:, i1, i2]]
-                best_params = FamilyParams(t0, axis[i1], axis[i2], best_ts, t_apbp)
-
-    assert min_params is not None and best_params is not None
+    (min_entry, min_params), (best_min_entry, best_params) = extremes.values()
     return SweepResult(
         total_points=total_points,
         valid_points=valid_points,

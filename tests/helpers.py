@@ -114,16 +114,39 @@ def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
 
 def to_probs(quad: QuadDistribution) -> ExperimentalProbs:
     """The eight measured probabilities a quadruple table reproduces."""
+    entries = quad.entries
     return ExperimentalProbs(
-        p_a=quad.marginal(a=1),
-        p_ap=quad.marginal(ap=1),
-        p_b=quad.marginal(b=1),
-        p_bp=quad.marginal(bp=1),
-        p_ab=quad.marginal(a=1, b=1),
-        p_abp=quad.marginal(a=1, bp=1),
-        p_apb=quad.marginal(ap=1, b=1),
-        p_apbp=quad.marginal(ap=1, bp=1),
+        p_a=marginal(entries, a=1),
+        p_ap=marginal(entries, ap=1),
+        p_b=marginal(entries, b=1),
+        p_bp=marginal(entries, bp=1),
+        p_ab=marginal(entries, a=1, b=1),
+        p_abp=marginal(entries, a=1, bp=1),
+        p_apb=marginal(entries, ap=1, b=1),
+        p_apbp=marginal(entries, ap=1, bp=1),
     )
+
+
+def chsh_correlation_form(
+    corrs: Sequence[float], atol: float
+) -> tuple[tuple[float, float, float, float], bool]:
+    """Correlation-form referee for the CHSH verdict: the four absolute-sum
+    combinations |<XY> +- <XY'>| + |<X'Y> -+ <X'Y'>| of the correlations
+    (<AB>, <AB'>, <A'B>, <A'B'>), ordered by the observable whose
+    correlation pair carries the relative minus sign: (A, A', B, B').
+
+    Satisfied when every combination is <= 2 + 4*atol: C-distances scale by
+    1/4 under C = (2 - T)/4, so this is the probability form's decision
+    margin >= -atol, written independently of it.
+    """
+    e1, e2, e3, e4 = corrs
+    s_values = (
+        abs(e1 - e2) + abs(e3 + e4),
+        abs(e1 + e2) + abs(e3 - e4),
+        abs(e1 - e3) + abs(e2 + e4),
+        abs(e1 + e3) + abs(e2 - e4),
+    )
+    return s_values, max(s_values) <= 2.0 + 4.0 * atol
 
 
 _BASE_TRIPLE_PATTERNS = (

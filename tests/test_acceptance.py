@@ -24,9 +24,7 @@ from eprjoint import (
     construct_3exp,
     construct_4exp,
     correlations_of,
-    chsh_correlation_form,
     experimental_probs,
-    feasible,
     invert_params,
     marginal_residuals,
     singlet,
@@ -40,6 +38,7 @@ from helpers import (
     P_SINGLET_HIGH,
     TSIRELSON,
     c_from_quadruple,
+    chsh_correlation_form,
     expand_pair,
     ginibre_density,
     mixed_population,
@@ -75,7 +74,7 @@ def test_criterion_1_equivalence_theorem():
             construct_ok = True
         except ChshViolationError:
             construct_ok = False
-        oracle_ok, _ = feasible(build_system(probs))
+        oracle_ok = solve_system(build_system(probs)).quad is not None
         satisfied_count += chsh_ok
         if not (chsh_ok == construct_ok == oracle_ok):
             if abs(report.margin) <= 1e-8:
@@ -144,7 +143,7 @@ def test_criterion_3_tsirelson_point():
     """Singlet at optimal angles: 2*sqrt(2), mode-4 fails, mode-3 avoids the
     quantum value of P(A'B')."""
     probs = experimental_probs(singlet(), chsh_optimal_settings())
-    s_values, _ = chsh_correlation_form(correlations_of(probs))
+    s_values, _ = chsh_correlation_form(correlations_of(probs), probs.atol)
     max_s = max(s_values)
     tsirelson_ok = abs(max_s - TSIRELSON) < 1e-9
 
@@ -185,8 +184,9 @@ def test_criterion_4_c_identity():
         if tables % 10 < 7:
             quad = construct_4exp(probs, random_params(rng))
         else:
-            ok, quad = feasible(build_system(probs))
-            assert ok and quad is not None
+            lp = solve_system(build_system(probs))
+            quad = lp.quad
+            assert lp.feasible and quad is not None
         for variant in CVariant:
             lhs = c_function(probs, variant)
             rhs = c_from_quadruple(quad.entries, variant)
@@ -206,8 +206,9 @@ def test_criterion_5_family_completeness():
         probs = synthetic_probs(rng, spicy=True)
         if not chsh_probability_form(probs).satisfied:
             continue
-        ok, witness = feasible(build_system(probs))
-        assert ok and witness is not None
+        lp = solve_system(build_system(probs))
+        witness = lp.quad
+        assert lp.feasible and witness is not None
         params = invert_params(probs, witness)
         assert all(0.0 <= t <= 1.0 for t in params.as_tuple())
         rebuilt = construct_4exp(probs, params)

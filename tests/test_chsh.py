@@ -9,16 +9,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eprjoint import (
-    CorrelationSet,
     CVariant,
     ExperimentalProbs,
+    build_system,
     c_function,
-    chsh_correlation_form,
     chsh_probability_form,
     correlations_of,
+    solve_system,
 )
+from eprjoint.experiments import DEFAULT_ATOL
 from helpers import (
     TSIRELSON,
+    chsh_correlation_form,
     det00_probs,
     singlet_optimal_probs,
     synthetic_probs,
@@ -41,11 +43,11 @@ def c_oracle(probs: ExperimentalProbs, variant: CVariant) -> float:
     return p.p_ap + p.p_b - (p.p_apbp + p.p_apb - p.p_abp + p.p_ab)
 
 
-def t_literal(corrs: CorrelationSet, variant: CVariant) -> float:
+def t_literal(corrs: tuple[float, float, float, float], variant: CVariant) -> float:
     """The signed correlation combination T = 2(2C - 1) of each C variant,
     written out by hand: T = -<XY> - <XY'> + <X'Y> - <X'Y'> with the roles
     X, Y of the variant's first and third arguments."""
-    ab, abp, apb, apbp = corrs.as_tuple()
+    ab, abp, apb, apbp = corrs
     if variant is CVariant.BASE:
         return -ab - abp + apb - apbp
     if variant is CVariant.SWAP_A:
@@ -57,18 +59,18 @@ def t_literal(corrs: CorrelationSet, variant: CVariant) -> float:
 
 class TestCorrelationForm:
     def test_zero_correlations(self):
-        s_values, ok = chsh_correlation_form(CorrelationSet(0, 0, 0, 0))
+        s_values, ok = chsh_correlation_form((0, 0, 0, 0), DEFAULT_ATOL)
         assert s_values == (0.0, 0.0, 0.0, 0.0)
         assert ok
 
     def test_tsirelson_point(self):
-        corrs = CorrelationSet(-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)
-        s_values, ok = chsh_correlation_form(corrs)
+        corrs = (-SQRT2 / 2, -SQRT2 / 2, -SQRT2 / 2, SQRT2 / 2)
+        s_values, ok = chsh_correlation_form(corrs, DEFAULT_ATOL)
         assert max(s_values) == pytest.approx(TSIRELSON, abs=1e-12)
         assert not ok
 
     def test_deterministic_boundary(self):
-        s_values, ok = chsh_correlation_form(CorrelationSet(1, 1, 1, 1))
+        s_values, ok = chsh_correlation_form((1, 1, 1, 1), DEFAULT_ATOL)
         assert max(s_values) == pytest.approx(2.0, abs=1e-15)
         assert ok
 
@@ -147,10 +149,22 @@ class TestEquivalence:
         for _ in range(100_000):
             probs = synthetic_probs(rng, spicy=True)
             report = chsh_probability_form(probs)
-            s_values, corr_ok = chsh_correlation_form(correlations_of(probs))
+            s_values, corr_ok = chsh_correlation_form(correlations_of(probs), probs.atol)
             disagreements += report.satisfied != corr_ok
             assert max(abs(x - y) for x, y in zip(report.s_values, s_values)) <= 1e-14
         assert disagreements == 0
+
+    def test_forms_agree_at_the_input_atol(self):
+        # singles 1/2, P(AB) = P(AB') = P(A'B) = 1/2: C(AA'B'B) = P(A'B') - 1/2,
+        # so this input violates CHSH by 5e-8 in C units, inside atol = 1e-7
+        probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5 - 5e-8, atol=1e-7)
+        report = chsh_probability_form(probs)
+        assert report.margin == pytest.approx(-5e-8, abs=1e-15)
+        assert report.satisfied and solve_system(build_system(probs)).feasible
+        s_values, ok = chsh_correlation_form(correlations_of(probs), probs.atol)
+        assert ok and max(s_values) == pytest.approx(2.0 + 2e-7, abs=1e-14)
+        # a correlation-form rule fixed at 2 + 4*DEFAULT_ATOL calls it violated
+        assert not chsh_correlation_form(correlations_of(probs), DEFAULT_ATOL)[1]
 
     def test_affine_relation(self):
         # 2*(2C - 1) reproduces the signed correlation combination
@@ -168,7 +182,7 @@ class TestEquivalence:
         for _ in range(500):
             probs = synthetic_probs(rng, spicy=True)
             corrs = correlations_of(probs)
-            s_values, _ = chsh_correlation_form(corrs)
+            s_values, _ = chsh_correlation_form(corrs, probs.atol)
             combos = [
                 abs(t_literal(corrs, v)) for v in CVariant
             ]

@@ -10,10 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eprjoint import ExperimentalProbs, QuadDistribution, construct_trace
+from eprjoint import (
+    AnalyzerSettings, DensityMatrix, ExperimentalProbs, QuadDistribution, construct_trace,
+)
 from eprjoint.cli import BUCKETS, MAX_SAMPLES, SAMPLE_CHUNK, _sample_counts, main
 from eprjoint.construction import SWEEP_MAX_CELLS
-from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON, reference_sample_counts
+from helpers import (
+    P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON, reference_sample_counts, trace_probs,
+)
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -46,6 +50,10 @@ SINGLET_PROBS_3 = {
     "singles": SINGLET_PROBS["singles"],
     "doubles": {k: v for k, v in SINGLET_PROBS["doubles"].items() if k != "A'B'"},
 }
+
+# diag(3/4, 1/2, -1/4, 0): unit trace, not positive semidefinite
+DIAG_STATE = [[0.0, 0.0]] * 16
+DIAG_STATE[0], DIAG_STATE[5], DIAG_STATE[10] = [0.75, 0.0], [0.5, 0.0], [-0.25, 0.0]
 
 DET_PROBS = {
     "singles": {"A": 1.0, "A'": 1.0, "B": 1.0, "B'": 1.0},
@@ -103,6 +111,8 @@ class TestProbsMode:
         code, _, err = run_cli(capsys, "--mode", "probs", "--input", path)
         assert code == 2
         assert "n_B" in err
+        error = json.loads(err)
+        assert (error["field"], error["value"], error["bound"]) == ("n_B", math.sqrt(0.125), 1.0)
 
     def test_named_states(self, write_json, capsys):
         for state in ("werner:0.5", "ket:00"):
@@ -499,6 +509,54 @@ class TestStructuredErrors:
         error = self.error_of(capsys, "--mode", "chsh", "--input", write_json("p.json", probs))
         assert (error["field"], error["value"], error["bound"]) == (field, value, bound)
         assert f"P({field}) = {value!r}" in error["message"]
+
+    @pytest.mark.parametrize("state, settings, field, value, bound", [
+        ([[1.0, 0.0]] * 16, {}, "state", 4.0, 1.0),
+        (DIAG_STATE, {}, "state", -0.25, 0.0),
+        ("singlet", {"n_A'": [0.0, 1.0]}, "n_A'", 2, 3),
+        ("singlet", {"n_A'": "x"}, "n_A'", "'x'", 3),
+        ([[0.25, 0.0]] * 15, {}, "state", 15, 16),
+    ], ids=["trace", "psd", "length", "not_a_list", "entries"])
+    def test_state_and_settings_errors(self, write_json, capsys, state, settings, field, value,
+                                       bound):
+        payload = {"state": state, "settings": {**SINGLET_STATE["settings"], **settings}}
+        error = self.error_of(capsys, "--mode", "probs", "--input", write_json("s.json", payload))
+        assert (error["field"], error["value"], error["bound"]) == (field, value, bound)
+
+    @pytest.mark.parametrize("t, field, value, bound", [
+        ({"dotdot": 1.5}, "t_dotdot", 1.5, 1.0),
+        ({"bb": [0.5, -0.25, 0.5, 0.5]}, "t_bb[1]", -0.25, 0.0),
+    ])
+    def test_params_outside_unit_interval(self, write_json, capsys, t, field, value, bound):
+        path = write_json("u.json", UNIFORM_PROBS)
+        params = write_json("t.json", {"t": t})
+        error = self.error_of(capsys, "--mode", "construct4", "--input", path, "--params", params)
+        assert (error["field"], error["value"], error["bound"]) == (field, value, bound)
+
+    @pytest.mark.parametrize("tolerance, code", [("1e-12", 2), ("1e-9", 0)])
+    def test_state_file_decided_at_tolerance(self, write_json, capsys, tolerance, code):
+        # diag(1 + 5e-10, -5e-10, 0, 0) passes the density-matrix checks at
+        # 1e-9; with n_B = z it gives P(B) = 1 + 5e-10, as does a probability
+        # file of the same numbers
+        entries = [[0.0, 0.0]] * 16
+        entries[0], entries[5] = [1.0 + 5e-10, 0.0], [-5e-10, 0.0]
+        settings = {"n_A": [0.0, 0.0, 1.0], "n_A'": [1.0, 0.0, 0.0],
+                    "n_B": [0.0, 0.0, 1.0], "n_B'": [1.0, 0.0, 0.0]}
+        rho = DensityMatrix(np.array([complex(*e) for e in entries]).reshape(4, 4))
+        values = [p.real for p in trace_probs(rho, AnalyzerSettings(*settings.values()))]
+        probs = {"singles": dict(zip(("A", "A'", "B", "B'"), values[:4])),
+                 "doubles": dict(zip(("AB", "AB'", "A'B", "A'B'"), values[4:]))}
+        runs = [run_cli(capsys, "--mode", "chsh", "--input", path, "--tolerance", tolerance)
+                for path in (write_json("s.json", {"state": entries, "settings": settings}),
+                             write_json("p.json", probs))]
+        assert [c for c, _, _ in runs] == [code, code]
+        if code:
+            fields = [json.loads(err)["field"] for _, _, err in runs]
+            bounds = [json.loads(err)["bound"] for _, _, err in runs]
+            assert (fields, bounds) == (["B", "B"], [1.0, 1.0])
+        else:
+            singles = [json.loads(out)["probs"]["singles"] for _, out, _ in runs]
+            assert singles[0]["B"] == singles[1]["B"] == 1.0
 
     def test_errors_without_a_bound_add_no_keys(self, write_json, capsys):
         error = self.error_of(capsys, "--mode", "chsh", "--input",

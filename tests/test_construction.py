@@ -203,15 +203,15 @@ class TestStep2:
         triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
         quad = step2_quadruple(triples, (0.125,) * 4)
         for b, bp in product((1, -1), repeat=2):
-            assert quad.value(1, 1, b, bp) == pytest.approx(0.125, abs=1e-15)
-            assert quad.value(-1, -1, b, bp) == pytest.approx(0.125, abs=1e-15)
-            assert quad.value(1, -1, b, bp) == pytest.approx(0.0, abs=1e-15)
-            assert quad.value(-1, 1, b, bp) == pytest.approx(0.0, abs=1e-15)
+            assert quad.entries[quad_index(1, 1, b, bp)] == pytest.approx(0.125, abs=1e-15)
+            assert quad.entries[quad_index(-1, -1, b, bp)] == pytest.approx(0.125, abs=1e-15)
+            assert quad.entries[quad_index(1, -1, b, bp)] == pytest.approx(0.0, abs=1e-15)
+            assert quad.entries[quad_index(-1, 1, b, bp)] == pytest.approx(0.0, abs=1e-15)
 
     def test_point_mass(self):
         triples = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
         quad = step2_quadruple(triples, (1.0, 0.0, 0.0, 0.0))
-        assert quad.value(1, 1, 1, 1) == 1.0
+        assert quad.entries[quad_index(1, 1, 1, 1)] == 1.0
         assert sum(quad.entries) == 1.0
 
     def test_bad_block_value(self):
@@ -232,7 +232,7 @@ class TestConstruct4:
     def test_deterministic_point_mass(self):
         for t in (0.0, 0.3, 1.0):
             quad = construct_4exp(det00_probs(), FamilyParams(t, t, t, (t,) * 4))
-            assert quad.value(1, 1, 1, 1) == 1.0
+            assert quad.entries[quad_index(1, 1, 1, 1)] == 1.0
 
     def test_marginals_reproduced(self):
         rng = np.random.default_rng(79)
@@ -322,7 +322,7 @@ class TestConstruct3:
     def test_deterministic(self):
         quad, chosen = construct_3exp(det00_probs().without_aprime_bprime())
         assert chosen == 1.0
-        assert quad.value(1, 1, 1, 1) == 1.0
+        assert quad.entries[quad_index(1, 1, 1, 1)] == 1.0
 
     def test_singlet_optimal_full_grid(self):
         probs3 = singlet_optimal_probs().without_aprime_bprime()
@@ -337,7 +337,7 @@ class TestConstruct3:
     def test_trace_carries_interval(self):
         trace = construct_trace(uniform_probs().without_aprime_bprime())
         assert "P(A'B')" in trace.intervals
-        assert trace.chosen_aprime_bprime == pytest.approx(0.25, abs=1e-15)
+        assert trace.chosen.get("P(A'B')") == pytest.approx(0.25, abs=1e-15)
 
 
 class TestInversion:
@@ -561,12 +561,16 @@ class TestQuadDistribution:
 
 class TestFamilyParams:
     def test_range_validation(self):
-        with pytest.raises(ValidationError):
-            FamilyParams(t_dotdot=1.5)
-        with pytest.raises(ValidationError):
-            FamilyParams(t_bb=(0.5, 0.5, 0.5, -0.1))
-        with pytest.raises(ValidationError):
-            FamilyParams(t_aprime_bprime=2.0)
+        # each error names the fraction, its value and the bound it broke
+        for kwargs, field, value, bound in [
+            ({"t_dotdot": 1.5}, "t_dotdot", 1.5, 1.0),
+            ({"t_bb": (0.5, 0.5, 0.5, -0.1)}, "t_bb[3]", -0.1, 0.0),
+            ({"t_aprime_bprime": 2.0}, "t_aprime_bprime", 2.0, 1.0),
+            ({"t_aplus": math.nan}, "t_aplus", "nan", None),
+        ]:
+            with pytest.raises(ValidationError, match=r"is outside \[0, 1\]") as info:
+                FamilyParams(**kwargs)
+            assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)
 
     def test_bb_length_names_field_and_bound(self):
         with pytest.raises(ValidationError, match="t_bb needs 4 entries, got 3") as info:

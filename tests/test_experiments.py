@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eprjoint import (
-    CorrelationSet,
     ExperimentalProbs,
     InputInconsistencyError,
     UsageError,
@@ -57,16 +56,16 @@ class TestExpandPair:
 
 class TestCorrelationsOf:
     def test_uniform(self):
-        assert correlations_of(uniform_probs()).as_tuple() == (0.0, 0.0, 0.0, 0.0)
+        assert correlations_of(uniform_probs()) == (0.0, 0.0, 0.0, 0.0)
 
     def test_anticorrelated(self):
         probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.0, 0.25, 0.25, 0.25)
-        assert correlations_of(probs).e_ab == -1.0
+        assert correlations_of(probs)[0] == -1.0
 
     def test_tsirelson_value(self):
         # frozen: 4*(2-sqrt2)/8 - 1 = -sqrt(2)/2
         probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, (2 - SQRT2) / 8, 0.25, 0.25, 0.25)
-        assert correlations_of(probs).e_ab == pytest.approx(-SQRT2 / 2, abs=1e-12)
+        assert correlations_of(probs)[0] == pytest.approx(-SQRT2 / 2, abs=1e-12)
 
     def test_requires_all_four(self):
         with pytest.raises(UsageError):
@@ -97,7 +96,7 @@ class TestProbsFromCorrelations:
             pair_singles = ((probs.p_a, probs.p_b), (probs.p_a, probs.p_bp),
                             (probs.p_ap, probs.p_b), (probs.p_ap, probs.p_bp))
             back = [pair_from_correlation(e, *singles)
-                    for e, singles in zip(correlations_of(probs).as_tuple(), pair_singles)]
+                    for e, singles in zip(correlations_of(probs), pair_singles)]
             for x, y in zip(back, probs.doubles()):
                 assert x == pytest.approx(y, abs=1e-12)
 

@@ -17,10 +17,9 @@ from helpers import P_SINGLET_HIGH, P_SINGLET_LOW
 
 SRC = Path(eprjoint.__file__).resolve().parent.parent
 
-# The 45 public names, by the module that defines them.
+# The 42 public names, by the module that defines them.
 EXPORTS = {
-    "chsh": ("ChshReport", "CVariant", "c_function", "chsh_correlation_form",
-             "chsh_probability_form"),
+    "chsh": ("ChshReport", "CVariant", "c_function", "chsh_probability_form"),
     "construction": ("ConstructionTrace", "FamilyParams", "Interval", "QuadDistribution",
                      "SweepResult", "construct_3exp", "construct_4exp", "construct_trace",
                      "interval_p_aprime_bprime", "interval_p_dotdot", "interval_p_plusplus",
@@ -28,10 +27,8 @@ EXPORTS = {
                      "step1_triples", "step2_quadruple"),
     "errors": ("ChshViolationError", "EprJointError", "InputInconsistencyError",
                "InternalInvariantError", "UsageError", "ValidationError"),
-    "experiments": ("CorrelationSet", "ExperimentalProbs", "correlations_of",
-                    "frechet_bounds"),
-    "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "feasible",
-               "solve_system"),
+    "experiments": ("ExperimentalProbs", "correlations_of", "frechet_bounds"),
+    "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "solve_system"),
     "quantum": ("AnalyzerSettings", "DensityMatrix", "chsh_optimal_settings",
                 "experimental_probs", "ket_state", "maximally_mixed", "singlet", "werner"),
     "sweep": ("sweep_grid",),
@@ -88,7 +85,7 @@ class TestNumpyLoadsOnlyWhereArraysAreUsed:
 class TestPublicNames:
     def test_export_count(self):
         assert sorted(eprjoint.__all__) == sorted(name for _, name in NAMES)
-        assert len(eprjoint.__all__) == 45
+        assert len(eprjoint.__all__) == 42
 
     @pytest.mark.parametrize("module, name", NAMES)
     def test_name_resolves_to_its_module_object(self, module, name):

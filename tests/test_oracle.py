@@ -20,7 +20,6 @@ from eprjoint import (
     chsh_optimal_settings,
     construct_4exp,
     experimental_probs,
-    feasible,
     solve_system,
     werner,
 )
@@ -88,8 +87,9 @@ class TestSystemStructure:
 class TestFeasibility:
     def test_uniform_witness_is_uniform(self):
         # max-min forces all entries equal: the witness is exactly 1/16
-        ok, witness = feasible(build_system(uniform_probs()))
-        assert ok
+        result = solve_system(build_system(uniform_probs()))
+        witness = result.quad
+        assert result.feasible
         assert witness is not None
         assert witness.entries == pytest.approx((0.0625,) * 16, abs=1e-12)
 
@@ -116,8 +116,9 @@ class TestFeasibility:
         # correlations scale with the mixing weight: max combination sqrt(2) < 2
         probs = experimental_probs(werner(0.5), chsh_optimal_settings())
         assert chsh_probability_form(probs).max_s_value == pytest.approx(SQRT2, abs=1e-9)
-        ok, witness = feasible(build_system(probs))
-        assert ok and witness is not None
+        result = solve_system(build_system(probs))
+        witness = result.quad
+        assert result.feasible and witness is not None
 
     def test_floored_junk_system(self):
         result = solve_system(JUNK_SYSTEM)
@@ -246,7 +247,7 @@ class TestAgreement:
         rng = np.random.default_rng(127)
         for probs in mixed_population(rng, 1500):
             satisfied = chsh_probability_form(probs).satisfied
-            ok, _ = feasible(build_system(probs))
+            ok = solve_system(build_system(probs)).quad is not None
             try:
                 construct_4exp(probs)
                 constructed = True

@@ -15,7 +15,6 @@ from eprjoint import (
     chsh_optimal_settings,
     chsh_probability_form,
     correlations_of,
-    chsh_correlation_form,
     experimental_probs,
     ket_state,
     maximally_mixed,
@@ -26,6 +25,7 @@ from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
     TSIRELSON,
+    chsh_correlation_form,
     ginibre_density,
     observable_matrix,
     random_settings,
@@ -70,14 +70,14 @@ class TestObservableMatrix:
 
 class TestCorrelation:
     def test_singlet_aligned(self):
-        assert correlations_of(probs_at(singlet())).e_ab == pytest.approx(-1.0, abs=1e-12)
+        assert correlations_of(probs_at(singlet()))[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_mixed_state(self):
-        assert correlations_of(probs_at(maximally_mixed())).e_ab == pytest.approx(0.0, abs=1e-12)
+        assert correlations_of(probs_at(maximally_mixed()))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_orthogonal(self):
         corrs = correlations_of(probs_at(singlet(), n_b=X))
-        assert corrs.e_ab == pytest.approx(0.0, abs=1e-12)
+        assert corrs[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_singlet_minus_dot_product(self):
         rng = np.random.default_rng(17)
@@ -87,7 +87,7 @@ class TestCorrelation:
             corrs = correlations_of(experimental_probs(rho, settings))
             pairs = [(settings.n_a, settings.n_b), (settings.n_a, settings.n_bp),
                      (settings.n_ap, settings.n_b), (settings.n_ap, settings.n_bp)]
-            for value, (na, nb) in zip(corrs.as_tuple(), pairs):
+            for value, (na, nb) in zip(corrs, pairs):
                 assert value == pytest.approx(-float(np.dot(na, nb)), abs=1e-10)
 
 
@@ -122,11 +122,23 @@ class TestProbabilities:
             rho = ginibre_density(rng)
             settings = random_settings(rng)
             lhs = trace_correlation(rho, settings.n_a, settings.n_b).real
-            rhs = correlations_of(experimental_probs(rho, settings)).e_ab
+            rhs = correlations_of(experimental_probs(rho, settings))[0]
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 class TestExperimentalProbs:
+    def test_imaginary_part_checked_at_atol(self):
+        # rho_01 - conj(rho_10) = 5e-10i passes the Hermitian check at 1e-9
+        # and gives P(B') (n_B' = x) an imaginary part of 2.5e-10
+        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        m[0, 1], m[1, 0] = 0.1 + 5e-10j, 0.1
+        settings = AnalyzerSettings(Z, X, (0.0, 1.0, 0.0), X)
+        assert experimental_probs(DensityMatrix(m), settings).atol == 1e-9
+        with pytest.raises(ValidationError, match="P\\(B'\\) trace has imaginary part") as err:
+            experimental_probs(DensityMatrix(m), settings, atol=1e-12)
+        assert (err.value.field, err.value.bound) == ("B'", 0.0)
+        assert err.value.value == pytest.approx(2.5e-10, rel=1e-6)
+
     def test_mixed_state(self):
         rng = np.random.default_rng(37)
         probs = experimental_probs(maximally_mixed(), random_settings(rng))
@@ -151,7 +163,7 @@ class TestExperimentalProbs:
         rng = np.random.default_rng(41)
         for _ in range(200):
             probs = experimental_probs(ginibre_density(rng), random_settings(rng))
-            s_values, _ = chsh_correlation_form(correlations_of(probs))
+            s_values, _ = chsh_correlation_form(correlations_of(probs), probs.atol)
             assert max(s_values) <= TSIRELSON + 1e-9
 
     def test_matches_trace_reference(self):
@@ -204,8 +216,10 @@ class TestStatesAndValidation:
         singlet(), ket_state("00"), maximally_mixed(), werner(0.3), werner(1.0), werner(0.0)
 
     def test_werner_unphysical(self):
-        with pytest.raises(ValidationError, match="semidefinite"):
+        with pytest.raises(ValidationError, match="semidefinite") as err:
             werner(1.5)
+        assert (err.value.field, err.value.bound) == ("state", 0.0)
+        assert err.value.value == pytest.approx(-0.125, abs=1e-15)
 
     def test_not_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
@@ -214,17 +228,30 @@ class TestStatesAndValidation:
             DensityMatrix(m)
         assert "np." not in str(err.value)
         assert "(defect 0.5)" in str(err.value)
+        assert (err.value.field, err.value.value, err.value.bound) == ("state", 0.5, 0.0)
 
     def test_bad_trace(self):
         with pytest.raises(ValidationError, match="trace") as err:
             DensityMatrix(np.eye(4, dtype=complex))
         assert "np." not in str(err.value)
         assert "trace is (4+0j), expected 1" in str(err.value)
+        # JSON holds no complex number: the value is the trace's real part
+        assert (err.value.field, err.value.value, err.value.bound) == ("state", 4.0, 1.0)
 
     def test_not_psd(self):
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-        with pytest.raises(ValidationError, match="semidefinite"):
+        with pytest.raises(ValidationError, match="semidefinite") as err:
             DensityMatrix(m)
+        # the entry part 1.5 fails first
+        assert (err.value.field, err.value.value, err.value.bound) == ("state", 1.5, 1.0)
+        with pytest.raises(ValidationError, match="semidefinite") as err:
+            DensityMatrix(np.diag([0.75, 0.5, -0.25, 0.0]))
+        assert (err.value.field, err.value.value, err.value.bound) == ("state", -0.25, 0.0)
+
+    def test_shape(self):
+        with pytest.raises(ValidationError, match="4x4") as err:
+            DensityMatrix(np.eye(3))
+        assert (err.value.field, err.value.value, err.value.bound) == ("state", [3, 3], None)
 
     def test_matrix_is_frozen(self):
         rho = singlet()
@@ -232,8 +259,12 @@ class TestStatesAndValidation:
             rho.matrix[0, 0] = 1.0
 
     def test_settings_name_bad_field(self):
-        with pytest.raises(ValidationError, match="n_B'"):
+        with pytest.raises(ValidationError, match="n_B'") as err:
             AnalyzerSettings(Z, X, Z, (0.0, 0.0, 0.5))
+        assert (err.value.field, err.value.value, err.value.bound) == ("n_B'", 0.5, 1.0)
+        with pytest.raises(ValidationError, match="3 components") as err:
+            AnalyzerSettings((0.0, 1.0), X, Z, Z)
+        assert (err.value.field, err.value.value, err.value.bound) == ("n_A", 2, 3)
 
     def test_non_finite_rejected_by_field(self):
         for bad in (math.nan, math.inf):
@@ -241,8 +272,9 @@ class TestStatesAndValidation:
                 AnalyzerSettings(Z, (bad, 0.0, 1.0), Z, Z)
             m = np.eye(4, dtype=complex) / 4
             m[1, 2] = bad
-            with pytest.raises(ValidationError, match="non-finite"):
+            with pytest.raises(ValidationError, match="non-finite") as err:
                 DensityMatrix(m)
+            assert (err.value.field, err.value.value, err.value.bound) == ("state", repr(bad), None)
 
     def test_huge_entries_rejected_without_overflow(self):
         m = np.eye(4, dtype=complex) / 4

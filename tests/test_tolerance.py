@@ -7,12 +7,16 @@ floats and again with one of its eight values moved by +-10^u, u uniform in
 [-11, -8] at the default atol 1e-9 and in [-9, -6] at atol 1e-6, so inputs
 land on, just inside and just outside the tolerance band.  Every accepted
 input must then satisfy Fine's equivalence (A. Fine, PRL 48, 291 (1982)):
-CHSH, the four-experiment construction and the LP (solve_system and
-feasible) decide alike, and three experiments always admit a joint table.
+CHSH, the four-experiment construction and the LP (its verdict and its
+witness) decide alike, and three experiments always admit a joint table.
 """
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
+import eprjoint
 from eprjoint import (
     ChshViolationError,
     ExperimentalProbs,
@@ -21,7 +25,6 @@ from eprjoint import (
     chsh_probability_form,
     construct_3exp,
     construct_4exp,
-    feasible,
     marginal_residuals,
     solve_system,
 )
@@ -56,7 +59,7 @@ def check_routes(atol: float, exponents: tuple[float, float], count: int) -> Non
         system = build_system(probs)
         lp = solve_system(system)
         assert lp.feasible == report.satisfied, (values, report.margin, lp.value)
-        assert feasible(system)[0] == report.satisfied, (values, report.margin, lp.value)
+        assert (lp.quad is not None) == report.satisfied, (values, report.margin, lp.value)
 
         probs3 = probs.without_aprime_bprime()
         quad3, _ = construct_3exp(probs3)
@@ -72,3 +75,45 @@ def test_routes_agree_near_faces_at_loose_atol():
     # the LP reads the input's atol: at 1e-6 the default 1e-9 would
     # disagree with CHSH on inputs inside the band
     check_routes(1e-6, (-9, -6), 1500)
+
+
+# The scopes of src/eprjoint that may read DEFAULT_ATOL: the defaults of
+# the input's atol (and their help text), the checks of tables built
+# elsewhere, and the quantum inputs validated before an atol is known.
+# Every other decision reads the atol of its input.
+DEFAULT_ATOL_READERS = {
+    ("cli", "RunConfig"),
+    ("cli", "build_parser"),
+    ("construction", "QuadDistribution.__post_init__"),
+    ("construction", "QuadDistribution.from_raw"),
+    ("experiments", "ExperimentalProbs"),
+    ("oracle", "MarginalSystem"),
+    ("quantum", "DensityMatrix.__post_init__"),
+    ("quantum", "_as_unit_vector"),
+    ("quantum", "experimental_probs"),
+}
+
+
+def default_atol_readers(tree: ast.AST, scope: str = "") -> set[str]:
+    """Qualified names of the innermost class or function around each read
+    of DEFAULT_ATOL (a function's defaults count as the function's)."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            found |= default_atol_readers(node, f"{scope}.{node.name}".lstrip("."))
+        elif (isinstance(node, ast.Name) and node.id == "DEFAULT_ATOL"
+              and isinstance(node.ctx, ast.Load)):
+            found.add(scope or "<module>")
+        else:
+            found |= default_atol_readers(node, scope)
+    return found
+
+
+def test_default_atol_read_only_where_allowed():
+    package = Path(eprjoint.__file__).parent
+    readers = {
+        (path.stem, name)
+        for path in sorted(package.glob("*.py"))
+        for name in default_atol_readers(ast.parse(path.read_text()))
+    }
+    assert readers == DEFAULT_ATOL_READERS
