@@ -16,7 +16,6 @@ from .construction import (
     ConstructionTrace,
     FamilyParams,
     Interval,
-    QuadDistribution,
     SweepResult,
     construct_3exp,
     construct_4exp,
@@ -33,13 +32,13 @@ from .construction import (
 from .errors import (
     ChshViolationError,
     EprJointError,
-    InputInconsistencyError,
     InternalInvariantError,
     UsageError,
     ValidationError,
 )
 from .experiments import (
     ExperimentalProbs,
+    QuadDistribution,
     correlations_of,
     frechet_bounds,
 )

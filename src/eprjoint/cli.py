@@ -20,9 +20,9 @@ seed) produces byte-identical output.  Monte Carlo sampling uses numpy's
 PCG64 generator, seeded explicitly, with inverse-CDF lookup through a
 bucket guide table: the same counts as a binary search per draw.
 
-Exit codes: 0 success, 2 validation/usage error, 3 CHSH violation,
-4 inconsistent input, 5 internal invariant failure.  An error about one
-input and its bound adds "field", "value" and "bound" to its JSON.
+Exit codes: 0 success, 2 validation/usage error, 3 CHSH violation, 5
+internal invariant failure (no validated input reaches it).  An error about
+one input and its bound adds "field", "value" and "bound" to its JSON.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from .chsh import ChshReport, CVariant, chsh_probability_form
 from .construction import (
     ConstructionTrace,
     FamilyParams,
-    QuadDistribution,
     check_sweep_budget,
     construct_trace,
     marginal_residuals,
 )
 from .errors import EprJointError, EXIT_OK, ValidationError
-from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs
+from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SIGNS, SINGLE_LABELS, outcome_label, pair_marginals
 from .oracle import build_system, ROW_LABELS, solve_system
 
@@ -153,12 +152,14 @@ def _parse_state(spec) -> DensityMatrix:
         if len(spec) != 16:
             raise ValidationError(f"state matrix needs 16 entries, got {len(spec)}",
                                   field="state", value=len(spec), bound=16)
-        try:
-            flat = [complex(_number(re, "field 'state' entry", "state"),
-                            _number(im, "field 'state' entry", "state"))
-                    for re, im in spec]
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("field 'state' entries must be [re, im] pairs") from exc
+        for pair in spec:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValidationError(
+                    "field 'state' entries must be [re, im] pairs", field="state",
+                    value=len(pair) if isinstance(pair, list) else repr(pair), bound=2)
+        flat = [complex(_number(re, "field 'state' entry", "state"),
+                        _number(im, "field 'state' entry", "state"))
+                for re, im in spec]
         return DensityMatrix([flat[row:row + 4] for row in range(0, 16, 4)])
     raise ValidationError("field 'state' must be a name or 16 [re, im] pairs")
 

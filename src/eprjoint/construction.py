@@ -24,27 +24,26 @@ from typing import Sequence
 from .chsh import chsh_probability_form
 from .errors import (
     ChshViolationError,
-    InputInconsistencyError,
     InternalInvariantError,
     UsageError,
     ValidationError,
 )
 from .experiments import (
-    DEFAULT_ATOL,
     ExperimentalProbs,
+    QuadDistribution,
     correlation_from_pair,
     frechet_bounds,
     frechet_cells,
     pair_from_correlation,
 )
 from .indexing import (
-    PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, marginal, outcome_label, pair_marginals, quad_index,
+    _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, marginal, outcome_label, pair_marginals,
+    quad_index,
 )
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
 _CELL_LABELS = tuple(outcome_label(signs) for signs in BB_BLOCKS)
 _BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
-_QUAD_LABELS = tuple(outcome_label(outcome) for outcome in product(SIGNS, repeat=4))
 
 # Work bound of sweep_grid: block cells 4 * n**(k - 3) for n points per axis
 # and k axes (45 points for four experiments, 21 for three).
@@ -120,41 +119,6 @@ class FamilyParams:
         """The fractions in construction order, t_aprime_bprime first when set."""
         rest = (self.t_dotdot, self.t_aplus, self.t_aprimeplus, *self.t_bb)
         return rest if self.t_aprime_bprime is None else (self.t_aprime_bprime, *rest)
-
-
-@dataclass(frozen=True)
-class QuadDistribution:
-    """Sixteen nonnegative joint probabilities P(aa'bb') summing to one.
-
-    Entries follow the indexing-module layout and are checked at
-    DEFAULT_ATOL.  Use from_raw for computed tables: it zeroes entries in
-    [-DEFAULT_ATOL, 0) and divides by the total.
-    """
-
-    entries: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        entries = tuple(float(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
-        if len(entries) != 16:
-            raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
-        for label, value in zip(_QUAD_LABELS, entries):
-            if value < -DEFAULT_ATOL:
-                raise ValidationError(f"P({label}) = {value!r} is negative")
-        total = sum(entries)
-        if abs(total - 1.0) > DEFAULT_ATOL:
-            raise ValidationError(f"quadruple table sums to {total!r}, not 1")
-
-    @classmethod
-    def from_raw(cls, entries: Sequence[float]) -> "QuadDistribution":
-        clamped = [0.0 if -DEFAULT_ATOL <= e < 0.0 else float(e) for e in entries]
-        total = sum(clamped)
-        if total > 0.0:
-            clamped = [e / total for e in clamped]
-        return cls(tuple(clamped))
-
-    def labeled(self) -> dict[str, float]:
-        return dict(zip(_QUAD_LABELS, self.entries))
 
 
 @dataclass(frozen=True)
@@ -269,7 +233,8 @@ def step1_triples(
     for k, cell in enumerate(_CELL_LABELS):
         lhs, rhs = (0 + side[k] + side[k + 4] for side in sides)
         if abs(lhs - rhs) > probs.atol:
-            raise ValidationError(f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
+            raise InternalInvariantError(
+                f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
     return TripleProbs(*sides, atol=probs.atol)
 
 
@@ -329,8 +294,8 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     |<A'B> - <A'B'>| <= 2 - |<AB> + <AB'>| and
     |<A'B> + <A'B'>| <= 2 - |<AB> - <AB'>|,
     with the Fréchet bounds for (P(A'), P(B')).  Nonempty for every
-    validated input (lo - hi <= probs.atol); InputInconsistencyError
-    otherwise.
+    validated input (lo - hi <= probs.atol) by the paper's three-experiment
+    result; InternalInvariantError otherwise.
     """
     e_ab = correlation_from_pair(probs.p_ab, probs.p_a, probs.p_b)
     e_abp = correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp)
@@ -345,18 +310,11 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     frechet = Interval(*frechet_bounds(probs.p_ap, probs.p_bp))
     result = same_sign.intersect(flip_sign).intersect(frechet)
     if result.lo - result.hi > probs.atol:
-        raise InputInconsistencyError(
+        raise InternalInvariantError(
             "no value of P(A'B') is consistent with the three measured "
             f"experiments (interval [{result.lo!r}, {result.hi!r}] is empty)"
         )
     return result
-
-
-def _complete(probs: ExperimentalProbs, t: float) -> tuple[Interval, float, ExperimentalProbs]:
-    """The interval of the unmeasured P(A'B'), its pick at t, and probs with it."""
-    iv = interval_p_aprime_bprime(probs)
-    chosen = iv.pick(t)
-    return iv, chosen, probs.with_aprime_bprime(chosen)
 
 
 def construct_trace(
@@ -373,7 +331,9 @@ def construct_trace(
     chosen: dict[str, float] = {}
     if not probs.has_all_four:
         t = 0.5 if params.t_aprime_bprime is None else params.t_aprime_bprime
-        intervals["P(A'B')"], chosen["P(A'B')"], probs = _complete(probs, t)
+        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
+        chosen["P(A'B')"] = p_apbp = iv.pick(t)
+        probs = probs.with_aprime_bprime(p_apbp)
 
     intervals["P(..++)"] = iv = interval_p_dotdot(probs)
     chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
@@ -404,7 +364,7 @@ def construct_3exp(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> tuple[QuadDistribution, float]:
     """A joint distribution fitting the three measured experiments, together
-    with the chosen P(A'B').  Works for arbitrary consistent inputs."""
+    with the chosen P(A'B').  Works for every validated input."""
     if probs.p_apbp is not None:
         raise UsageError(
             "three-experiment construction takes probabilities without P(A'B'); "
@@ -418,14 +378,20 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
     """Parameter fractions reproducing a given feasible distribution.
 
     Inverts the affine maps in construction order; the result fed back into
-    construct_4exp reproduces quad (up to rounding) whenever quad's
-    marginals equal probs.
+    construct_trace reproduces quad (up to rounding) whenever quad's
+    marginals equal probs.  Without a measured P(A'B'), t_aprime_bprime is
+    the position of quad's own P(A'B') in interval_p_aprime_bprime, and the
+    four-experiment inverse runs on the completion picked there.
     """
     def snap(iv: Interval, x: float) -> tuple[float, float]:
         """The position t of x in iv and the point picked at t."""
         t = iv.position(x)
         return t, iv.pick(t)
 
+    t_apbp = None
+    if not probs.has_all_four:
+        t_apbp, p_apbp = snap(interval_p_aprime_bprime(probs), marginal(quad.entries, ap=1, bp=1))
+        probs = probs.with_aprime_bprime(p_apbp)
     t_dotdot, p_dotdot = snap(interval_p_dotdot(probs), marginal(quad.entries, b=1, bp=1))
     iv = interval_p_plusplus(probs, False, p_dotdot)
     t_aplus, p_a_pp = snap(iv, marginal(quad.entries, a=1, b=1, bp=1))
@@ -437,7 +403,7 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
         interval_p_pp_bb(triples, b, bp).position(quad.entries[quad_index(1, 1, b, bp)])
         for b, bp in BB_BLOCKS
     )
-    return FamilyParams(t_dotdot, t_aplus, t_aprimeplus, t_bb)
+    return FamilyParams(t_dotdot, t_aplus, t_aprimeplus, t_bb, t_apbp)
 
 
 def marginal_residuals(

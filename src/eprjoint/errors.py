@@ -7,7 +7,6 @@ import math
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CHSH_VIOLATION = 3
-EXIT_INPUT_INCONSISTENT = 4
 EXIT_INTERNAL = 5
 
 
@@ -41,12 +40,6 @@ class UsageError(EprJointError):
     exit_code = EXIT_VALIDATION
 
 
-class InputInconsistencyError(EprJointError):
-    """Measured probabilities admit no completion (mutually inconsistent inputs)."""
-
-    exit_code = EXIT_INPUT_INCONSISTENT
-
-
 class ChshViolationError(EprJointError):
     """The eight CHSH inequalities fail, so no four-experiment joint distribution exists.
 
@@ -61,6 +54,6 @@ class ChshViolationError(EprJointError):
 
 
 class InternalInvariantError(EprJointError):
-    """A condition the construction guarantees was observed to fail."""
+    """A condition the paper guarantees failed; no validated input reaches it."""
 
     exit_code = EXIT_INTERNAL

@@ -1,5 +1,5 @@
-"""Measured EPR probabilities, the Fréchet bounds of their 2x2 outcome
-tables, and conversions between double probabilities and spin-spin correlations.
+"""Measured EPR probabilities, joint quadruple tables, the Fréchet bounds of
+2x2 outcome tables, and conversions between doubles and spin-spin correlations.
 
 Notation follows the usual shorthand P(A) = P(A=+1), P(AB) = P(A=+1, B=+1).
 The eight independent measured numbers are the four singles P(A), P(A'),
@@ -9,9 +9,10 @@ P(B), P(B') and the four doubles P(AB), P(AB'), P(A'B), P(A'B').
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .errors import UsageError, ValidationError
-from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
+from .indexing import _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
 
@@ -111,6 +112,41 @@ class ExperimentalProbs:
 
     def with_aprime_bprime(self, p_apbp: float) -> "ExperimentalProbs":
         return replace(self, p_apbp=p_apbp)
+
+
+@dataclass(frozen=True)
+class QuadDistribution:
+    """Sixteen nonnegative joint probabilities P(aa'bb') summing to one.
+
+    Entries follow the indexing-module layout and are checked at
+    DEFAULT_ATOL.  Use from_raw for computed tables: it zeroes entries in
+    [-DEFAULT_ATOL, 0) and divides by the total.
+    """
+
+    entries: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        entries = tuple(float(e) for e in self.entries)
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != 16:
+            raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
+        for label, value in zip(_QUAD_LABELS, entries):
+            if value < -DEFAULT_ATOL:
+                raise ValidationError(f"P({label}) = {value!r} is negative")
+        total = sum(entries)
+        if abs(total - 1.0) > DEFAULT_ATOL:
+            raise ValidationError(f"quadruple table sums to {total!r}, not 1")
+
+    @classmethod
+    def from_raw(cls, entries: Sequence[float]) -> "QuadDistribution":
+        clamped = [0.0 if -DEFAULT_ATOL <= e < 0.0 else float(e) for e in entries]
+        total = sum(clamped)
+        if total > 0.0:
+            clamped = [e / total for e in clamped]
+        return cls(tuple(clamped))
+
+    def labeled(self) -> dict[str, float]:
+        return dict(zip(_QUAD_LABELS, self.entries))
 
 
 def correlations_of(probs: ExperimentalProbs) -> tuple[float, float, float, float]:

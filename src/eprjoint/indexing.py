@@ -37,6 +37,9 @@ def outcome_label(outcome: Iterable[Sign]) -> str:
     return "".join("+" if s > 0 else "-" for s in outcome)
 
 
+_QUAD_LABELS = tuple(outcome_label(outcome) for outcome in product(SIGNS, repeat=4))
+
+
 # Indices entering each of the 81 marginal patterns, in outcome order: a 0
 # component ranges over both signs.
 _MARGINAL_INDICES: dict[tuple[Sign, Sign, Sign, Sign], tuple[int, ...]] = {

@@ -21,11 +21,10 @@ whose tableau [B^-1 A | B^-1 A.1 | B^-1] is built once at import: no
 artificial variables and no phase 1.  A call fills the rhs column
 B^-1 (rhs + A.1) and pivots under the dual Bland rule until it is
 nonnegative, about 2 pivots on exact dyadic face inputs and 5 on float
-inputs, against 17 for the two-phase simplex this replaced.  A pivot
-touches only the pivot row's nonzero columns, in the rows with a nonzero
-entry in the entering column.  The tableau is plain lists, so one code
-path runs on floats or on exact Fractions (supplied as the system's rhs),
-the latter a tolerance-free mode for dyadic inputs: an exact system is
+inputs.  A pivot touches only the pivot row's nonzero columns, in the rows
+with a nonzero entry in the entering column.  The tableau is plain lists, so
+one code path runs on floats or on exact Fractions (supplied as the system's
+rhs), the latter a tolerance-free mode for dyadic inputs: an exact system is
 feasible when its max-min entry is >= 0.
 """
 
@@ -34,9 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .construction import QuadDistribution
 from .errors import InternalInvariantError, UsageError
-from .experiments import DEFAULT_ATOL, ExperimentalProbs
+from .experiments import DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS, marginal_indices
 
 _PIVOT_TOL = 1e-11

@@ -21,8 +21,8 @@ from .construction import (
     FamilyParams,
     Interval,
     SweepResult,
-    _complete,
     check_sweep_budget,
+    interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
     interval_p_pp_bb,
@@ -90,7 +90,8 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
         completions = [(None, probs)]
         total_points = n ** 7
     else:
-        completions = [(t, _complete(probs, t)[2]) for t in axis]
+        apbp_interval = interval_p_aprime_bprime(probs)
+        completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
         total_points = n ** 8
     ts = np.array(axis)
 

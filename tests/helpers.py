@@ -25,7 +25,6 @@ from eprjoint import (
     ExperimentalProbs,
     FamilyParams,
     FeasibilityResult,
-    InputInconsistencyError,
     InternalInvariantError,
     MarginalSystem,
     QuadDistribution,
@@ -106,7 +105,7 @@ def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
     cells = frechet_cells(p_x, p_y, 1.0, p_xy)
     for (name, bound), value in zip(_CELL_BOUNDS, cells):
         if value < -DEFAULT_ATOL:
-            raise InputInconsistencyError(
+            raise ValidationError(
                 f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
             )
     return PairOutcomeTable(*cells)
@@ -297,6 +296,18 @@ def near_face_inputs(seed: int, count: int, exponents: tuple[float, float] = (-1
         slot, sign = int(rng.integers(8)), float(rng.choice((-1.0, 1.0)))
         moved[slot] += sign * 10.0 ** rng.uniform(*exponents)
         yield moved
+
+
+def sparse_tables(rng: np.random.Generator, count: int) -> list[QuadDistribution]:
+    """Dirichlet tables with zero entries: every third has 7 to 15 of its 16
+    entries zeroed (at least 40%), the others 1 to 6."""
+    tables = []
+    for i in range(count):
+        entries = rng.dirichlet(np.ones(16))
+        zeros = int(rng.integers(7, 16) if i % 3 == 0 else rng.integers(1, 7))
+        entries[rng.choice(16, size=zeros, replace=False)] = 0.0
+        tables.append(QuadDistribution.from_raw(entries.tolist()))
+    return tables
 
 
 def dyadic_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem]:

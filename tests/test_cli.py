@@ -185,27 +185,21 @@ class TestConstructModes:
         assert code == 0
         assert json.loads(out)["chosen"]["P(..++)"] == 0.0
 
-    def test_inconsistent_input_exit_4(self, write_json, capsys):
-        # a tolerance loose enough to admit this Fréchet excess is refused,
-        # so validated input never reaches exit 4
+    @pytest.mark.parametrize("flags, field", [
+        (["--tolerance", "0.1"], "atol"),
+        ([], "A'B"),
+    ], ids=["loose_tolerance", "default_tolerance"])
+    def test_frechet_violation_exit_2(self, write_json, capsys, flags, field):
+        # a Fréchet excess is refused at the default tolerance, and a
+        # tolerance loose enough to admit it is refused too
         payload = {
             "singles": {"A": 0.5, "A'": 0.5, "B": 0.5, "B'": 0.5},
             "doubles": {"AB": 0.5, "AB'": 0.5, "A'B": 0.55},
         }
         path = write_json("inc.json", payload)
-        code, _, err = run_cli(capsys, "--mode", "construct3", "--input", path,
-                               "--tolerance", "0.1")
+        code, _, err = run_cli(capsys, "--mode", "construct3", "--input", path, *flags)
         assert code == 2
-        assert "atol" in json.loads(err)["message"]
-
-    def test_frechet_violation_exit_2_at_default_tolerance(self, write_json, capsys):
-        payload = {
-            "singles": {"A": 0.5, "A'": 0.5, "B": 0.5, "B'": 0.5},
-            "doubles": {"AB": 0.5, "AB'": 0.5, "A'B": 0.55},
-        }
-        path = write_json("inc.json", payload)
-        code, _, err = run_cli(capsys, "--mode", "construct3", "--input", path)
-        assert code == 2
+        assert json.loads(err)["field"] == field
 
 
 class TestOracleMode:
@@ -516,7 +510,9 @@ class TestStructuredErrors:
         ("singlet", {"n_A'": [0.0, 1.0]}, "n_A'", 2, 3),
         ("singlet", {"n_A'": "x"}, "n_A'", "'x'", 3),
         ([[0.25, 0.0]] * 15, {}, "state", 15, 16),
-    ], ids=["trace", "psd", "length", "not_a_list", "entries"])
+        ([[1, 2, 3]] + [[0.25, 0.0]] * 15, {}, "state", 3, 2),
+        ([0.25] + [[0.25, 0.0]] * 15, {}, "state", "0.25", 2),
+    ], ids=["trace", "psd", "length", "not_a_list", "entries", "triple_entry", "number_entry"])
     def test_state_and_settings_errors(self, write_json, capsys, state, settings, field, value,
                                        bound):
         payload = {"state": state, "settings": {**SINGLET_STATE["settings"], **settings}}

@@ -5,7 +5,7 @@ mutated: fields deleted, replaced by values of the wrong type or by
 non-finite numbers, and extra keys added.  Each file is fed to every mode
 through the in-process entry point, with flag values that are valid, out
 of range, or text argparse cannot convert.  Every run must exit with a documented
-code (0, 2, 3 or 4, never 5 or a traceback) and write a strict JSON
+code (0, 2 or 3, never 5 or a traceback) and write a strict JSON
 report: the result on success, the error otherwise.
 """
 
@@ -168,7 +168,7 @@ def test_every_input_exits_documented_code_with_json(mode, data, params, grid, t
                 warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would print outside the JSON report
             code = main(argv)
-    assert code in (0, 2, 3, 4), err.getvalue()
+    assert code in (0, 2, 3), err.getvalue()
     if code == 0:
         assert strict_json(out.getvalue())["mode"] == mode
     else:

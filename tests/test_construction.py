@@ -23,6 +23,7 @@ from eprjoint import (
     construct_3exp,
     construct_4exp,
     construct_trace,
+    frechet_bounds,
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
@@ -43,8 +44,11 @@ from helpers import (
     P_SINGLET_HIGH,
     c_from_quadruple,
     det00_probs,
+    mixed_population,
+    near_face_inputs,
     reference_sweep_grid,
     singlet_optimal_probs,
+    sparse_tables,
     synthetic_probs,
     to_probs,
     uniform_probs,
@@ -296,7 +300,30 @@ class TestIntervalAprimeBprime:
         _, worst = marginal_residuals(quad, probs)
         assert worst < 1e-10
 
-    def test_inconsistent_inputs_detected(self):
+    def test_nonempty_for_every_validated_input(self):
+        # The paper's three-experiment result: every validated input has a
+        # completion, so lo - hi is rounding, far below the least atol 1e-12.
+        # Every dyadic face: singles in {0, 1/4, 1/2, 3/4, 1}, each double
+        # at its lower or upper Fréchet end.
+        inputs = []
+        for singles in product([k / 4 for k in range(5)], repeat=4):
+            ends = [frechet_bounds(singles[x], singles[y]) for x, y in PAIR_SLOTS[:3]]
+            inputs += [ExperimentalProbs(*singles, *doubles) for doubles in product(*ends)]
+        # Seeded populations, near faces projected at the least and the
+        # largest atol, and mixed synthetic and quantum inputs.
+        for atol, exponents in ((1e-12, (-14, -11)), (1e-6, (-9, -6))):
+            for values in near_face_inputs(seed=2006, count=1000, exponents=exponents):
+                try:
+                    inputs.append(ExperimentalProbs(*values[:7], atol=atol))
+                except ValidationError:
+                    pass
+        inputs += [p.without_aprime_bprime()
+                   for p in mixed_population(np.random.default_rng(2006), 2000)]
+        assert len(inputs) > 10_000
+        for probs in inputs:
+            iv = interval_p_aprime_bprime(probs)
+            assert iv.lo - iv.hi <= 1e-14, probs
+
         # a Fréchet excess within atol is projected away at validation, so
         # the interval is nonempty and the table fits the projected input
         probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5 + 5e-7, None, atol=1e-6)
@@ -341,17 +368,25 @@ class TestConstruct3:
 
 
 class TestInversion:
-    def test_round_trip_constructed(self):
+    @pytest.mark.parametrize("three", [False, True], ids=["four", "three"])
+    def test_round_trip_constructed(self, three):
+        # constructed tables, then tables with zero entries: the family holds
+        # every nonnegative table that fits three or four experiments
         rng = np.random.default_rng(97)
+        cases = []
         for _ in range(1000):
             probs = satisfying_probs(rng)
-            params = random_params(rng)
-            quad = construct_4exp(probs, params)
+            cases.append((probs, construct_4exp(probs, random_params(rng))))
+        cases += [(to_probs(q), q) for q in sparse_tables(np.random.default_rng(2006), 1000)]
+        for probs, quad in cases:
+            if three:
+                probs = probs.without_aprime_bprime()
             recovered = invert_params(probs, quad)
-            rebuilt = construct_4exp(probs, recovered)
+            rebuilt = construct_trace(probs, recovered).quad
             for x, y in zip(rebuilt.entries, quad.entries):
                 assert x == pytest.approx(y, abs=1e-9)
             assert all(0.0 <= t <= 1.0 for t in recovered.as_tuple())
+            assert (recovered.t_aprime_bprime is not None) == three
 
 
 class TestSweep:
@@ -482,11 +517,12 @@ class TestSweepMatchesLoop:
 
         monkeypatch.setattr(construction, "_side_triples", skewed)
         probs = uniform_probs()
-        with pytest.raises(ValidationError, match=r"triple marginals disagree on P\(\.\.\+\+\)"):
+        with pytest.raises(InternalInvariantError,
+                           match=r"triple marginals disagree on P\(\.\.\+\+\)"):
             step1_triples(probs, 0.125, 0.125, 0.25)
         result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
         assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
-        assert result[0] is ValidationError and "triple marginals disagree" in result[1]
+        assert result[0] is InternalInvariantError and "triple marginals disagree" in result[1]
 
 
 class TestSweepBudget:

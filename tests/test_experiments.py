@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from eprjoint import (
     ExperimentalProbs,
-    InputInconsistencyError,
     UsageError,
     ValidationError,
     construct_3exp,
@@ -41,9 +40,9 @@ class TestExpandPair:
         assert table.as_tuple() == pytest.approx((0.3, 0.7, 0.0, 0.0), abs=1e-15)
 
     def test_frechet_violation_named(self):
-        with pytest.raises(InputInconsistencyError, match=r"P\(XY\) <= P\(Y\)"):
+        with pytest.raises(ValidationError, match=r"P\(XY\) <= P\(Y\)"):
             expand_pair(0.9, 0.2, 0.5)
-        with pytest.raises(InputInconsistencyError, match=r"P\(X\) \+ P\(Y\) - 1"):
+        with pytest.raises(ValidationError, match=r"P\(X\) \+ P\(Y\) - 1"):
             expand_pair(0.9, 0.9, 0.5)
 
     @given(unit, unit, unit)

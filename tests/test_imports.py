@@ -1,8 +1,9 @@
-"""The package's import graph: which paths load numpy, and the public names
-that resolve on first access."""
+"""The package's import graph: which paths load numpy, which modules the LP
+oracle may read, and the public names that resolve on first access."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
@@ -17,17 +18,17 @@ from helpers import P_SINGLET_HIGH, P_SINGLET_LOW
 
 SRC = Path(eprjoint.__file__).resolve().parent.parent
 
-# The 42 public names, by the module that defines them.
+# The 41 public names, by the module that defines them.
 EXPORTS = {
     "chsh": ("ChshReport", "CVariant", "c_function", "chsh_probability_form"),
-    "construction": ("ConstructionTrace", "FamilyParams", "Interval", "QuadDistribution",
-                     "SweepResult", "construct_3exp", "construct_4exp", "construct_trace",
+    "construction": ("ConstructionTrace", "FamilyParams", "Interval", "SweepResult",
+                     "construct_3exp", "construct_4exp", "construct_trace",
                      "interval_p_aprime_bprime", "interval_p_dotdot", "interval_p_plusplus",
                      "interval_p_pp_bb", "invert_params", "marginal_residuals",
                      "step1_triples", "step2_quadruple"),
-    "errors": ("ChshViolationError", "EprJointError", "InputInconsistencyError",
-               "InternalInvariantError", "UsageError", "ValidationError"),
-    "experiments": ("ExperimentalProbs", "correlations_of", "frechet_bounds"),
+    "errors": ("ChshViolationError", "EprJointError", "InternalInvariantError", "UsageError",
+               "ValidationError"),
+    "experiments": ("ExperimentalProbs", "QuadDistribution", "correlations_of", "frechet_bounds"),
     "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "solve_system"),
     "quantum": ("AnalyzerSettings", "DensityMatrix", "chsh_optimal_settings",
                 "experimental_probs", "ket_state", "maximally_mixed", "singlet", "werner"),
@@ -82,10 +83,34 @@ class TestNumpyLoadsOnlyWhereArraysAreUsed:
         assert run_cli(tmp_path, [("probs", STATE)]) == {"codes": [0], "numpy": True}
 
 
+def package_imports(module: str) -> set[str]:
+    """The eprjoint modules that `module` imports, directly or through
+    others, at any depth of its code."""
+    seen, todo = set(), [module]
+    while todo:
+        tree = ast.parse((SRC / "eprjoint" / f"{todo.pop()}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for name in [node.module] if node.module else [a.name for a in node.names]:
+                    if name not in seen:
+                        seen.add(name)
+                        todo.append(name)
+    return seen
+
+
+def test_oracle_reads_no_other_route():
+    # the LP is an independent route: it may not import the construction,
+    # the CHSH test or the sweep, even through another module (the first two
+    # asserts show that the walk finds imports)
+    assert "experiments" in package_imports("oracle")
+    assert "construction" in package_imports("sweep")
+    assert package_imports("oracle").isdisjoint({"construction", "chsh", "sweep"})
+
+
 class TestPublicNames:
     def test_export_count(self):
         assert sorted(eprjoint.__all__) == sorted(name for _, name in NAMES)
-        assert len(eprjoint.__all__) == 42
+        assert len(eprjoint.__all__) == 41
 
     @pytest.mark.parametrize("module, name", NAMES)
     def test_name_resolves_to_its_module_object(self, module, name):

@@ -84,9 +84,9 @@ def test_routes_agree_near_faces_at_loose_atol():
 DEFAULT_ATOL_READERS = {
     ("cli", "RunConfig"),
     ("cli", "build_parser"),
-    ("construction", "QuadDistribution.__post_init__"),
-    ("construction", "QuadDistribution.from_raw"),
     ("experiments", "ExperimentalProbs"),
+    ("experiments", "QuadDistribution.__post_init__"),
+    ("experiments", "QuadDistribution.from_raw"),
     ("oracle", "MarginalSystem"),
     ("quantum", "DensityMatrix.__post_init__"),
     ("quantum", "_as_unit_vector"),
