@@ -33,7 +33,6 @@ from .errors import (
     ChshViolationError,
     EprJointError,
     InternalInvariantError,
-    UsageError,
     ValidationError,
 )
 from .experiments import (

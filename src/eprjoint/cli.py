@@ -20,9 +20,10 @@ seed) produces byte-identical output.  Monte Carlo sampling uses numpy's
 PCG64 generator, seeded explicitly, with inverse-CDF lookup through a
 bucket guide table: the same counts as a binary search per draw.
 
-Exit codes: 0 success, 2 validation/usage error, 3 CHSH violation, 5
-internal invariant failure (no validated input reaches it).  An error about
-one input and its bound adds "field", "value" and "bound" to its JSON.
+Exit codes, one error class each: 0 success, 2 bad input (ValidationError),
+3 CHSH violation (ChshViolationError), 5 a broken theorem that no validated
+input reaches (InternalInvariantError).  An error about one input and its
+bound adds "field", "value" and "bound" to its JSON.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .construction import (
     construct_trace,
     marginal_residuals,
 )
-from .errors import EprJointError, EXIT_OK, ValidationError
+from .errors import check_range, EprJointError, EXIT_OK, ValidationError
 from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SIGNS, SINGLE_LABELS, outcome_label, pair_marginals
 from .oracle import build_system, ROW_LABELS, solve_system
@@ -61,6 +62,7 @@ MAX_SAMPLES = 10**8
 SAMPLE_CHUNK = 1 << 16
 BUCKETS = 1 << 12
 SIGMA_LIMIT = 5.0
+_PARAM_KEYS = ("dotdot", "a_plus", "aprime_plus", "bb", "aprime_bprime")
 
 
 @dataclass(frozen=True)
@@ -76,17 +78,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValidationError(f"unknown mode {self.mode!r}")
-        if self.samples < 1:
-            raise ValidationError(f"samples must be >= 1, got {self.samples}",
-                                  field="samples", value=self.samples, bound=1)
-        if self.samples > MAX_SAMPLES:
-            raise ValidationError(
-                f"samples = {self.samples} is above the bound MAX_SAMPLES = {MAX_SAMPLES}",
-                field="samples", value=self.samples, bound=MAX_SAMPLES,
-            )
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError(f"seed must fit in 64 bits, got {self.seed}", field="seed",
-                                  value=self.seed, bound=0 if self.seed < 0 else 2**64 - 1)
+        check_range("samples", self.samples, 1, MAX_SAMPLES)
+        check_range("seed", self.seed, 0, 2**64 - 1)
 
 
 def _load_json(path: str):
@@ -147,7 +140,7 @@ def _parse_state(spec) -> DensityMatrix:
             return werner(_finite(p, text, "field 'state' werner parameter", "state"))
         if spec.startswith("ket:"):
             return ket_state(spec.split(":", 1)[1])
-        raise ValidationError(f"unknown named state {spec!r}")
+        raise ValidationError(f"unknown named state {spec!r}", field="state", value=spec)
     if isinstance(spec, list):
         if len(spec) != 16:
             raise ValidationError(f"state matrix needs 16 entries, got {len(spec)}",
@@ -161,7 +154,8 @@ def _parse_state(spec) -> DensityMatrix:
                         _number(im, "field 'state' entry", "state"))
                 for re, im in spec]
         return DensityMatrix([flat[row:row + 4] for row in range(0, 16, 4)])
-    raise ValidationError("field 'state' must be a name or 16 [re, im] pairs")
+    raise ValidationError("field 'state' must be a name or 16 [re, im] pairs", field="state",
+                          value=repr(spec))
 
 
 def _parse_vector(obj, name: str) -> tuple[float, float, float]:
@@ -211,7 +205,11 @@ def _load_probs(config: RunConfig) -> ExperimentalProbs:
 def parse_params(obj) -> FamilyParams:
     t = _require(obj, "t", "parameter file")
     if not isinstance(t, dict):
-        raise ValidationError("parameter field 't' must be an object")
+        raise ValidationError("parameter field 't' must be an object", field="t", value=repr(t))
+    unknown = [key for key in t if key not in _PARAM_KEYS]
+    if unknown:
+        raise ValidationError(f"unknown parameter field 't.{unknown[0]}' (expected one of "
+                              f"{', '.join(_PARAM_KEYS)})", field=f"t.{unknown[0]}")
     bb = t.get("bb", (0.5, 0.5, 0.5, 0.5))
     if not isinstance(bb, (list, tuple)) or len(bb) != 4:
         raise ValidationError("parameter field 't.bb' must hold 4 numbers", field="t.bb",
@@ -247,12 +245,11 @@ def _parse_grid(spec: str, axes: int) -> list[float]:
             axis = [0.5] if n == 1 else [i / (n - 1) for i in range(n)]
     except ValueError as exc:
         raise ValidationError(
-            f"bad grid spec {spec!r}: expected a point count or comma-separated fractions"
+            f"bad grid spec {spec!r}: expected a point count or comma-separated fractions",
+            field="--grid", value=spec,
         ) from exc
     for v in axis:
-        if not 0.0 <= v <= 1.0:
-            raise ValidationError(f"grid fraction {v!r} is outside [0, 1]", field="--grid",
-                                  value=v, bound=0.0 if v < 0.0 else 1.0 if v > 1.0 else None)
+        check_range("--grid", v, 0.0, 1.0)
     return axis
 
 

@@ -22,12 +22,7 @@ from itertools import product
 from typing import Sequence
 
 from .chsh import chsh_probability_form
-from .errors import (
-    ChshViolationError,
-    InternalInvariantError,
-    UsageError,
-    ValidationError,
-)
+from .errors import ChshViolationError, InternalInvariantError, ValidationError, check_range
 from .experiments import (
     ExperimentalProbs,
     QuadDistribution,
@@ -65,8 +60,7 @@ class Interval:
 
     def pick(self, t: float) -> float:
         """The point at fraction t of the interval, clamped inside it."""
-        if not 0.0 <= t <= 1.0:
-            raise ValidationError(f"parameter fraction t = {t!r} is outside [0, 1]")
+        check_range("t", t, 0.0, 1.0)
         if self.hi <= self.lo:
             return (self.lo + self.hi) / 2.0
         return min(max(self.lo + t * self.width, self.lo), self.hi)
@@ -109,11 +103,7 @@ class FamilyParams:
         if self.t_aprime_bprime is not None:
             named.append(("t_aprime_bprime", self.t_aprime_bprime))
         for name, value in named:
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"{name} = {value!r} is outside [0, 1]", field=name, value=value,
-                    bound=0.0 if value < 0.0 else 1.0 if value > 1.0 else None,
-                )
+            check_range(name, value, 0.0, 1.0)
 
     def as_tuple(self) -> tuple[float, ...]:
         """The fractions in construction order, t_aprime_bprime first when set."""
@@ -257,7 +247,7 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
     [-triples.atol, 0) are zeroed.
     """
     if len(p_pp_bb) != 4:
-        raise UsageError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
+        raise ValidationError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
     entries = [0.0] * 16
     for k, chosen in enumerate(p_pp_bb):
         # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
@@ -366,7 +356,7 @@ def construct_3exp(
     """A joint distribution fitting the three measured experiments, together
     with the chosen P(A'B').  Works for every validated input."""
     if probs.p_apbp is not None:
-        raise UsageError(
+        raise ValidationError(
             "three-experiment construction takes probabilities without P(A'B'); "
             "drop it with without_aprime_bprime()"
         )
@@ -443,7 +433,7 @@ class SweepResult:
 
 
 def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None:
-    """UsageError, naming field, when a sweep with `points` values on each of
+    """ValidationError, naming field, when a sweep with `points` values on each of
     `axes` axes would evaluate more than SWEEP_MAX_CELLS block cells,
     4 * points**(axes - 3); its bound is the most points per axis allowed."""
     cells = 4 * points ** (axes - 3)
@@ -451,7 +441,7 @@ def check_sweep_budget(points: int, axes: int, field: str = "len(axis)") -> None
         limit = 1
         while 4 * (limit + 1) ** (axes - 3) <= SWEEP_MAX_CELLS:
             limit += 1
-        raise UsageError(
+        raise ValidationError(
             f"{field} = {points}: the {axes}-axis sweep needs 4*{points}^{axes - 3} = "
             f"{cells} block cells, above the bound SWEEP_MAX_CELLS = {SWEEP_MAX_CELLS} "
             f"(at most {limit} points per axis)",

@@ -1,4 +1,5 @@
-"""Exception hierarchy and the process exit codes the CLI maps them to."""
+"""Exception classes, one per process exit code (2 bad input, 3 a CHSH
+violation, 5 a broken theorem), and check_range, the one range check."""
 
 from __future__ import annotations
 
@@ -29,13 +30,8 @@ class EprJointError(Exception):
 
 
 class ValidationError(EprJointError):
-    """A value failed its construction-time invariants (bad state, direction, probability)."""
-
-    exit_code = EXIT_VALIDATION
-
-
-class UsageError(EprJointError):
-    """An operation was called outside its contract (missing P(A'B'), wrong value count)."""
+    """Bad input: a value outside its range (a state, direction, probability,
+    fraction), or a call outside its contract (a missing P(A'B'))."""
 
     exit_code = EXIT_VALIDATION
 
@@ -57,3 +53,11 @@ class InternalInvariantError(EprJointError):
     """A condition the paper guarantees failed; no validated input reaches it."""
 
     exit_code = EXIT_INTERNAL
+
+
+def check_range(field: str, value, lo, hi) -> None:
+    """ValidationError naming field and value unless lo <= value <= hi; its
+    bound is the one broken, None for NaN."""
+    if not lo <= value <= hi:
+        raise ValidationError(f"{field} = {value!r} is outside [{lo!r}, {hi!r}]", field=field,
+                              value=value, bound=lo if value < lo else hi if value > hi else None)

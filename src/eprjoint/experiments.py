@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .errors import UsageError, ValidationError
+from .errors import ValidationError, check_range
 from .indexing import _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
 
 _SINGLE_FIELDS = tuple(zip(("p_a", "p_ap", "p_b", "p_bp"), SINGLE_LABELS))
 _PAIR_FIELDS = tuple(zip(("p_ab", "p_abp", "p_apb", "p_apbp"), PAIR_LABELS, PAIR_SLOTS))
+_QUAD_FIELDS = tuple(f"P({label})" for label in _QUAD_LABELS)
 
 
 def correlation_from_pair(p_xy: float, p_x: float, p_y: float) -> float:
@@ -68,11 +69,7 @@ class ExperimentalProbs:
     atol: float = field(default=DEFAULT_ATOL, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1e-12 <= self.atol <= 1e-6:
-            raise ValidationError(
-                f"atol = {self.atol!r} is outside [1e-12, 1e-6]", field="atol", value=self.atol,
-                bound=1e-12 if self.atol < 1e-12 else 1e-6 if self.atol > 1e-6 else None,
-            )
+        check_range("atol", self.atol, 1e-12, 1e-6)
         for name, label in _SINGLE_FIELDS:
             self._project(name, label, "unit-interval", 0.0, 1.0)
         singles = self.singles()
@@ -83,6 +80,8 @@ class ExperimentalProbs:
         value = getattr(self, name)
         if lo <= value <= hi:
             return
+        if value != value:  # NaN: no bound is broken
+            raise ValidationError(f"P({label}) = nan is not a number", field=label, value=value)
         if not lo - self.atol <= value <= hi + self.atol:
             side, bound = ("lower", lo) if value < lo else ("upper", hi)
             raise ValidationError(
@@ -104,7 +103,8 @@ class ExperimentalProbs:
 
     def require_all_four(self) -> float:
         if self.p_apbp is None:
-            raise UsageError("P(A'B') is missing: this operation needs all four experiments")
+            raise ValidationError("P(A'B') is missing: this operation needs all four experiments",
+                                  field="A'B'")
         return self.p_apbp
 
     def without_aprime_bprime(self) -> "ExperimentalProbs":
@@ -130,9 +130,8 @@ class QuadDistribution:
         object.__setattr__(self, "entries", entries)
         if len(entries) != 16:
             raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
-        for label, value in zip(_QUAD_LABELS, entries):
-            if value < -DEFAULT_ATOL:
-                raise ValidationError(f"P({label}) = {value!r} is negative")
+        for field_name, value in zip(_QUAD_FIELDS, entries):
+            check_range(field_name, value, -DEFAULT_ATOL, 1.0 + DEFAULT_ATOL)
         total = sum(entries)
         if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"quadruple table sums to {total!r}, not 1")

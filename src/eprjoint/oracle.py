@@ -30,10 +30,11 @@ feasible when its max-min entry is >= 0.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, ValidationError, check_range
 from .experiments import DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS, marginal_indices
 
@@ -55,7 +56,7 @@ class MarginalSystem:
     """The nine marginal equalities STANDARD_ROWS (0/1 coefficients) with
     their rhs values, and the tolerance atol of the feasibility decision.
 
-    Row order matches ROW_LABELS.  rhs entries may be floats or exact
+    Row order matches ROW_LABELS.  rhs entries may be finite floats or exact
     Fractions; Fractions switch the solver to exact arithmetic.
     """
 
@@ -64,8 +65,11 @@ class MarginalSystem:
 
     def __post_init__(self) -> None:
         if len(self.rhs) != 9:
-            raise UsageError(f"marginal system needs 9 rhs values, got {len(self.rhs)}")
+            raise ValidationError(f"marginal system needs 9 rhs values, got {len(self.rhs)}")
         object.__setattr__(self, "rhs", tuple(self.rhs))
+        for label, v in zip(ROW_LABELS, self.rhs):
+            if isinstance(v, float):
+                check_range(label, v, -sys.float_info.max, sys.float_info.max)
 
     @property
     def exact(self) -> bool:

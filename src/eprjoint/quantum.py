@@ -112,7 +112,8 @@ def singlet() -> DensityMatrix:
 def ket_state(bits: str) -> DensityMatrix:
     """Computational-basis product state |b1 b2><b1 b2| for bits in {00,01,10,11}."""
     if bits not in ("00", "01", "10", "11"):
-        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits")
+        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits",
+                              field="state", value=bits)
     ket = np.zeros(4, dtype=complex)
     ket[int(bits, 2)] = 1.0
     return DensityMatrix(np.outer(ket, ket.conj()))

@@ -3,12 +3,12 @@
 The one module of the construction layer that needs numpy: sweep_grid
 evaluates the scalar maps of construction on whole arrays of grid points,
 with the same float operations, so its result equals enumerating the grid
-through them.
+through them.  A pass that fails one of their checks, which no validated
+input does, raises InternalInvariantError naming P(..++) and the checks.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -17,18 +17,14 @@ import numpy as np
 # runs whatever the scalar maps run, also where a test replaces them.
 from . import construction
 from .construction import (
-    BB_BLOCKS,
     FamilyParams,
-    Interval,
     SweepResult,
     check_sweep_budget,
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
-    interval_p_pp_bb,
-    step1_triples,
 )
-from .errors import InternalInvariantError, UsageError
+from .errors import InternalInvariantError, ValidationError
 from .experiments import ExperimentalProbs
 
 
@@ -78,12 +74,12 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     exactly over blocks.  Every float operation is the scalar maps' own, so
     the result equals enumerating the grid through them, ties going to the
     first grid point in loop order.  A pass that fails one of their checks
-    is replayed through them to raise their error.  UsageError when the
-    grid exceeds SWEEP_MAX_CELLS block cells (see check_sweep_budget).
+    raises InternalInvariantError.  ValidationError when the axis is empty
+    or the grid exceeds SWEEP_MAX_CELLS block cells (see check_sweep_budget).
     """
     axis = [float(t) for t in axis]
     if not axis:
-        raise UsageError("sweep needs at least one grid value per axis")
+        raise ValidationError("sweep needs at least one grid value per axis")
     n = len(axis)
     check_sweep_budget(n, 7 if probs.has_all_four else 8)
     if probs.has_all_four:
@@ -115,9 +111,13 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
             total = 0.0 + pa[:4, :, None] + pa[4:, :, None]
             total_ap = 0.0 + pap[:4, None, :] + pap[4:, None, :]
             lo, hi = _first_max(0.0, row + col - total), _first_min(row, col)
-            if ((pa < -atol).any() or (pap < -atol).any()
-                    or (np.abs(total - total_ap) > atol).any() or (lo - hi > atol).any()):
-                _replay_pass(full, a_interval, ap_interval, p0, axis)
+            failed = [check for check, bad in (
+                ("negative triple probabilities", (pa < -atol).any() or (pap < -atol).any()),
+                ("triple marginals disagree", (np.abs(total - total_ap) > atol).any()),
+                ("empty P(++bb') interval", (lo - hi > atol).any()),
+            ) if bad]
+            if failed:
+                raise InternalInvariantError(f"sweep pass at P(..++) = {p0!r}: {', '.join(failed)}")
 
             # Cells of every block at every t: shape (4 blocks, t1, t2, t).
             row, col, total = row[..., None], col[..., None], total[..., None]
@@ -146,16 +146,3 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
         best_min_entry=best_min_entry,
         best_params=best_params,
     )
-
-
-def _replay_pass(
-    probs: ExperimentalProbs, a_interval: Interval, ap_interval: Interval, p_dotdot: float,
-    axis: Sequence[float],
-) -> None:
-    """Rerun one sweep pass through the scalar maps, which raise the first
-    error in loop order (the same floats fail the same checks)."""
-    for t1, t2 in product(axis, repeat=2):
-        triples = step1_triples(probs, a_interval.pick(t1), ap_interval.pick(t2), p_dotdot)
-        for b, bp in BB_BLOCKS:
-            interval_p_pp_bb(triples, b, bp)
-    raise InternalInvariantError("a sweep pass failed a check that the scalar maps pass")

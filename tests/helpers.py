@@ -29,7 +29,6 @@ from eprjoint import (
     MarginalSystem,
     QuadDistribution,
     SweepResult,
-    UsageError,
     ValidationError,
     chsh_optimal_settings,
     experimental_probs,
@@ -351,7 +350,7 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
     t2) through the scalar maps; the array sweep must equal it exactly."""
     axis = [float(t) for t in axis]
     if not axis:
-        raise UsageError("sweep needs at least one grid value per axis")
+        raise ValidationError("sweep needs at least one grid value per axis")
     if probs.has_all_four:
         completions = [(None, probs)]
         total_points = len(axis) ** 7
@@ -467,7 +466,7 @@ class _Simplex:
             tableau[i][self.N_STRUCT + i] = self.one  # artificial
             tableau[i][-1] = cast(system.rhs[i]) + cast(row_sums[i])
             if tableau[i][-1] < self.zero:
-                raise UsageError(
+                raise ValidationError(
                     f"rhs for row {ROW_LABELS[i]!r} is below the representable range"
                 )
         self.tableau = tableau

@@ -280,7 +280,7 @@ class TestSweepMode:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         error = json.loads(err)
-        assert error["error"] == "UsageError"
+        assert error["error"] == "ValidationError"
         assert field in error["message"] and str(SWEEP_MAX_CELLS) in error["message"]
 
     def test_three_experiment_params_reproduce_tables(self, write_json, capsys):
@@ -375,7 +375,7 @@ class TestMcVerifyMode:
             assert code == 2
             assert time.perf_counter() - start < 1.0
         # the bound is a constant; the error names the field, value and bound
-        assert "samples = 1000000000000" in err and "MAX_SAMPLES = 100000000" in err
+        assert "samples = 1000000000000 is outside [1, 100000000]" in err
 
 
 SAMPLE_SIZES = (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 12_345)
@@ -554,10 +554,29 @@ class TestStructuredErrors:
             singles = [json.loads(out)["probs"]["singles"] for _, out, _ in runs]
             assert singles[0]["B"] == singles[1]["B"] == 1.0
 
-    def test_errors_without_a_bound_add_no_keys(self, write_json, capsys):
-        error = self.error_of(capsys, "--mode", "chsh", "--input",
-                              write_json("x.json", {**SINGLET_STATE, "state": "bogus"}))
+    def test_errors_without_a_bound_add_no_keys(self, capsys, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("{")
+        error = self.error_of(capsys, "--mode", "chsh", "--input", str(path))
         assert set(error) == {"error", "message"}
+
+    @pytest.mark.parametrize("mode, payload, flags, field, value", [
+        ("probs", {**SINGLET_STATE, "state": "bogus"}, {}, "state", "bogus"),
+        ("probs", {**SINGLET_STATE, "state": "ket:2"}, {}, "state", "2"),
+        ("probs", {**SINGLET_STATE, "state": 5}, {}, "state", "5"),
+        ("construct4", UNIFORM_PROBS, {"--params": {"t": [0.5]}}, "t", "[0.5]"),
+        ("construct4", UNIFORM_PROBS, {"--params": {"t": {"dotdott": 0.0}}}, "t.dotdott", None),
+        ("sweep", UNIFORM_PROBS, {"--grid": "abc"}, "--grid", "abc"),
+        ("sweep", UNIFORM_PROBS, {"--grid": "0"}, "--grid", "0"),
+        ("construct4", SINGLET_PROBS_3, {}, "A'B'", None),
+    ], ids=["unknown_state", "unsupported_ket", "state_not_name_or_list", "t_not_object",
+            "unknown_t_key", "grid_not_parsed", "grid_zero_points", "missing_aprime_bprime"])
+    def test_field_without_a_bound(self, write_json, capsys, mode, payload, flags, field, value):
+        argv = ["--mode", mode, "--input", write_json("in.json", payload)]
+        for flag, arg in flags.items():
+            argv += [flag, write_json("t.json", arg) if flag == "--params" else arg]
+        error = self.error_of(capsys, *argv)
+        assert (error["field"], error.get("value"), "bound" in error) == (field, value, False)
 
     @pytest.mark.parametrize("flag, text, kind", [
         ("--samples", "abc", "int"), ("--seed", "x", "int"), ("--tolerance", "abc", "float"),
@@ -582,7 +601,7 @@ class TestStructuredErrors:
         path = write_json("u.json", UNIFORM_PROBS)
         error = self.error_of(capsys, "--mode", "chsh", "--input", path, "--seed", str(seed))
         assert (error["field"], error["value"], error["bound"]) == ("seed", seed, bound)
-        assert error["message"] == f"seed must fit in 64 bits, got {seed}"
+        assert error["message"] == f"seed = {seed} is outside [0, {2**64 - 1}]"
 
     @pytest.mark.parametrize("tolerance, value, bound", [
         ("1e-13", 1e-13, 1e-12), ("0.1", 0.1, 1e-6), ("inf", "inf", 1e-6), ("nan", "nan", None),
@@ -612,7 +631,7 @@ class TestStructuredErrors:
         path = write_json("u.json", UNIFORM_PROBS)
         error = self.error_of(capsys, "--mode", "sweep", "--input", path, f"--grid={grid}")
         assert (error["field"], error["value"], error.get("bound")) == ("--grid", value, bound)
-        assert error["message"].endswith("is outside [0, 1]")
+        assert error["message"].endswith("is outside [0.0, 1.0]")
 
 
 class TestInputHandling:

@@ -16,7 +16,6 @@ from eprjoint import (
     FamilyParams,
     InternalInvariantError,
     QuadDistribution,
-    UsageError,
     ValidationError,
     c_function,
     chsh_probability_form,
@@ -334,9 +333,9 @@ class TestIntervalAprimeBprime:
         assert worst <= 1e-10
 
     def test_requires_missing_fourth(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             construct_3exp(uniform_probs())
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             construct_4exp(uniform_probs().without_aprime_bprime())
 
 
@@ -494,21 +493,22 @@ class TestSweepMatchesLoop:
         self.assert_identical(singlet_optimal_probs(), [0.0, 1.0])
         self.assert_identical(uniform_probs(), [0.0, 1.5])
 
-    def test_failed_pass_raises_the_scalar_error(self, monkeypatch):
+    def test_failed_pass_raises_internal_error(self, monkeypatch):
         # a skewed table rule makes every step-1 triple negative: the pass's
-        # check fails and the replay raises step1_triples' own error
+        # check fails, as step1_triples' own check does
         def skewed(row, col, total, pp):
             return pp, row - pp - 0.5, col - pp, total + pp - row - col
 
         monkeypatch.setattr(construction, "frechet_cells", skewed)
         probs = uniform_probs()
-        result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
-        assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
-        assert result[0] is InternalInvariantError and "negative entry" in result[1]
+        assert sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])[0] is InternalInvariantError
+        with pytest.raises(InternalInvariantError,
+                           match=r"sweep pass at P\(\.\.\+\+\) = 0\.\d+: negative triple"):
+            sweep_grid(probs, [0.0, 1.0])
 
     def test_disagreeing_triple_marginals_raise(self, monkeypatch):
         # a skewed primed side: P(.+++) gains 0.01, so the two sides' P(..++)
-        # disagree; step1_triples raises, and the sweep's replay raises the same
+        # disagree; step1_triples raises, and so does the sweep's pass
         side_triples = construction._side_triples
 
         def skewed(probs, primed, chosen, p_dotdot):
@@ -520,9 +520,8 @@ class TestSweepMatchesLoop:
         with pytest.raises(InternalInvariantError,
                            match=r"triple marginals disagree on P\(\.\.\+\+\)"):
             step1_triples(probs, 0.125, 0.125, 0.25)
-        result = sweep_outcome(sweep_grid, probs, [0.0, 1.0])
-        assert result == sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])
-        assert result[0] is InternalInvariantError and "triple marginals disagree" in result[1]
+        with pytest.raises(InternalInvariantError, match="triple marginals disagree"):
+            sweep_grid(probs, [0.0, 1.0])
 
 
 class TestSweepBudget:
@@ -534,7 +533,7 @@ class TestSweepBudget:
     @pytest.mark.parametrize("points, three", [(46, False), (22, True)])
     def test_oversized_sweep_rejected(self, points, three):
         probs = uniform_probs().without_aprime_bprime() if three else uniform_probs()
-        with pytest.raises(UsageError) as err:
+        with pytest.raises(ValidationError) as err:
             sweep_grid(probs, [0.5] * points)
         message = str(err.value)
         cells = 4 * points ** (5 if three else 4)
@@ -554,8 +553,20 @@ class TestQuadDistribution:
     def test_rejects_large_negative(self):
         entries = [0.0625] * 16
         entries[0] = -1e-6
-        with pytest.raises(ValidationError, match="negative"):
+        with pytest.raises(ValidationError,
+                           match=r"P\(\+\+\+\+\) = -1\.\d+e-06 is outside \[-1e-09,"):
             QuadDistribution.from_raw(entries)
+
+    @pytest.mark.parametrize("entries, field, value, bound", [
+        ((math.nan,) * 16, "P(++++)", "nan", None),
+        ((0.0625,) * 15 + (math.inf,), "P(----)", "inf", 1.0 + 1e-9),
+        ((0.0625,) * 5 + (-math.inf,) + (0.0625,) * 10, "P(+-+-)", "-inf", -1e-9),
+    ], ids=["nan", "inf", "-inf"])
+    def test_rejects_non_finite_entries(self, entries, field, value, bound):
+        # a NaN table used to pass, and marginal_residuals then read 0.0 for it
+        with pytest.raises(ValidationError) as info:
+            QuadDistribution(entries)
+        assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValidationError, match="sums"):
@@ -604,7 +615,7 @@ class TestFamilyParams:
             ({"t_aprime_bprime": 2.0}, "t_aprime_bprime", 2.0, 1.0),
             ({"t_aplus": math.nan}, "t_aplus", "nan", None),
         ]:
-            with pytest.raises(ValidationError, match=r"is outside \[0, 1\]") as info:
+            with pytest.raises(ValidationError, match=r"is outside \[0\.0, 1\.0\]") as info:
                 FamilyParams(**kwargs)
             assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)
 

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 
 from eprjoint import (
     ExperimentalProbs,
-    UsageError,
     ValidationError,
     construct_3exp,
     construct_4exp,
@@ -67,7 +66,7 @@ class TestCorrelationsOf:
         assert correlations_of(probs)[0] == pytest.approx(-SQRT2 / 2, abs=1e-12)
 
     def test_requires_all_four(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             correlations_of(uniform_probs().without_aprime_bprime())
 
 
@@ -128,6 +127,15 @@ class TestValidation:
             with pytest.raises(ValidationError, match="atol"):
                 ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25, atol=atol)
 
+    @pytest.mark.parametrize("index", range(8))
+    def test_nan_breaks_no_bound(self, index):
+        values = [0.5] * 4 + [0.25] * 4
+        values[index] = math.nan
+        with pytest.raises(ValidationError, match="is not a number") as info:
+            ExperimentalProbs(*values)
+        label = ("A", "A'", "B", "B'", "AB", "AB'", "A'B", "A'B'")[index]
+        assert (info.value.field, info.value.value, info.value.bound) == (label, "nan", None)
+
     def test_projection_onto_domain(self):
         # singles are clamped first, then each double into its Fréchet bounds
         probs = ExperimentalProbs(1.0 + 4e-10, 0.5, 1.0, 0.5, 1.0 + 8e-10, 0.5, 0.5,
@@ -140,7 +148,7 @@ class TestValidation:
     def test_three_experiment_skips_missing_pair(self):
         probs = ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, None)
         assert not probs.has_all_four
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             probs.require_all_four()
 
     def test_quantum_probs_always_valid(self):

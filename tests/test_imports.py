@@ -18,7 +18,7 @@ from helpers import P_SINGLET_HIGH, P_SINGLET_LOW
 
 SRC = Path(eprjoint.__file__).resolve().parent.parent
 
-# The 41 public names, by the module that defines them.
+# The 40 public names, by the module that defines them.
 EXPORTS = {
     "chsh": ("ChshReport", "CVariant", "c_function", "chsh_probability_form"),
     "construction": ("ConstructionTrace", "FamilyParams", "Interval", "SweepResult",
@@ -26,7 +26,7 @@ EXPORTS = {
                      "interval_p_aprime_bprime", "interval_p_dotdot", "interval_p_plusplus",
                      "interval_p_pp_bb", "invert_params", "marginal_residuals",
                      "step1_triples", "step2_quadruple"),
-    "errors": ("ChshViolationError", "EprJointError", "InternalInvariantError", "UsageError",
+    "errors": ("ChshViolationError", "EprJointError", "InternalInvariantError",
                "ValidationError"),
     "experiments": ("ExperimentalProbs", "QuadDistribution", "correlations_of", "frechet_bounds"),
     "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "solve_system"),
@@ -110,7 +110,7 @@ def test_oracle_reads_no_other_route():
 class TestPublicNames:
     def test_export_count(self):
         assert sorted(eprjoint.__all__) == sorted(name for _, name in NAMES)
-        assert len(eprjoint.__all__) == 41
+        assert len(eprjoint.__all__) == 40
 
     @pytest.mark.parametrize("module, name", NAMES)
     def test_name_resolves_to_its_module_object(self, module, name):

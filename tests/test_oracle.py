@@ -13,7 +13,6 @@ from eprjoint import (
     ChshViolationError,
     ExperimentalProbs,
     MarginalSystem,
-    UsageError,
     ValidationError,
     build_system,
     chsh_probability_form,
@@ -79,8 +78,21 @@ class TestSystemStructure:
             (P_SINGLET_LOW,) * 3 + (P_SINGLET_HIGH,), abs=1e-15
         )
 
+    @pytest.mark.parametrize("index, bad, bound", [
+        (7, math.nan, None), (0, math.inf, 1.7976931348623157e308),
+        (4, -math.inf, -1.7976931348623157e308),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_rhs_rejected(self, index, bad, bound):
+        # a NaN rhs used to solve to feasible=False, value=nan in 0 pivots
+        values = [0.5] * 4 + [0.25] * 4
+        values[index] = bad
+        with pytest.raises(ValidationError) as info:
+            MarginalSystem.from_values(*values)
+        assert (info.value.field, info.value.value, info.value.bound) == (
+            ROW_LABELS[index + 1], repr(bad), bound)
+
     def test_three_experiments_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValidationError):
             build_system(uniform_probs().without_aprime_bprime())
 
 

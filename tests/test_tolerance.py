@@ -28,6 +28,7 @@ from eprjoint import (
     marginal_residuals,
     solve_system,
 )
+from eprjoint import errors
 from eprjoint.experiments import DEFAULT_ATOL
 from helpers import near_face_inputs
 
@@ -94,26 +95,51 @@ DEFAULT_ATOL_READERS = {
 }
 
 
-def default_atol_readers(tree: ast.AST, scope: str = "") -> set[str]:
-    """Qualified names of the innermost class or function around each read
-    of DEFAULT_ATOL (a function's defaults count as the function's)."""
+def scopes_where(match, tree: ast.AST, scope: str = "") -> set[str]:
+    """Qualified names of the innermost class or function around each node
+    that match accepts (a function's defaults count as the function's)."""
     found = set()
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            found |= default_atol_readers(node, f"{scope}.{node.name}".lstrip("."))
-        elif (isinstance(node, ast.Name) and node.id == "DEFAULT_ATOL"
-              and isinstance(node.ctx, ast.Load)):
+            found |= scopes_where(match, node, f"{scope}.{node.name}".lstrip("."))
+        elif match(node):
             found.add(scope or "<module>")
         else:
-            found |= default_atol_readers(node, scope)
+            found |= scopes_where(match, node, scope)
     return found
 
 
-def test_default_atol_read_only_where_allowed():
+def package_scopes(match) -> set[tuple[str, str]]:
+    """(module, scope) of every node of src/eprjoint that match accepts."""
     package = Path(eprjoint.__file__).parent
-    readers = {
+    return {
         (path.stem, name)
         for path in sorted(package.glob("*.py"))
-        for name in default_atol_readers(ast.parse(path.read_text()))
+        for name in scopes_where(match, ast.parse(path.read_text()))
     }
+
+
+def test_default_atol_read_only_where_allowed():
+    readers = package_scopes(lambda node: isinstance(node, ast.Name)
+                             and node.id == "DEFAULT_ATOL" and isinstance(node.ctx, ast.Load))
     assert readers == DEFAULT_ATOL_READERS
+
+
+def test_bound_from_a_comparison_only_in_check_range():
+    # errors.check_range is the one place that picks the broken bound of a
+    # range (lo if value < lo else hi if value > hi else None)
+    def compared_bound(node):
+        return (isinstance(node, ast.keyword) and node.arg == "bound"
+                and any(isinstance(n, ast.Compare) for n in ast.walk(node.value)))
+
+    assert package_scopes(compared_bound) == {("errors", "check_range")}
+
+
+def test_one_error_class_per_exit_code():
+    # each failing exit code has one class, so the class alone decides it
+    defined = [v for v in vars(errors).values()
+               if isinstance(v, type) and v.__module__ == errors.__name__]
+    exit_codes = [c.exit_code for c in defined
+                  if issubclass(c, errors.EprJointError) and c is not errors.EprJointError]
+    codes = {v for name, v in vars(errors).items() if name.startswith("EXIT_")}
+    assert sorted(exit_codes) == sorted(codes - {errors.EXIT_OK})
