@@ -15,7 +15,7 @@ report reads its s-values from the same C.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .experiments import ExperimentalProbs
 
@@ -56,8 +56,7 @@ def c_function(probs: ExperimentalProbs, variant: CVariant) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """Joint result of both CHSH forms for one set of measured probabilities.
 
     s_values: correlation-form combinations ordered (A, A', B, B').

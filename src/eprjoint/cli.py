@@ -32,10 +32,9 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import product
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .chsh import ChshReport, CVariant, chsh_probability_form
 from .construction import (
@@ -65,21 +64,27 @@ SIGMA_LIMIT = 5.0
 _PARAM_KEYS = ("dotdot", "a_plus", "aprime_plus", "bb", "aprime_bprime")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     mode: str
     input_path: str
-    params: FamilyParams | None = None
-    seed: int = 0
-    samples: int = DEFAULT_SAMPLES
-    grid: str = "5"
-    tolerance: float = DEFAULT_ATOL
+    params: FamilyParams | None
+    seed: int
+    samples: int
+    grid: str
+    tolerance: float
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValidationError(f"unknown mode {self.mode!r}")
-        check_range("samples", self.samples, 1, MAX_SAMPLES)
-        check_range("seed", self.seed, 0, 2**64 - 1)
+
+class RunConfig(_RunFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
+
+    def __new__(cls, mode, input_path, params=None, seed=0, samples=DEFAULT_SAMPLES, grid="5",
+                tolerance=DEFAULT_ATOL):
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}")
+        check_range("samples", samples, 1, MAX_SAMPLES)
+        check_range("seed", seed, 0, 2**64 - 1)
+        return super().__new__(cls, mode, input_path, params, seed, samples, grid, tolerance)
 
 
 def _load_json(path: str):
@@ -275,13 +280,7 @@ def _chsh_payload(report: ChshReport) -> dict:
 def _trace_payload(trace: ConstructionTrace) -> dict:
     residuals, worst = marginal_residuals(trace.quad, trace.probs)
     payload = {
-        "params_t": {
-            "dotdot": trace.params.t_dotdot,
-            "a_plus": trace.params.t_aplus,
-            "aprime_plus": trace.params.t_aprimeplus,
-            "bb": list(trace.params.t_bb),
-            "aprime_bprime": trace.params.t_aprime_bprime,
-        },
+        "params_t": dict(zip(_PARAM_KEYS, trace.params)),  # FamilyParams' field order
         "intervals": {k: [iv.lo, iv.hi] for k, iv in trace.intervals.items()},
         "chosen": dict(trace.chosen),
         "distribution": trace.quad.labeled(),

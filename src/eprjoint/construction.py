@@ -17,9 +17,8 @@ in a fixed order (P(..++); P(+.++); P(.+++); P(++bb') lexicographically in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .chsh import chsh_probability_form
 from .errors import ChshViolationError, InternalInvariantError, ValidationError, check_range
@@ -45,8 +44,7 @@ _BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
 SWEEP_MAX_CELLS = 1 << 24
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(NamedTuple):
     """A closed feasible interval.  Construction code declares it empty only
     when lo - hi exceeds the input's atol; a slightly inverted interval
     (lo > hi within atol) stands for its midpoint."""
@@ -75,35 +73,41 @@ class Interval:
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
 
 
-@dataclass(frozen=True)
-class FamilyParams:
+class _FamilyFields(NamedTuple):
+    t_dotdot: float
+    t_aplus: float
+    t_aprimeplus: float
+    t_bb: tuple[float, float, float, float]
+    t_aprime_bprime: float | None
+
+
+class FamilyParams(_FamilyFields):
     """Fractions t in [0, 1] positioning each free parameter in its interval.
 
     t_aprime_bprime applies only to the three-experiment construction and is
     ignored otherwise; None means the default midpoint.
     """
 
-    t_dotdot: float = 0.5
-    t_aplus: float = 0.5
-    t_aprimeplus: float = 0.5
-    t_bb: tuple[float, float, float, float] = (0.5, 0.5, 0.5, 0.5)
-    t_aprime_bprime: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t_bb", tuple(float(t) for t in self.t_bb))
-        if len(self.t_bb) != 4:
-            raise ValidationError(f"t_bb needs 4 entries, got {len(self.t_bb)}",
-                                  field="t_bb", value=len(self.t_bb), bound=4)
+    def __new__(cls, t_dotdot=0.5, t_aplus=0.5, t_aprimeplus=0.5, t_bb=(0.5, 0.5, 0.5, 0.5),
+                t_aprime_bprime=None):
+        t_bb = tuple(float(t) for t in t_bb)
+        if len(t_bb) != 4:
+            raise ValidationError(f"t_bb needs 4 entries, got {len(t_bb)}",
+                                  field="t_bb", value=len(t_bb), bound=4)
         named = [
-            ("t_dotdot", self.t_dotdot),
-            ("t_aplus", self.t_aplus),
-            ("t_aprimeplus", self.t_aprimeplus),
-            *((f"t_bb[{i}]", t) for i, t in enumerate(self.t_bb)),
+            ("t_dotdot", t_dotdot),
+            ("t_aplus", t_aplus),
+            ("t_aprimeplus", t_aprimeplus),
+            *((f"t_bb[{i}]", t) for i, t in enumerate(t_bb)),
         ]
-        if self.t_aprime_bprime is not None:
-            named.append(("t_aprime_bprime", self.t_aprime_bprime))
+        if t_aprime_bprime is not None:
+            named.append(("t_aprime_bprime", t_aprime_bprime))
         for name, value in named:
             check_range(name, value, 0.0, 1.0)
+        return super().__new__(cls, t_dotdot, t_aplus, t_aprimeplus, t_bb, t_aprime_bprime)
 
     def as_tuple(self) -> tuple[float, ...]:
         """The fractions in construction order, t_aprime_bprime first when set."""
@@ -111,8 +115,11 @@ class FamilyParams:
         return rest if self.t_aprime_bprime is None else (self.t_aprime_bprime, *rest)
 
 
-@dataclass(frozen=True)
-class TripleProbs:
+# The parameters of a call without any: immutable, so one instance serves all.
+_DEFAULT_PARAMS = FamilyParams()
+
+
+class TripleProbs(NamedTuple):
     """The sixteen triple probabilities P(a.bb') and P(.a'bb') of step 1.
 
     Indexed 4*i(first sign) + k, k = 2*i(b) + i(b') the BB_BLOCKS index,
@@ -121,7 +128,7 @@ class TripleProbs:
 
     pa: tuple[float, ...]
     pap: tuple[float, ...]
-    atol: float = field(compare=False)
+    atol: float
 
 
 def _block(triples: TripleProbs, k: int) -> tuple[float, float, float]:
@@ -247,7 +254,8 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
     [-triples.atol, 0) are zeroed.
     """
     if len(p_pp_bb) != 4:
-        raise ValidationError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}")
+        raise ValidationError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}",
+                              field="p_pp_bb", value=len(p_pp_bb), bound=4)
     entries = [0.0] * 16
     for k, chosen in enumerate(p_pp_bb):
         # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
@@ -261,8 +269,7 @@ def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistr
     return QuadDistribution.from_raw(entries)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(NamedTuple):
     """Full record of one construction run: intervals, chosen scalars, output.
 
     probs holds all four experiments; chosen["P(A'B')"] is the P(A'B') the
@@ -316,7 +323,7 @@ def construct_trace(
     (default 0.5) within interval_p_aprime_bprime; the four-experiment
     steps then run on the completed input.
     """
-    params = params if params is not None else FamilyParams()
+    params = params if params is not None else _DEFAULT_PARAMS
     intervals: dict[str, Interval] = {}
     chosen: dict[str, float] = {}
     if not probs.has_all_four:
@@ -358,7 +365,8 @@ def construct_3exp(
     if probs.p_apbp is not None:
         raise ValidationError(
             "three-experiment construction takes probabilities without P(A'B'); "
-            "drop it with without_aprime_bprime()"
+            "drop it with without_aprime_bprime()",
+            field="A'B'", value=probs.p_apbp,
         )
     trace = construct_trace(probs, params)
     return trace.quad, trace.chosen["P(A'B')"]
@@ -416,8 +424,7 @@ def marginal_residuals(
     return residuals, worst
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Summary of a full t-grid sweep of the construction family."""
 
     total_points: int

@@ -8,16 +8,13 @@ P(B), P(B') and the four doubles P(AB), P(AB'), P(A'B), P(A'B').
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValidationError, check_range
 from .indexing import _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
 
-_SINGLE_FIELDS = tuple(zip(("p_a", "p_ap", "p_b", "p_bp"), SINGLE_LABELS))
-_PAIR_FIELDS = tuple(zip(("p_ab", "p_abp", "p_apb", "p_apbp"), PAIR_LABELS, PAIR_SLOTS))
 _QUAD_FIELDS = tuple(f"P({label})" for label in _QUAD_LABELS)
 
 
@@ -43,8 +40,35 @@ def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[floa
     return pp, row - pp, col - pp, total + pp - row - col
 
 
-@dataclass(frozen=True)
-class ExperimentalProbs:
+def _project(value: float, label: str, domain: str, lo: float, hi: float, atol: float) -> float:
+    """value if in [lo, hi], its projection onto [lo, hi] if within atol, else ValidationError."""
+    if lo <= value <= hi:
+        return value
+    if value != value:  # NaN: no bound is broken
+        raise ValidationError(f"P({label}) = nan is not a number", field=label, value=value)
+    if not lo - atol <= value <= hi + atol:
+        side, bound = ("lower", lo) if value < lo else ("upper", hi)
+        raise ValidationError(
+            f"P({label}) = {value!r} violates the {domain} {side} bound {bound!r} "
+            f"by more than atol = {atol:g}",
+            field=label, value=value, bound=bound,
+        )
+    return min(max(value, lo), hi)
+
+
+class _ProbsFields(NamedTuple):
+    p_a: float
+    p_ap: float
+    p_b: float
+    p_bp: float
+    p_ab: float
+    p_abp: float
+    p_apb: float
+    p_apbp: float | None
+    atol: float
+
+
+class ExperimentalProbs(_ProbsFields):
     """The eight independent measured probabilities of the four EPR experiments.
 
     p_apbp may be None when only three experiments were performed (the
@@ -58,38 +82,18 @@ class ExperimentalProbs:
     projection could move a value by more than 1e-6.
     """
 
-    p_a: float
-    p_ap: float
-    p_b: float
-    p_bp: float
-    p_ab: float
-    p_abp: float
-    p_apb: float
-    p_apbp: float | None = None
-    atol: float = field(default=DEFAULT_ATOL, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
-    def __post_init__(self) -> None:
-        check_range("atol", self.atol, 1e-12, 1e-6)
-        for name, label in _SINGLE_FIELDS:
-            self._project(name, label, "unit-interval", 0.0, 1.0)
-        singles = self.singles()
-        for name, label, (x, y) in _PAIR_FIELDS[:4 if self.p_apbp is not None else 3]:
-            self._project(name, label, "Fréchet", *frechet_bounds(singles[x], singles[y]))
-
-    def _project(self, name: str, label: str, domain: str, lo: float, hi: float) -> None:
-        value = getattr(self, name)
-        if lo <= value <= hi:
-            return
-        if value != value:  # NaN: no bound is broken
-            raise ValidationError(f"P({label}) = nan is not a number", field=label, value=value)
-        if not lo - self.atol <= value <= hi + self.atol:
-            side, bound = ("lower", lo) if value < lo else ("upper", hi)
-            raise ValidationError(
-                f"P({label}) = {value!r} violates the {domain} {side} bound {bound!r} "
-                f"by more than atol = {self.atol:g}",
-                field=label, value=value, bound=bound,
-            )
-        object.__setattr__(self, name, min(max(value, lo), hi))
+    def __new__(cls, p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp=None, atol=DEFAULT_ATOL):
+        check_range("atol", atol, 1e-12, 1e-6)
+        singles = [_project(value, label, "unit-interval", 0.0, 1.0, atol)
+                   for value, label in zip((p_a, p_ap, p_b, p_bp), SINGLE_LABELS)]
+        doubles = [p_ab, p_abp, p_apb, p_apbp]
+        for k, (x, y) in enumerate(PAIR_SLOTS[:4 if p_apbp is not None else 3]):
+            doubles[k] = _project(doubles[k], PAIR_LABELS[k], "Fréchet",
+                                  *frechet_bounds(singles[x], singles[y]), atol)
+        return super().__new__(cls, *singles, *doubles, atol)
 
     def singles(self) -> tuple[float, float, float, float]:
         return (self.p_a, self.p_ap, self.p_b, self.p_bp)
@@ -108,14 +112,17 @@ class ExperimentalProbs:
         return self.p_apbp
 
     def without_aprime_bprime(self) -> "ExperimentalProbs":
-        return replace(self, p_apbp=None)
+        return ExperimentalProbs(*self[:7], None, self.atol)
 
     def with_aprime_bprime(self, p_apbp: float) -> "ExperimentalProbs":
-        return replace(self, p_apbp=p_apbp)
+        return ExperimentalProbs(*self[:7], p_apbp, self.atol)
 
 
-@dataclass(frozen=True)
-class QuadDistribution:
+class _QuadFields(NamedTuple):
+    entries: tuple[float, ...]
+
+
+class QuadDistribution(_QuadFields):
     """Sixteen nonnegative joint probabilities P(aa'bb') summing to one.
 
     Entries follow the indexing-module layout and are checked at
@@ -123,11 +130,11 @@ class QuadDistribution:
     [-DEFAULT_ATOL, 0) and divides by the total.
     """
 
-    entries: tuple[float, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
-    def __post_init__(self) -> None:
-        entries = tuple(float(e) for e in self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __new__(cls, entries: Sequence[float]):
+        entries = tuple(float(e) for e in entries)
         if len(entries) != 16:
             raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}")
         for field_name, value in zip(_QUAD_FIELDS, entries):
@@ -135,6 +142,7 @@ class QuadDistribution:
         total = sum(entries)
         if abs(total - 1.0) > DEFAULT_ATOL:
             raise ValidationError(f"quadruple table sums to {total!r}, not 1")
+        return super().__new__(cls, entries)
 
     @classmethod
     def from_raw(cls, entries: Sequence[float]) -> "QuadDistribution":

@@ -31,8 +31,8 @@ feasible when its max-min entry is >= 0.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError, check_range
 from .experiments import DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
@@ -51,8 +51,12 @@ STANDARD_ROWS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-@dataclass(frozen=True)
-class MarginalSystem:
+class _SystemFields(NamedTuple):
+    rhs: tuple
+    atol: float
+
+
+class MarginalSystem(_SystemFields):
     """The nine marginal equalities STANDARD_ROWS (0/1 coefficients) with
     their rhs values, and the tolerance atol of the feasibility decision.
 
@@ -60,16 +64,18 @@ class MarginalSystem:
     Fractions; Fractions switch the solver to exact arithmetic.
     """
 
-    rhs: tuple
-    atol: float = field(default=DEFAULT_ATOL, compare=False)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
-    def __post_init__(self) -> None:
-        if len(self.rhs) != 9:
-            raise ValidationError(f"marginal system needs 9 rhs values, got {len(self.rhs)}")
-        object.__setattr__(self, "rhs", tuple(self.rhs))
-        for label, v in zip(ROW_LABELS, self.rhs):
+    def __new__(cls, rhs, atol=DEFAULT_ATOL):
+        if len(rhs) != 9:
+            raise ValidationError(f"marginal system needs 9 rhs values, got {len(rhs)}",
+                                  field="rhs", value=len(rhs), bound=9)
+        rhs = tuple(rhs)
+        for label, v in zip(ROW_LABELS, rhs):
             if isinstance(v, float):
                 check_range(label, v, -sys.float_info.max, sys.float_info.max)
+        return super().__new__(cls, rhs, atol)
 
     @property
     def exact(self) -> bool:
@@ -77,20 +83,24 @@ class MarginalSystem:
 
     @classmethod
     def from_values(cls, p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp) -> "MarginalSystem":
-        values = (p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp)
-        exact = all(isinstance(v, (Fraction, int)) for v in values)
-        one = Fraction(1) if exact else 1.0
-        return cls(rhs=(one, *values))
+        return cls(_rhs((p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp)))
+
+
+def _rhs(values: tuple) -> tuple:
+    """The rhs (1, *values) of the eight measured values, with an exact 1
+    when every value is exact."""
+    exact = all(isinstance(v, (Fraction, int)) for v in values)
+    one = Fraction(1) if exact else 1.0
+    return (one, *values)
 
 
 def build_system(probs: ExperimentalProbs) -> MarginalSystem:
     """Marginal system of a full set of measured probabilities, at their atol."""
     probs.require_all_four()
-    return replace(MarginalSystem.from_values(*probs.singles(), *probs.doubles()), atol=probs.atol)
+    return MarginalSystem(_rhs((*probs.singles(), *probs.doubles())), probs.atol)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     """Outcome of the max-min-entry LP.
 
     value is the largest achievable minimum entry (down to the -1 floor);

@@ -12,7 +12,7 @@ Phys. Lett. A 200, 340 (1995)), so the probabilities are read from R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,18 +46,22 @@ def _as_unit_vector(name: str, direction) -> Vec3:
     return vec
 
 
-@dataclass(frozen=True)
-class AnalyzerSettings:
-    """The four measurement directions n_A, n_A', n_B, n_B'."""
-
+class _SettingsFields(NamedTuple):
     n_a: Vec3
     n_ap: Vec3
     n_b: Vec3
     n_bp: Vec3
 
-    def __post_init__(self) -> None:
-        for name, label in zip(("n_a", "n_ap", "n_b", "n_bp"), SINGLE_LABELS):
-            object.__setattr__(self, name, _as_unit_vector(f"n_{label}", getattr(self, name)))
+
+class AnalyzerSettings(_SettingsFields):
+    """The four measurement directions n_A, n_A', n_B, n_B'."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
+
+    def __new__(cls, n_a, n_ap, n_b, n_bp):
+        directions = zip((n_a, n_ap, n_b, n_bp), SINGLE_LABELS)
+        return super().__new__(cls, *(_as_unit_vector(f"n_{label}", n) for n, label in directions))
 
 
 def _state_error(message: str, value, bound=None) -> ValidationError:
@@ -65,9 +69,9 @@ def _state_error(message: str, value, bound=None) -> ValidationError:
     return ValidationError(f"density matrix {message}", field="state", value=value, bound=bound)
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A validated 4x4 two-qubit density matrix.
+    """A validated 4x4 two-qubit density matrix, immutable and compared by
+    identity.
 
     Invariants: finite entries with real and imaginary parts in [-1, 1],
     Hermitian, unit trace, positive semidefinite, each within DEFAULT_ATOL.
@@ -75,10 +79,10 @@ class DensityMatrix:
     part (numpy.linalg.eigvalsh).
     """
 
-    matrix: np.ndarray = field(repr=False)
+    __slots__ = ("matrix",)
 
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)  # a private, contiguous copy
+    def __init__(self, matrix: np.ndarray) -> None:
+        mat = np.array(matrix, dtype=complex)  # a private, contiguous copy
         if mat.shape != (4, 4):
             raise _state_error(f"must be 4x4, got shape {mat.shape}", list(mat.shape))
         # The largest real or imaginary part: |rho_ij| <= 1 in a unit-trace
@@ -101,6 +105,12 @@ class DensityMatrix:
                 f"is not positive semidefinite (min eigenvalue {min_eig!r})", min_eig, 0.0)
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to DensityMatrix.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete DensityMatrix.{name}")
 
 
 def singlet() -> DensityMatrix:

@@ -24,7 +24,7 @@ from .construction import (
     interval_p_dotdot,
     interval_p_plusplus,
 )
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, ValidationError, check_range
 from .experiments import ExperimentalProbs
 
 
@@ -74,12 +74,15 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     exactly over blocks.  Every float operation is the scalar maps' own, so
     the result equals enumerating the grid through them, ties going to the
     first grid point in loop order.  A pass that fails one of their checks
-    raises InternalInvariantError.  ValidationError when the axis is empty
-    or the grid exceeds SWEEP_MAX_CELLS block cells (see check_sweep_budget).
+    raises InternalInvariantError.  ValidationError for an empty axis, a value
+    outside [0, 1] or more than SWEEP_MAX_CELLS block cells (check_sweep_budget).
     """
     axis = [float(t) for t in axis]
     if not axis:
-        raise ValidationError("sweep needs at least one grid value per axis")
+        raise ValidationError("sweep needs at least one grid value per axis",
+                              field="len(axis)", value=0, bound=1)
+    for i, t in enumerate(axis):
+        check_range(f"axis[{i}]", t, 0.0, 1.0)
     n = len(axis)
     check_sweep_budget(n, 7 if probs.has_all_four else 8)
     if probs.has_all_four:

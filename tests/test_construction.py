@@ -15,7 +15,9 @@ from eprjoint import (
     ExperimentalProbs,
     FamilyParams,
     InternalInvariantError,
+    MarginalSystem,
     QuadDistribution,
+    SweepResult,
     ValidationError,
     c_function,
     chsh_probability_form,
@@ -458,7 +460,7 @@ class TestSweepMatchesLoop:
             result = sweep_outcome(sweep_grid, p, axis)
             reference = sweep_outcome(reference_sweep_grid, p, axis)
             assert result == reference
-            if not isinstance(result, tuple):
+            if isinstance(result, SweepResult):
                 # == identifies 0.0 and -0.0; the reported floats must not differ
                 for name in ("min_entry", "best_min_entry"):
                     assert float(getattr(result, name)).hex() == \
@@ -491,7 +493,12 @@ class TestSweepMatchesLoop:
 
     def test_errors_match(self):
         self.assert_identical(singlet_optimal_probs(), [0.0, 1.0])
-        self.assert_identical(uniform_probs(), [0.0, 1.5])
+        # both reject a fraction outside [0, 1]; the sweep checks its axis
+        # first and names the value by its position
+        reference = sweep_outcome(reference_sweep_grid, uniform_probs(), [0.0, 1.5])
+        assert reference[0] is ValidationError
+        with pytest.raises(ValidationError, match=r"^axis\[1\] = 1\.5 is outside \[0\.0, 1\.0\]$"):
+            sweep_grid(uniform_probs(), [0.0, 1.5])
 
     def test_failed_pass_raises_internal_error(self, monkeypatch):
         # a skewed table rule makes every step-1 triple negative: the pass's
@@ -628,3 +635,28 @@ class TestFamilyParams:
         params = FamilyParams()
         assert params.as_tuple() == (0.5,) * 7
         assert params.t_aprime_bprime is None
+
+    def test_calls_without_params_share_one_default(self):
+        probs = uniform_probs()
+        shared = construct_trace(probs).params
+        assert shared == FamilyParams()
+        assert construct_trace(probs.without_aprime_bprime()).params is shared
+
+
+@pytest.mark.parametrize("call, field, value, bound", [
+    (lambda: construct_3exp(uniform_probs()), "A'B'", 0.25, None),
+    (lambda: step2_quadruple(construct_trace(uniform_probs()).triples, [0.0625] * 3),
+     "p_pp_bb", 3, 4),
+    (lambda: MarginalSystem((1.0,) * 8), "rhs", 8, 9),
+    (lambda: sweep_grid(uniform_probs(), []), "len(axis)", 0, 1),
+    (lambda: sweep_grid(uniform_probs(), [1.5]), "axis[0]", 1.5, 1.0),
+    (lambda: sweep_grid(uniform_probs().without_aprime_bprime(), [0.5, -0.25]),
+     "axis[1]", -0.25, 0.0),
+], ids=["construct3-measured-apbp", "step2-count", "system-count", "sweep-empty-axis",
+        "sweep-axis-range", "sweep-axis-range-three"])
+def test_library_errors_name_field_value_bound(call, field, value, bound):
+    # errors only a library caller can reach; the sweep checks its axis
+    # before it picks any interval point
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)

@@ -1,5 +1,6 @@
-"""The package's import graph: which paths load numpy, which modules the LP
-oracle may read, and the public names that resolve on first access."""
+"""The package's import graph: which paths load numpy, dataclasses and
+inspect, which modules the LP oracle may read, the public names that resolve
+on first access, and the immutable records."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import eprjoint
-from helpers import P_SINGLET_HIGH, P_SINGLET_LOW
+from eprjoint import ValidationError, cli
+from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, uniform_probs
 
 SRC = Path(eprjoint.__file__).resolve().parent.parent
 
@@ -39,14 +41,16 @@ NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 LAZY = [name for module in ("quantum", "sweep") for name in EXPORTS[module]]
 
 # Runs cli.main once per (mode, input) pair given as a JSON list in argv[1],
-# then prints the exit codes and whether numpy was ever imported.
+# then prints the exit codes and whether numpy, dataclasses and inspect were
+# ever imported.
 RUN_CLI = """
 import json, sys
 import eprjoint, eprjoint.cli
 runs = json.loads(sys.argv[1])
 codes = [eprjoint.cli.main(["--mode", mode, "--input", path, "--output", out])
          for mode, path, out in runs]
-print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
+print(json.dumps({"codes": codes,
+                  **{name: name in sys.modules for name in ("numpy", "dataclasses", "inspect")}}))
 """
 
 SINGLES = {"A": 0.5, "A'": 0.5, "B": 0.5, "B'": 0.5}
@@ -59,7 +63,8 @@ STATE = {"state": "werner:0.5", "settings": {"n_A": [0, 0, 1], "n_A'": [1, 0, 0]
 
 
 def run_cli(tmp_path, runs) -> dict:
-    """Exit codes and numpy's presence after the runs in one fresh process."""
+    """Exit codes and the presence of numpy, dataclasses and inspect after
+    the runs in one fresh process."""
     argv = []
     for k, (mode, payload) in enumerate(runs):
         path = tmp_path / f"in{k}.json"
@@ -74,13 +79,29 @@ def run_cli(tmp_path, runs) -> dict:
 
 class TestNumpyLoadsOnlyWhereArraysAreUsed:
     def test_scalar_modes_never_import_numpy(self, tmp_path):
+        # records are NamedTuples, so dataclasses (and the inspect it
+        # imports) stay out of every scalar child too
         runs = [("chsh", VIOLATING), ("construct4", UNIFORM), ("construct4", VIOLATING),
                 ("construct3", THREE), ("oracle", UNIFORM)]
-        assert run_cli(tmp_path, runs) == {"codes": [0, 0, 3, 0, 0], "numpy": False}
+        assert run_cli(tmp_path, runs) == {"codes": [0, 0, 3, 0, 0], "numpy": False,
+                                           "dataclasses": False, "inspect": False}
 
     def test_state_file_imports_numpy(self, tmp_path):
         # the guard sees numpy when a path does load it
-        assert run_cli(tmp_path, [("probs", STATE)]) == {"codes": [0], "numpy": True}
+        loaded = run_cli(tmp_path, [("probs", STATE)])
+        assert (loaded["codes"], loaded["numpy"]) == ([0], True)
+
+
+def test_no_module_imports_dataclasses_or_inspect():
+    imported = set()
+    for path in sorted((SRC / "eprjoint").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert {"itertools", "typing", "numpy"} <= imported  # the walk finds imports
+    assert imported.isdisjoint({"dataclasses", "inspect"})
 
 
 def package_imports(module: str) -> set[str]:
@@ -136,3 +157,62 @@ class TestPublicNames:
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="module 'eprjoint' has no attribute 'no_such_name'"):
             eprjoint.no_such_name
+
+
+def record_instances() -> dict[str, object]:
+    """One instance of each public record, by class name."""
+    probs = uniform_probs()
+    trace = eprjoint.construct_trace(probs)
+    system = eprjoint.build_system(probs)
+    return {type(record).__name__: record for record in (
+        probs, trace, trace.params, trace.triples, trace.quad, trace.intervals["P(..++)"],
+        eprjoint.sweep_grid(probs, [0.5]), system, eprjoint.solve_system(system),
+        eprjoint.chsh_probability_form(probs), cli.RunConfig("chsh", "in.json"),
+        eprjoint.chsh_optimal_settings(), eprjoint.singlet(),
+    )}
+
+
+RECORDS = ("AnalyzerSettings", "ChshReport", "ConstructionTrace", "DensityMatrix",
+           "ExperimentalProbs", "FamilyParams", "FeasibilityResult", "Interval",
+           "MarginalSystem", "QuadDistribution", "RunConfig", "SweepResult", "TripleProbs")
+# A value its checks refuse, for one field of each record that validates.
+BAD_FIELDS = {"AnalyzerSettings": ("n_a", (2.0, 0.0, 0.0)), "ExperimentalProbs": ("p_a", 5.0),
+              "FamilyParams": ("t_dotdot", 2.0), "MarginalSystem": ("rhs", (1.0,) * 8),
+              "QuadDistribution": ("entries", (1.0,) * 16), "RunConfig": ("samples", 0)}
+
+
+class TestRecordsAreImmutable:
+    def test_one_instance_per_record(self):
+        assert sorted(record_instances()) == list(RECORDS)
+
+    @pytest.mark.parametrize("name", RECORDS)
+    def test_fields_cannot_be_assigned(self, name):
+        record = record_instances()[name]
+        for field in getattr(record, "_fields", ("matrix",)):
+            before = getattr(record, field)
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+            assert getattr(record, field) is before
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = None
+        with pytest.raises(AttributeError):
+            record._matrix = None
+
+    def test_bad_fields_cover_every_validating_record(self):
+        # a validating record subclasses a private field base, not tuple itself
+        validating = {name for name, record in record_instances().items()
+                      if isinstance(record, tuple) and tuple not in type(record).__bases__}
+        assert validating == set(BAD_FIELDS)
+
+    @pytest.mark.parametrize("name", sorted(BAD_FIELDS))
+    def test_replace_and_make_run_the_checks(self, name):
+        record = record_instances()[name]
+        field, bad = BAD_FIELDS[name]
+        assert record._replace() == record
+        with pytest.raises(ValidationError):
+            record._replace(**{field: bad})
+        with pytest.raises(ValidationError):
+            type(record)._make(bad if f == field else getattr(record, f) for f in record._fields)

@@ -95,6 +95,12 @@ class TestSystemStructure:
         with pytest.raises(ValidationError):
             build_system(uniform_probs().without_aprime_bprime())
 
+    def test_system_carries_the_input_atol(self):
+        values = (*uniform_probs().singles(), *uniform_probs().doubles())
+        probs = ExperimentalProbs(*values, atol=1e-7)
+        assert build_system(probs).atol == probs.atol == 1e-7
+        assert MarginalSystem.from_values(*values).atol == DEFAULT_ATOL
+
 
 class TestFeasibility:
     def test_uniform_witness_is_uniform(self):

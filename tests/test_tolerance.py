@@ -83,13 +83,13 @@ def test_routes_agree_near_faces_at_loose_atol():
 # elsewhere, and the quantum inputs validated before an atol is known.
 # Every other decision reads the atol of its input.
 DEFAULT_ATOL_READERS = {
-    ("cli", "RunConfig"),
+    ("cli", "RunConfig.__new__"),
     ("cli", "build_parser"),
-    ("experiments", "ExperimentalProbs"),
-    ("experiments", "QuadDistribution.__post_init__"),
+    ("experiments", "ExperimentalProbs.__new__"),
+    ("experiments", "QuadDistribution.__new__"),
     ("experiments", "QuadDistribution.from_raw"),
-    ("oracle", "MarginalSystem"),
-    ("quantum", "DensityMatrix.__post_init__"),
+    ("oracle", "MarginalSystem.__new__"),
+    ("quantum", "DensityMatrix.__init__"),
     ("quantum", "_as_unit_vector"),
     ("quantum", "experimental_probs"),
 }
