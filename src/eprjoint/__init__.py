@@ -23,11 +23,9 @@ from .construction import (
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
-    interval_p_pp_bb,
     invert_params,
     marginal_residuals,
     step1_triples,
-    step2_quadruple,
 )
 from .errors import (
     ChshViolationError,

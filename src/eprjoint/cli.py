@@ -81,7 +81,7 @@ class RunConfig(_RunFields):
     def __new__(cls, mode, input_path, params=None, seed=0, samples=DEFAULT_SAMPLES, grid="5",
                 tolerance=DEFAULT_ATOL):
         if mode not in MODES:
-            raise ValidationError(f"unknown mode {mode!r}")
+            raise ValidationError(f"unknown mode {mode!r}", field="mode", value=mode)
         check_range("samples", samples, 1, MAX_SAMPLES)
         check_range("seed", seed, 0, 2**64 - 1)
         return super().__new__(cls, mode, input_path, params, seed, samples, grid, tolerance)

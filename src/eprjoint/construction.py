@@ -1,24 +1,23 @@
 """Construction of every nonnegative joint quadruple distribution P(aa'bb')
 whose pair marginals reproduce the measured EPR experiments.
 
-Two-step recipe.  Step 1 fixes the triple probabilities P(a.bb') and
-P(.a'bb') from three scalars: the shared marginal P(..++) and the splits
-P(+.++), P(.+++).  Each scalar ranges over an explicit interval; the
-interval for P(..++) is nonempty exactly when the eight CHSH inequalities
-hold.  Step 2 fixes the four block parameters P(++bb'), each again ranging
-over an interval that is never empty, and fills in the remaining entries by
-sum rules.  With one extra parameter for the unmeasured P(A'B'), the same
-recipe fits three experiments for arbitrary inputs.
-
-Parameters are positions t in [0, 1] within the feasible intervals, applied
-in a fixed order (P(..++); P(+.++); P(.+++); P(++bb') lexicographically in
-(b, b') with + before -), so every t-tuple yields a valid distribution.
+One walk visits the scalars in a fixed order: the shared marginal P(..++),
+its splits P(+.++) and P(.+++), which fix the triple probabilities P(a.bb')
+and P(.a'bb') (step 1), then the four block values P(++bb') in (b, b') order
+with + before -, which fix the remaining entries by sum rules (step 2).
+Each scalar ranges over an explicit interval.  The one for P(..++) is
+nonempty exactly when the eight CHSH inequalities hold (Fine's theorem);
+the others are never empty.  With the unmeasured P(A'B') visited first, the
+same walk fits three experiments for arbitrary inputs.  construct_trace
+picks each scalar at a fraction t in [0, 1] of its interval, so every
+t-tuple yields a valid distribution; invert_params walks at the positions of
+a given table's own values.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .chsh import chsh_probability_form
 from .errors import ChshViolationError, InternalInvariantError, ValidationError, check_range
@@ -32,7 +31,6 @@ from .experiments import (
 )
 from .indexing import (
     _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, marginal, outcome_label, pair_marginals,
-    quad_index,
 )
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
@@ -52,22 +50,20 @@ class Interval(NamedTuple):
     lo: float
     hi: float
 
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def pick(self, t: float) -> float:
         """The point at fraction t of the interval, clamped inside it."""
         check_range("t", t, 0.0, 1.0)
-        if self.hi <= self.lo:
-            return (self.lo + self.hi) / 2.0
-        return min(max(self.lo + t * self.width, self.lo), self.hi)
+        lo, hi = self
+        if hi <= lo:
+            return (lo + hi) / 2.0
+        return min(max(lo + t * (hi - lo), lo), hi)
 
     def position(self, x: float) -> float:
         """Inverse of pick: the fraction where x sits (0.5 for degenerate)."""
-        if self.width <= 0.0:
+        lo, hi = self
+        if hi - lo <= 0.0:
             return 0.5
-        return min(max((x - self.lo) / self.width, 0.0), 1.0)
+        return min(max((x - lo) / (hi - lo), 0.0), 1.0)
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
@@ -117,24 +113,6 @@ class FamilyParams(_FamilyFields):
 
 # The parameters of a call without any: immutable, so one instance serves all.
 _DEFAULT_PARAMS = FamilyParams()
-
-
-class TripleProbs(NamedTuple):
-    """The sixteen triple probabilities P(a.bb') and P(.a'bb') of step 1.
-
-    Indexed 4*i(first sign) + k, k = 2*i(b) + i(b') the BB_BLOCKS index,
-    i(+1)=0 and i(-1)=1; atol carries the input's tolerance into step 2.
-    """
-
-    pa: tuple[float, ...]
-    pap: tuple[float, ...]
-    atol: float
-
-
-def _block(triples: TripleProbs, k: int) -> tuple[float, float, float]:
-    """Margins of block k of step 2: P(+.bb'), P(.+bb') and P(..bb') summed
-    from the a side."""
-    return triples.pa[k], triples.pap[k], 0 + triples.pa[k] + triples.pa[k + 4]
 
 
 def _side_inputs(probs: ExperimentalProbs, primed: bool, sign: Sign) -> tuple[float, float, float]:
@@ -209,8 +187,10 @@ def _side_triples(probs: ExperimentalProbs, primed: bool, chosen, p_dotdot: floa
 
 def step1_triples(
     probs: ExperimentalProbs, p_a_pp: float, p_ap_pp: float, p_dotdot: float
-) -> TripleProbs:
-    """All sixteen triple probabilities from the three chosen scalars.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """All sixteen triple probabilities from the three chosen scalars: (pa,
+    pap), the eight P(a.bb') and the eight P(.a'bb'), each indexed 4*i(first
+    sign) + k with k = 2*i(b) + i(b') the BB_BLOCKS index, i(+1)=0, i(-1)=1.
 
     P(+.++) = p_a_pp and P(-.++) = p_dotdot - p_a_pp; per side and sign the
     table of (b, b') with margins P(x+.), P(x.+) and mass P(x..) then has
@@ -227,46 +207,13 @@ def step1_triples(
                 "have a negative entry; a chosen scalar violates its interval"
             )
         sides.append(side)
+    pa, pap = sides
     for k, cell in enumerate(_CELL_LABELS):
-        lhs, rhs = (0 + side[k] + side[k + 4] for side in sides)
+        lhs, rhs = 0 + pa[k] + pa[k + 4], 0 + pap[k] + pap[k + 4]
         if abs(lhs - rhs) > probs.atol:
             raise InternalInvariantError(
                 f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
-    return TripleProbs(*sides, atol=probs.atol)
-
-
-def interval_p_pp_bb(triples: TripleProbs, b: Sign, bp: Sign) -> Interval:
-    """Allowed interval of P(++bb') given the step-1 triples."""
-    k = BB_BLOCKS.index((b, bp))
-    result = Interval(*frechet_bounds(*_block(triples, k)))
-    if result.lo - result.hi > triples.atol:
-        raise InternalInvariantError(
-            f"empty interval for {_BLOCK_LABELS[k]}: triples violate their sum rules"
-        )
-    return result
-
-
-def step2_quadruple(triples: TripleProbs, p_pp_bb: Sequence[float]) -> QuadDistribution:
-    """The full quadruple table from the four chosen block values P(++bb').
-
-    Per block: P(+-bb') = P(+.bb') - P(++bb'), P(-+bb') = P(.+bb') - P(++bb'),
-    P(--bb') = P(..bb') - P(.+bb') - P(+.bb') + P(++bb').  Entries in
-    [-triples.atol, 0) are zeroed.
-    """
-    if len(p_pp_bb) != 4:
-        raise ValidationError(f"need 4 block values P(++bb'), got {len(p_pp_bb)}",
-                              field="p_pp_bb", value=len(p_pp_bb), bound=4)
-    entries = [0.0] * 16
-    for k, chosen in enumerate(p_pp_bb):
-        # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
-        for j, value in enumerate(frechet_cells(*_block(triples, k), chosen)):
-            if value < -triples.atol:
-                raise InternalInvariantError(
-                    f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
-                    "a block value violates its interval"
-                )
-            entries[4 * j + k] = max(value, 0.0)
-    return QuadDistribution.from_raw(entries)
+    return pa, pap
 
 
 class ConstructionTrace(NamedTuple):
@@ -280,7 +227,6 @@ class ConstructionTrace(NamedTuple):
     params: FamilyParams
     intervals: dict[str, Interval]
     chosen: dict[str, float]
-    triples: TripleProbs
     quad: QuadDistribution
 
 
@@ -314,38 +260,72 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     return result
 
 
+def _walk(probs: ExperimentalProbs, params: FamilyParams, table: tuple[float, ...] | None):
+    """The construction's one pass, shared by construct_trace and invert_params.
+
+    Visits P(A'B') when probs lacks it, then P(..++), P(+.++), P(.+++) and
+    the four P(++bb'), recording each interval and chosen scalar.  Each
+    scalar sits at a fraction t of its interval: params' fraction or, given a
+    table's 16 entries, the position of the table's own value.  Returns the
+    completed probs, intervals and chosen by label, the fractions in as_tuple
+    order, and each block's margins (P(+.bb'), P(.+bb'), P(..bb')).
+    """
+    intervals, chosen, ts = {}, {}, []
+    if not probs.has_all_four:
+        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
+        t = params.t_aprime_bprime if table is None else iv.position(marginal(table, ap=1, bp=1))
+        t = 0.5 if t is None else t  # the default midpoint
+        ts.append(t)
+        chosen["P(A'B')"] = iv.pick(t)
+        probs = probs.with_aprime_bprime(chosen["P(A'B')"])
+    intervals["P(..++)"] = iv = interval_p_dotdot(probs)
+    t = params.t_dotdot if table is None else iv.position(marginal(table, b=1, bp=1))
+    ts.append(t)
+    chosen["P(..++)"] = p_dotdot = iv.pick(t)
+    for primed, label, t, a, ap in ((False, "P(+.++)", params.t_aplus, 1, 0),
+                                    (True, "P(.+++)", params.t_aprimeplus, 0, 1)):
+        intervals[label] = iv = interval_p_plusplus(probs, primed, p_dotdot)
+        if table is not None:
+            t = iv.position(marginal(table, a, ap, 1, 1))
+        ts.append(t)
+        chosen[label] = iv.pick(t)
+
+    pa, pap = step1_triples(probs, chosen["P(+.++)"], chosen["P(.+++)"], p_dotdot)
+    blocks = [(pa[k], pap[k], pa[k] + pa[k + 4]) for k in range(4)]
+    for k, (label, margins) in enumerate(zip(_BLOCK_LABELS, blocks)):
+        intervals[label] = iv = Interval(*frechet_bounds(*margins))
+        if iv.lo - iv.hi > probs.atol:
+            raise InternalInvariantError(
+                f"empty interval for {label}: triples violate their sum rules")
+        t = params.t_bb[k] if table is None else iv.position(table[k])  # P(++bb') is entry k
+        ts.append(t)
+        chosen[label] = iv.pick(t)
+    return probs, intervals, chosen, ts, blocks
+
+
 def construct_trace(
     probs: ExperimentalProbs, params: FamilyParams | None = None
 ) -> ConstructionTrace:
     """Run the construction and record every interval and chosen scalar.
 
     Without a measured P(A'B'), first picks one at params.t_aprime_bprime
-    (default 0.5) within interval_p_aprime_bprime; the four-experiment
-    steps then run on the completed input.
+    (default 0.5) within interval_p_aprime_bprime.  Each block's cells then
+    follow from its margins and P(++bb') by frechet_cells; entries in
+    [-probs.atol, 0) are zeroed.
     """
     params = params if params is not None else _DEFAULT_PARAMS
-    intervals: dict[str, Interval] = {}
-    chosen: dict[str, float] = {}
-    if not probs.has_all_four:
-        t = 0.5 if params.t_aprime_bprime is None else params.t_aprime_bprime
-        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
-        chosen["P(A'B')"] = p_apbp = iv.pick(t)
-        probs = probs.with_aprime_bprime(p_apbp)
-
-    intervals["P(..++)"] = iv = interval_p_dotdot(probs)
-    chosen["P(..++)"] = p_dotdot = iv.pick(params.t_dotdot)
-    intervals["P(+.++)"] = iv = interval_p_plusplus(probs, False, p_dotdot)
-    chosen["P(+.++)"] = p_a_pp = iv.pick(params.t_aplus)
-    intervals["P(.+++)"] = iv = interval_p_plusplus(probs, True, p_dotdot)
-    chosen["P(.+++)"] = p_ap_pp = iv.pick(params.t_aprimeplus)
-
-    triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
-
-    for (b, bp), label, t in zip(BB_BLOCKS, _BLOCK_LABELS, params.t_bb):
-        intervals[label] = iv = interval_p_pp_bb(triples, b, bp)
-        chosen[label] = iv.pick(t)
-    quad = step2_quadruple(triples, [chosen[label] for label in _BLOCK_LABELS])
-    return ConstructionTrace(probs, params, intervals, chosen, triples, quad)
+    probs, intervals, chosen, _, blocks = _walk(probs, params, None)
+    entries = [0.0] * 16
+    for k, (label, margins) in enumerate(zip(_BLOCK_LABELS, blocks)):
+        # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
+        for j, value in enumerate(frechet_cells(*margins, chosen[label])):
+            if value < -probs.atol:
+                raise InternalInvariantError(
+                    f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
+                    "a block value violates its interval"
+                )
+            entries[4 * j + k] = max(value, 0.0)
+    return ConstructionTrace(probs, params, intervals, chosen, QuadDistribution.from_raw(entries))
 
 
 def construct_4exp(
@@ -375,33 +355,13 @@ def construct_3exp(
 def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyParams:
     """Parameter fractions reproducing a given feasible distribution.
 
-    Inverts the affine maps in construction order; the result fed back into
-    construct_trace reproduces quad (up to rounding) whenever quad's
-    marginals equal probs.  Without a measured P(A'B'), t_aprime_bprime is
-    the position of quad's own P(A'B') in interval_p_aprime_bprime, and the
-    four-experiment inverse runs on the completion picked there.
+    Runs the construction with each fraction at the position of quad's own
+    value in its interval (for P(A'B') too when probs lacks it), so the result
+    fed back into construct_trace reproduces quad (up to rounding) whenever
+    quad's marginals equal probs.
     """
-    def snap(iv: Interval, x: float) -> tuple[float, float]:
-        """The position t of x in iv and the point picked at t."""
-        t = iv.position(x)
-        return t, iv.pick(t)
-
-    t_apbp = None
-    if not probs.has_all_four:
-        t_apbp, p_apbp = snap(interval_p_aprime_bprime(probs), marginal(quad.entries, ap=1, bp=1))
-        probs = probs.with_aprime_bprime(p_apbp)
-    t_dotdot, p_dotdot = snap(interval_p_dotdot(probs), marginal(quad.entries, b=1, bp=1))
-    iv = interval_p_plusplus(probs, False, p_dotdot)
-    t_aplus, p_a_pp = snap(iv, marginal(quad.entries, a=1, b=1, bp=1))
-    iv = interval_p_plusplus(probs, True, p_dotdot)
-    t_aprimeplus, p_ap_pp = snap(iv, marginal(quad.entries, ap=1, b=1, bp=1))
-
-    triples = step1_triples(probs, p_a_pp, p_ap_pp, p_dotdot)
-    t_bb = tuple(
-        interval_p_pp_bb(triples, b, bp).position(quad.entries[quad_index(1, 1, b, bp)])
-        for b, bp in BB_BLOCKS
-    )
-    return FamilyParams(t_dotdot, t_aplus, t_aprimeplus, t_bb, t_apbp)
+    ts = _walk(probs, _DEFAULT_PARAMS, quad.entries)[3]
+    return FamilyParams(*ts[-7:-4], ts[-4:], *ts[:-7])
 
 
 def marginal_residuals(

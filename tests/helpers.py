@@ -25,6 +25,7 @@ from eprjoint import (
     ExperimentalProbs,
     FamilyParams,
     FeasibilityResult,
+    Interval,
     InternalInvariantError,
     MarginalSystem,
     QuadDistribution,
@@ -32,14 +33,13 @@ from eprjoint import (
     ValidationError,
     chsh_optimal_settings,
     experimental_probs,
+    frechet_bounds,
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
-    interval_p_pp_bb,
     step1_triples,
     werner,
 )
-from eprjoint.construction import BB_BLOCKS
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import SIGNS, marginal
 from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
@@ -372,12 +372,11 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
             a_interval = interval_p_plusplus(full, False, p0)
             ap_interval = interval_p_plusplus(full, True, p0)
             for t1, t2 in product(axis, repeat=2):
-                triples = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
+                pa, pap = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
                 block_mins = []
-                pa, pap = triples.pa, triples.pap
-                for k, (b, bp) in enumerate(BB_BLOCKS):
-                    iv = interval_p_pp_bb(triples, b, bp)
-                    margins = (pa[k], pap[k], sum((pa[k], pa[k + 4])))
+                for k in range(4):
+                    margins = (pa[k], pap[k], pa[k] + pa[k + 4])
+                    iv = Interval(*frechet_bounds(*margins))
                     block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
 
                 valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -28,14 +28,12 @@ from eprjoint import (
     interval_p_aprime_bprime,
     interval_p_dotdot,
     interval_p_plusplus,
-    interval_p_pp_bb,
     invert_params,
     marginal_residuals,
     step1_triples,
-    step2_quadruple,
     sweep_grid,
 )
-from eprjoint import construction
+from eprjoint import cli, construction
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
 from eprjoint.indexing import (
     PAIR_LABELS, PAIR_SLOTS, marginal, marginal_indices, pair_marginals, quad_index,
@@ -133,10 +131,12 @@ class TestSplitIntervals:
         for _ in range(300):
             probs = satisfying_probs(rng)
             trace = construct_trace(probs, random_params(rng))
-            p_dotdot = trace.chosen["P(..++)"]
+            picks = trace.chosen
+            p_dotdot = picks["P(..++)"]
+            pa, pap = step1_triples(probs, picks["P(+.++)"], picks["P(.+++)"], p_dotdot)
             for primed, label, side, p_x, p_xbb in (
-                (False, "P(+.++)", trace.triples.pa, probs.p_a, (probs.p_ab, probs.p_abp)),
-                (True, "P(.+++)", trace.triples.pap, probs.p_ap, (probs.p_apb, probs.p_apbp)),
+                (False, "P(+.++)", pa, probs.p_a, (probs.p_ab, probs.p_abp)),
+                (True, "P(.+++)", pap, probs.p_ap, (probs.p_apb, probs.p_apbp)),
             ):
                 assert trace.intervals[label] == interval_p_plusplus(probs, primed, p_dotdot)
                 chosen = trace.chosen[label]
@@ -149,21 +149,21 @@ class TestSplitIntervals:
 
 class TestStep1:
     def test_uniform_midpoints(self):
-        triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
-        assert triples.pa == pytest.approx((0.125,) * 8, abs=1e-15)
-        assert triples.pap == pytest.approx((0.125,) * 8, abs=1e-15)
+        pa, pap = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
+        assert pa == pytest.approx((0.125,) * 8, abs=1e-15)
+        assert pap == pytest.approx((0.125,) * 8, abs=1e-15)
 
     def test_deterministic(self):
-        triples = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
-        assert triples.pa[0] == 1.0
-        assert sum(triples.pa) == 1.0 and sum(triples.pap) == 1.0
+        pa, pap = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
+        assert pa[0] == 1.0
+        assert sum(pa) == 1.0 and sum(pap) == 1.0
 
     def test_boundary_choice(self):
-        triples = step1_triples(uniform_probs(), 0.0, 0.0, 0.0)
-        assert triples.pa[0] == 0.0
-        assert triples.pa[1] == 0.25
-        assert triples.pa[2] == 0.25
-        assert triples.pa[3] == 0.0
+        pa, _ = step1_triples(uniform_probs(), 0.0, 0.0, 0.0)
+        assert pa[0] == 0.0
+        assert pa[1] == 0.25
+        assert pa[2] == 0.25
+        assert pa[3] == 0.0
 
     def test_negative_triple_is_internal_error(self):
         with pytest.raises(InternalInvariantError, match="negative"):
@@ -176,37 +176,43 @@ class TestStep1:
             p0 = interval_p_dotdot(probs).pick(rng.uniform())
             p1 = interval_p_plusplus(probs, False, p0).pick(rng.uniform())
             p2 = interval_p_plusplus(probs, True, p0).pick(rng.uniform())
-            triples = step1_triples(probs, p1, p2, p0)
-            assert sum(triples.pa) == pytest.approx(1.0, abs=1e-12)
+            pa, _ = step1_triples(probs, p1, p2, p0)
+            assert sum(pa) == pytest.approx(1.0, abs=1e-12)
             for a in (1, -1):
                 single = probs.p_a if a > 0 else 1.0 - probs.p_a
-                total = sum(triples.pa[:4] if a > 0 else triples.pa[4:])
+                total = sum(pa[:4] if a > 0 else pa[4:])
                 assert total == pytest.approx(single, abs=1e-12)
 
 
+BLOCK_LABELS = ("P(++++)", "P(+++-)", "P(++-+)", "P(++--)")
+
+
 class TestStep2:
+    """The four P(++bb') blocks, through construct_trace."""
+
     def test_uniform_interval(self):
-        triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
-        for b, bp in product((1, -1), repeat=2):
-            iv = interval_p_pp_bb(triples, b, bp)
+        # the midpoint triples 0.125 give every block the interval [0, 1/8]
+        trace = construct_trace(uniform_probs())
+        for label in BLOCK_LABELS:
+            iv = trace.intervals[label]
             assert (iv.lo, iv.hi) == pytest.approx((0.0, 0.125), abs=1e-15)
 
     def test_deterministic_intervals(self):
-        triples = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
-        assert interval_p_pp_bb(triples, 1, 1).lo == 1.0
-        iv = interval_p_pp_bb(triples, 1, -1)
+        trace = construct_trace(det00_probs())
+        assert trace.intervals["P(++++)"].lo == 1.0
+        iv = trace.intervals["P(+++-)"]
         assert (iv.lo, iv.hi) == (0.0, 0.0)
 
     def test_uniform_quadruple(self):
-        triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
-        quad = step2_quadruple(triples, (0.0625,) * 4)
-        assert quad.entries == pytest.approx((0.0625,) * 16, abs=1e-15)
+        trace = construct_trace(uniform_probs())
+        chosen = [trace.chosen[label] for label in BLOCK_LABELS]
+        assert chosen == pytest.approx([0.0625] * 4, abs=1e-15)
+        assert trace.quad.entries == pytest.approx((0.0625,) * 16, abs=1e-15)
 
     def test_block_checkerboard(self):
-        # frozen: choosing P(++bb') at its upper value 0.125 empties the
-        # off-diagonal cells of every block
-        triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
-        quad = step2_quadruple(triples, (0.125,) * 4)
+        # frozen: choosing P(++bb') at its upper value 0.125 (t_bb = 1) empties
+        # the off-diagonal cells of every block
+        quad = construct_trace(uniform_probs(), FamilyParams(t_bb=(1.0,) * 4)).quad
         for b, bp in product((1, -1), repeat=2):
             assert quad.entries[quad_index(1, 1, b, bp)] == pytest.approx(0.125, abs=1e-15)
             assert quad.entries[quad_index(-1, -1, b, bp)] == pytest.approx(0.125, abs=1e-15)
@@ -214,15 +220,53 @@ class TestStep2:
             assert quad.entries[quad_index(-1, 1, b, bp)] == pytest.approx(0.0, abs=1e-15)
 
     def test_point_mass(self):
-        triples = step1_triples(det00_probs(), 1.0, 1.0, 1.0)
-        quad = step2_quadruple(triples, (1.0, 0.0, 0.0, 0.0))
-        assert quad.entries[quad_index(1, 1, 1, 1)] == 1.0
-        assert sum(quad.entries) == 1.0
+        trace = construct_trace(det00_probs())
+        assert [trace.chosen[label] for label in BLOCK_LABELS] == [1.0, 0.0, 0.0, 0.0]
+        assert trace.quad.entries[quad_index(1, 1, 1, 1)] == 1.0
+        assert sum(trace.quad.entries) == 1.0
 
-    def test_bad_block_value(self):
-        triples = step1_triples(uniform_probs(), 0.125, 0.125, 0.25)
-        with pytest.raises(InternalInvariantError):
-            step2_quadruple(triples, (0.2, 0.0625, 0.0625, 0.0625))
+    def test_bad_block_value(self, monkeypatch):
+        # cells moved by -0.5 after the four step-1 calls: block P(..++)'s
+        # P(+-++) turns negative
+        skew_calls(monkeypatch, "frechet_cells", 4, lambda c: (c[0], c[1] - 0.5, *c[2:]))
+        with pytest.raises(InternalInvariantError, match=(
+                r"^P\(\+-\+\+\) = -0\.4375 is negative; a block value violates its interval$")):
+            construct_trace(uniform_probs())
+
+
+def skew_calls(monkeypatch, name: str, first: int, skew) -> None:
+    """Replace construction.<name> by a copy whose results from call `first`
+    (counted from 0) on pass through skew."""
+    original, calls = getattr(construction, name), count()
+
+    def skewed(*args):
+        result = original(*args)
+        return skew(result) if next(calls) >= first else result
+
+    monkeypatch.setattr(construction, name, skewed)
+
+
+class TestEmptyIntervals:
+    """Each empty-interval InternalInvariantError of the walk, in walk order,
+    reached through construct_trace with its message.  No validated input
+    reaches them, so Fréchet bounds are inverted from one call on."""
+
+    @pytest.mark.parametrize("three, first, message", [
+        (True, 0, r"no value of P\(A'B'\) is consistent with the three measured experiments "
+                  r"\(interval \[1\.0, 0\.0\] is empty\)"),
+        (False, 0, r"empty interval for P\(\+\.\+\+\) at P\(\.\.\+\+\) = 0\.25: "
+                   r"the scalar lies outside its allowed region"),
+        (False, 2, r"empty interval for P\(\.\+\+\+\) at P\(\.\.\+\+\) = 0\.25: "
+                   r"the scalar lies outside its allowed region"),
+        (False, 4, r"empty interval for P\(\+\+\+\+\): triples violate their sum rules"),
+    ], ids=["aprime-bprime", "a-plus", "aprime-plus", "block"])
+    def test_empty_interval(self, monkeypatch, three, first, message):
+        # frechet_bounds is called once for P(A'B'), twice for each split
+        # (its side's + and - tables) and once per block
+        skew_calls(monkeypatch, "frechet_bounds", first, lambda lo_hi: (lo_hi[1] + 0.5, lo_hi[0]))
+        probs = uniform_probs().without_aprime_bprime() if three else uniform_probs()
+        with pytest.raises(InternalInvariantError, match=f"^{message}$"):
+            construct_trace(probs)
 
 
 class TestConstruct4:
@@ -385,7 +429,7 @@ class TestInversion:
             recovered = invert_params(probs, quad)
             rebuilt = construct_trace(probs, recovered).quad
             for x, y in zip(rebuilt.entries, quad.entries):
-                assert x == pytest.approx(y, abs=1e-9)
+                assert x == pytest.approx(y, abs=1e-14)
             assert all(0.0 <= t <= 1.0 for t in recovered.as_tuple())
             assert (recovered.t_aprime_bprime is not None) == three
 
@@ -508,6 +552,10 @@ class TestSweepMatchesLoop:
 
         monkeypatch.setattr(construction, "frechet_cells", skewed)
         probs = uniform_probs()
+        with pytest.raises(InternalInvariantError, match=(
+                r"^triple probabilities P\(\+\.bb'\) = \(0\.125, -0\.375, 0\.125, 0\.125\) "
+                r"have a negative entry; a chosen scalar violates its interval$")):
+            construct_trace(probs)
         assert sweep_outcome(reference_sweep_grid, probs, [0.0, 1.0])[0] is InternalInvariantError
         with pytest.raises(InternalInvariantError,
                            match=r"sweep pass at P\(\.\.\+\+\) = 0\.\d+: negative triple"):
@@ -527,6 +575,9 @@ class TestSweepMatchesLoop:
         with pytest.raises(InternalInvariantError,
                            match=r"triple marginals disagree on P\(\.\.\+\+\)"):
             step1_triples(probs, 0.125, 0.125, 0.25)
+        with pytest.raises(InternalInvariantError,
+                           match=r"^triple marginals disagree on P\(\.\.\+\+\): 0\.25 vs 0\.26$"):
+            construct_trace(probs)
         with pytest.raises(InternalInvariantError, match="triple marginals disagree"):
             sweep_grid(probs, [0.0, 1.0])
 
@@ -645,15 +696,16 @@ class TestFamilyParams:
 
 @pytest.mark.parametrize("call, field, value, bound", [
     (lambda: construct_3exp(uniform_probs()), "A'B'", 0.25, None),
-    (lambda: step2_quadruple(construct_trace(uniform_probs()).triples, [0.0625] * 3),
-     "p_pp_bb", 3, 4),
     (lambda: MarginalSystem((1.0,) * 8), "rhs", 8, 9),
+    (lambda: QuadDistribution((0.0625,) * 15), "entries", 15, 16),
+    (lambda: QuadDistribution((0.125,) * 16), "sum(entries)", 2.0, 1.0),
+    (lambda: cli.RunConfig("nope", "in.json"), "mode", "nope", None),
     (lambda: sweep_grid(uniform_probs(), []), "len(axis)", 0, 1),
     (lambda: sweep_grid(uniform_probs(), [1.5]), "axis[0]", 1.5, 1.0),
     (lambda: sweep_grid(uniform_probs().without_aprime_bprime(), [0.5, -0.25]),
      "axis[1]", -0.25, 0.0),
-], ids=["construct3-measured-apbp", "step2-count", "system-count", "sweep-empty-axis",
-        "sweep-axis-range", "sweep-axis-range-three"])
+], ids=["construct3-measured-apbp", "system-count", "quad-count", "quad-sum", "run-mode",
+        "sweep-empty-axis", "sweep-axis-range", "sweep-axis-range-three"])
 def test_library_errors_name_field_value_bound(call, field, value, bound):
     # errors only a library caller can reach; the sweep checks its axis
     # before it picks any interval point
