@@ -16,9 +16,9 @@ three-experiment modes.  Parameters: {"t": {"dotdot": .., "a_plus": ..,
 "aprime_plus": .., "bb": [..4..], "aprime_bprime": ..}}.
 
 Reports are JSON with sorted keys; identical configuration (including the
-seed) produces byte-identical output.  Monte Carlo sampling uses numpy's
-PCG64 generator, seeded explicitly, with inverse-CDF lookup through a
-bucket guide table: the same counts as a binary search per draw.
+seed and numpy version) produces byte-identical output.  Monte Carlo
+sampling draws the 16 cell counts at once, from one multinomial draw of
+numpy's PCG64 generator, seeded explicitly.
 
 Exit codes, one error class each: 0 success, 2 bad input (ValidationError),
 3 CHSH violation (ChshViolationError), 5 a broken theorem that no validated
@@ -55,11 +55,10 @@ if TYPE_CHECKING:
     from .quantum import AnalyzerSettings, DensityMatrix
 
 DEFAULT_SAMPLES = 100_000
-# Work bound of mc-verify: 10**8 samples take about 1.4 s and 37 MB on a
-# 2-CPU x86 host.
+# Bound of mc-verify's --samples.  A 10**8-sample child takes about 0.3 s
+# and 35 MB on a 2-CPU x86 host, as a 1-sample child does (the draw itself
+# takes about 12 us); the report's z arithmetic is untested beyond it.
 MAX_SAMPLES = 10**8
-SAMPLE_CHUNK = 1 << 16
-BUCKETS = 1 << 12
 SIGMA_LIMIT = 5.0
 _PARAM_KEYS = ("dotdot", "a_plus", "aprime_plus", "bb", "aprime_bprime")
 
@@ -357,40 +356,17 @@ def cmd_sweep(config: RunConfig) -> dict:
 
 
 def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarray:
-    """Cell counts of `samples` PCG64 draws d in [0, 1), each in cell
-    #{k : cdf[k] <= d} (inverse CDF), found through a guide table of BUCKETS
-    equal buckets.  The entries are nonnegative (QuadDistribution.from_raw),
-    so cdf is sorted below 1.
-
-    Draws and cdf are both scaled by BUCKETS, a power of two, so every
-    comparison decides as unscaled and the bucket floor(BUCKETS * d) is
-    exact.  A bucket that holds no cdf value sends all its draws to one cell,
-    first[j]; only draws in the at most 15 split buckets are searched.  The
-    counts equal those of a binary search per draw, bit for bit.
+    """Cell counts of `samples` independent draws from quad, as one
+    multinomial variate of a PCG64 generator seeded with seed, by numpy's
+    conditional-binomial method (C. S. Davis, Comput. Stat. Data Anal. 16,
+    1993).  The entries are nonnegative and sum to one (from_raw), as numpy
+    requires.  The counts sum to samples.  A zero cell draws none, except a
+    zero last cell, which takes what float rounding leaves of the running
+    remainder: of order samples * 1e-16 expected draws.
     """
     import numpy as np
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    cdf = np.cumsum(np.asarray(quad.entries))
-    cdf[-1] = 1.0
-    scaled = cdf * BUCKETS
-    edges = np.arange(BUCKETS, dtype=np.float64)
-    first = np.searchsorted(scaled, edges, side="right")
-    split = np.searchsorted(scaled, np.nextafter(edges + 1.0, 0.0), side="right") != first
-    per_bucket = np.zeros(BUCKETS, dtype=np.int64)
-    counts = np.zeros(16, dtype=np.int64)
-    buffer = np.empty(min(SAMPLE_CHUNK, samples))
-    for start in range(0, samples, SAMPLE_CHUNK):
-        draws = buffer[:min(SAMPLE_CHUNK, samples - start)]
-        rng.random(out=draws)
-        draws *= BUCKETS
-        bucket = draws.astype(np.intp)
-        per_bucket += np.bincount(bucket, minlength=BUCKETS)
-        counts += np.bincount(np.searchsorted(scaled, draws[split[bucket]], side="right"),
-                              minlength=16)
-    whole = ~split
-    np.add.at(counts, first[whole], per_bucket[whole])
-    return counts
+    return np.random.Generator(np.random.PCG64(seed)).multinomial(samples, quad.entries)
 
 
 def cmd_mc_verify(config: RunConfig) -> dict:

@@ -43,7 +43,7 @@ def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[floa
 def _project(value: float, label: str, domain: str, lo: float, hi: float, atol: float) -> float:
     """value if in [lo, hi], its projection onto [lo, hi] if within atol, else ValidationError."""
     if lo <= value <= hi:
-        return value
+        return value + 0.0  # -0.0 becomes 0.0; no other float changes
     if value != value:  # NaN: no bound is broken
         raise ValidationError(f"P({label}) = nan is not a number", field=label, value=value)
     if not lo - atol <= value <= hi + atol:

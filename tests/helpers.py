@@ -564,13 +564,14 @@ def reference_basis(system: MarginalSystem) -> tuple[int, ...]:
     return tuple(_reference_run(system, DEFAULT_ATOL)[1])
 
 
-# The chunk size of the sampler that reference_sample_counts keeps.
+# Draws per chunk of reference_sample_counts, which bounds its memory.
 REFERENCE_SAMPLE_CHUNK = 1 << 20
 
 
 def reference_sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarray:
-    """mc-verify's sampler before its guide table: one binary search per
-    draw.  cli._sample_counts must give the same counts."""
+    """Cell counts of `samples` draws by inverse CDF, one binary search per
+    draw.  cli._sample_counts must follow the same law (not give the same
+    counts: it draws from the stream differently)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     cdf = np.cumsum(np.asarray(quad.entries))
     cdf[-1] = 1.0

@@ -13,7 +13,7 @@ import pytest
 from eprjoint import (
     AnalyzerSettings, DensityMatrix, ExperimentalProbs, QuadDistribution, construct_trace,
 )
-from eprjoint.cli import BUCKETS, MAX_SAMPLES, SAMPLE_CHUNK, _sample_counts, main
+from eprjoint.cli import MAX_SAMPLES, _sample_counts, main
 from eprjoint.construction import SWEEP_MAX_CELLS
 from helpers import (
     P_SINGLET_HIGH, P_SINGLET_LOW, TSIRELSON, reference_sample_counts, trace_probs,
@@ -356,16 +356,6 @@ class TestMcVerifyMode:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
-    def test_chunked_counts_match_one_shot_draw(self):
-        quad = QuadDistribution(tuple([1 / 16] * 16))
-        samples = 2 * SAMPLE_CHUNK + 12_345
-        rng = np.random.Generator(np.random.PCG64(99))
-        cdf = np.cumsum(quad.entries)
-        cdf[-1] = 1.0
-        draws = np.searchsorted(cdf, rng.random(samples), side="right")
-        expected = np.bincount(draws, minlength=16)
-        assert np.array_equal(_sample_counts(quad, samples, seed=99), expected)
-
     def test_bad_samples(self, write_json, capsys):
         path = write_json("u.json", UNIFORM_PROBS)
         for samples in ("0", "1000000000000"):
@@ -378,26 +368,9 @@ class TestMcVerifyMode:
         assert "samples = 1000000000000 is outside [1, 100000000]" in err
 
 
-SAMPLE_SIZES = (1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 12_345)
-
-
-def _dyadic(rng: np.random.Generator, denominator: int) -> np.ndarray:
-    """16 entries k/denominator summing to 1: the cdf lands on multiples of
-    1/denominator."""
-    cuts = np.sort(rng.integers(0, denominator + 1, 15))
-    return np.diff(np.concatenate(([0], cuts, [denominator]))) / denominator
-
-
-def _from_cdf(cdf: list[float]) -> np.ndarray:
-    # consecutive cdf values lie within a factor 2, so each difference and
-    # the cumsum that rebuilds cdf from it are exact
-    entries = np.diff(np.concatenate(([0.0], cdf)))
-    assert np.array_equal(np.cumsum(entries), cdf)
-    return entries
-
-
 def referee_tables() -> list[tuple[str, np.ndarray]]:
-    """Named tables on which the guide-table sampler must equal the search."""
+    """Named tables with zero cells (a zero last cell among them), point
+    masses, and entries near the float limits."""
     rng = np.random.Generator(np.random.PCG64(2006))
     tables = []
     for i in range(210):
@@ -406,48 +379,66 @@ def referee_tables() -> list[tuple[str, np.ndarray]]:
         tables.append((f"sparse{i}", entries / entries.sum()))
     for cell in (0, 7, 15):
         tables.append((f"point{cell}", np.eye(16)[cell]))
-    for i in range(3):
-        tables.append((f"dyadic4096_{i}", _dyadic(rng, BUCKETS)))
-        tables.append((f"dyadic8192_{i}", _dyadic(rng, 2 * BUCKETS)))
     tables.append(("tiny", np.array([2.0**-20] * 15 + [1.0 - 15 * 2.0**-20])))
-    # bucket edges and the middle of the last bucket, each with both neighbours
-    edges = [j / BUCKETS for j in (1, 1024, 2048, 4095, 4095.5)]
-    tables.append(("ulp", _from_cdf([
-        *(v for e in edges for v in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))), 1.0])))
     denormal = ExperimentalProbs(1.7556027711577845e-102, 0.0, 0.0, 1.0, 0.0, 3.5e-323, 0.0, 0.0)
     tables.append(("denormal", np.array(construct_trace(denormal).quad.entries)))
     overshoot = np.array([1 / 11] * 11 + [0.0] * 5)
-    assert np.cumsum(overshoot)[-2] > 1.0  # so cdf[-1] = 1.0 sits below cdf[-2]
+    assert np.cumsum(overshoot)[-2] > 1.0  # the first 15 sum past 1, within numpy's 1e-12
     tables.append(("overshoot", overshoot))
     return tables
 
 
+def sparse_from_raw_tables(count: int) -> list[tuple[str, np.ndarray]]:
+    """Seeded from_raw tables with many zero cells; every other one has a
+    zero last cell."""
+    rng = np.random.Generator(np.random.PCG64(17))
+    tables = []
+    for i in range(count):
+        raw = rng.random(16) * (rng.random(16) < rng.uniform(0.05, 0.5))
+        raw[rng.integers(15)] += 0.01  # never all zero
+        if i % 2:
+            raw[15] = 0.0
+        tables.append((f"from_raw{i}", np.array(QuadDistribution.from_raw(raw).entries)))
+    return tables
+
+
 class TestSampleCounts:
-    @pytest.mark.parametrize("samples", SAMPLE_SIZES)
-    def test_equal_to_one_search_per_draw(self, samples):
-        # every special table at every size; the seeded tables take the sizes in turn
-        for i, (name, entries) in enumerate(referee_tables()):
-            if name.startswith("sparse") and SAMPLE_SIZES[i % len(SAMPLE_SIZES)] != samples:
-                continue
+    @pytest.mark.parametrize("samples", (1, 1000, 10**6, MAX_SAMPLES))
+    def test_counts_sum_to_n_and_zero_cells_stay_zero(self, samples):
+        tables = referee_tables() + sparse_from_raw_tables(1000)
+        assert sum(entries[-1] == 0.0 for _, entries in tables) > 500
+        for i, (name, entries) in enumerate(tables):
             quad = QuadDistribution(tuple(entries))
             for seed in (i, 2**64 - 1 - i):
-                got = _sample_counts(quad, samples, seed)
-                assert np.array_equal(got, reference_sample_counts(quad, samples, seed)), name
+                counts = _sample_counts(quad, samples, seed)
+                assert counts.sum() == samples, name
+                assert not counts[entries == 0.0].any(), name
 
-    @pytest.mark.parametrize("seed", [3, 2006, 2**64 - 1])
-    def test_draws_equal_to_cdf_values(self, seed):
-        # cdf values that are draws of the stream itself: a tie d == cdf[k]
-        # falls in cell k + 1 (searchsorted side="right")
-        head = np.random.Generator(np.random.PCG64(seed)).random(64)
-        cdf = [*sorted(set(head[head >= 0.5]))[:15], 1.0]
-        quad = QuadDistribution(tuple(_from_cdf(cdf)))
-        for samples in SAMPLE_SIZES[1:]:
-            got = _sample_counts(quad, samples, seed)
-            assert np.array_equal(got, reference_sample_counts(quad, samples, seed))
+    def test_same_seed_same_counts(self):
+        for name, entries in referee_tables():
+            quad = QuadDistribution(tuple(entries))
+            first = _sample_counts(quad, 10**6, 2006)
+            assert np.array_equal(first, _sample_counts(quad, 10**6, 2006)), name
+        uniform = QuadDistribution(tuple([1 / 16] * 16))
+        assert not np.array_equal(_sample_counts(uniform, 10**6, 1),
+                                  _sample_counts(uniform, 10**6, 2))
+
+    def test_law_equals_one_search_per_draw(self):
+        # over many seeds, each cell's z has mean 0 and standard deviation 1
+        # for both samplers; shifting one cell's share by 1/136 moves its
+        # mean z by more than 2
+        p = np.arange(1, 17) / 136
+        quad = QuadDistribution(tuple(p))
+        samples, seeds = 10_000, 2_000
+        for sampler in (_sample_counts, reference_sample_counts):
+            counts = np.array([sampler(quad, samples, seed) for seed in range(seeds)])
+            z = (counts - samples * p) / np.sqrt(samples * p * (1 - p))
+            assert np.abs(z.mean(axis=0)).max() < 5 / math.sqrt(seeds), sampler
+            assert np.abs(z.std(axis=0) - 1).max() < 5 / math.sqrt(2 * seeds), sampler
 
     def test_memory_does_not_grow_with_samples(self):
         quad = QuadDistribution(tuple([1 / 16] * 16))
-        _sample_counts(quad, SAMPLE_CHUNK, 1)  # warm-up: numpy's lazy state
+        _sample_counts(quad, 2**16, 1)  # warm-up: numpy's lazy state
 
         def traced_peak(samples: int) -> int:
             tracemalloc.start()
@@ -457,7 +448,7 @@ class TestSampleCounts:
             finally:
                 tracemalloc.stop()
 
-        small, large = traced_peak(4 * SAMPLE_CHUNK), traced_peak(40 * SAMPLE_CHUNK)
+        small, large = traced_peak(4 * 2**16), traced_peak(40 * 2**16)
         assert large - small <= 64 * 1024
         assert large < 4 * 1024 * 1024
 
@@ -660,6 +651,19 @@ class TestInputHandling:
         assert code == 0
         assert out == ""
         assert json.loads(out_path.read_text())["chsh"]["satisfied"] is True
+
+
+    @pytest.mark.parametrize("mode", ["chsh", "construct4", "construct3", "oracle", "sweep"])
+    def test_negative_zero_input_prints_no_negative_zero(self, tmp_path, capsys, mode):
+        path = tmp_path / "negzero.json"
+        path.write_text(json.dumps({
+            "singles": {"A": -0.0, "A'": 1.0, "B": 1.0, "B'": -0.0},
+            "doubles": {"AB": -0.0, "AB'": -0.0, "A'B": 1.0, "A'B'": -0.0},
+        }))
+        assert path.read_text().count("-0.0") == 5
+        code, out, _ = run_cli(capsys, "--mode", mode, "--input", str(path))
+        assert code == 0
+        assert "-0.0" not in out
 
 
 class TestParseBoundary:
