@@ -3,9 +3,9 @@
 Modes probs (state files only) and chsh report probabilities, correlations
 and both CHSH forms; construct3/4, sweep and mc-verify run construct_trace,
 which picks P(A'B') when the input lacks it; oracle runs the LP.  --grid is
-bounded by SWEEP_MAX_CELLS block cells, --samples by MAX_SAMPLES.  numpy
-is imported only by the modes that use arrays: state files, sweep and
-mc-verify sampling.
+bounded by SWEEP_MAX_CELLS block cells, --samples by MAX_SAMPLES.  Each
+mode imports the modules it runs inside its handler, so numpy loads only
+for sweep and mc-verify sampling, and the LP oracle only for oracle.
 
 One structured JSON schema covers states, settings, probabilities,
 parameters, and reports.  A state file holds {"state": ..., "settings":
@@ -36,23 +36,16 @@ from itertools import product
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
-from .chsh import ChshReport, CVariant, chsh_probability_form
-from .construction import (
-    ConstructionTrace,
-    FamilyParams,
-    check_sweep_budget,
-    construct_trace,
-    marginal_residuals,
-)
 from .errors import check_range, EprJointError, EXIT_OK, ValidationError
 from .experiments import correlations_of, DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SIGNS, SINGLE_LABELS, outcome_label, pair_marginals
-from .oracle import build_system, ROW_LABELS, solve_system
 
 if TYPE_CHECKING:
     import numpy as np
 
-    from .quantum import AnalyzerSettings, DensityMatrix
+    from .chsh import ChshReport
+    from .construction import FamilyParams
+    from .quantum import DensityMatrix
 
 DEFAULT_SAMPLES = 100_000
 # Bound of mc-verify's --samples.  A 10**8-sample child takes about 0.3 s
@@ -127,7 +120,7 @@ def _number(value, where: str, field: str) -> float:
             field=field, value=value, bound=sys.float_info.max) from None
 
 
-def _parse_state(spec) -> DensityMatrix:
+def _parse_state(spec, atol: float) -> DensityMatrix:
     from .quantum import DensityMatrix, ket_state, maximally_mixed, singlet, werner
 
     if isinstance(spec, str):
@@ -157,7 +150,7 @@ def _parse_state(spec) -> DensityMatrix:
         flat = [complex(_number(re, "field 'state' entry", "state"),
                         _number(im, "field 'state' entry", "state"))
                 for re, im in spec]
-        return DensityMatrix([flat[row:row + 4] for row in range(0, 16, 4)])
+        return DensityMatrix([flat[row:row + 4] for row in range(0, 16, 4)], atol)
     raise ValidationError("field 'state' must be a name or 16 [re, im] pairs", field="state",
                           value=repr(spec))
 
@@ -167,15 +160,6 @@ def _parse_vector(obj, name: str) -> tuple[float, float, float]:
         raise ValidationError(f"settings field {name!r} must be 3 real numbers", field=name,
                               value=len(obj) if isinstance(obj, list) else repr(obj), bound=3)
     return tuple(_number(c, f"settings field {name!r}", name) for c in obj)
-
-
-def _parse_settings(obj) -> AnalyzerSettings:
-    from .quantum import AnalyzerSettings
-
-    return AnalyzerSettings(*(
-        _parse_vector(_require(obj, f"n_{label}", "settings"), f"n_{label}")
-        for label in SINGLE_LABELS
-    ))
 
 
 def _parse_probs(obj, atol: float) -> ExperimentalProbs:
@@ -198,15 +182,20 @@ def _load_probs(config: RunConfig) -> ExperimentalProbs:
     file when one is given (always in probs mode)."""
     obj = _load_json(config.input_path)
     if config.mode == "probs" or isinstance(obj, dict) and "state" in obj:
-        from .quantum import experimental_probs
+        from .quantum import AnalyzerSettings, experimental_probs
 
-        rho = _parse_state(_require(obj, "state", config.input_path))
-        settings = _parse_settings(_require(obj, "settings", config.input_path))
-        return experimental_probs(rho, settings, atol=config.tolerance)
+        rho = _parse_state(_require(obj, "state", config.input_path), config.tolerance)
+        settings = _require(obj, "settings", config.input_path)
+        return experimental_probs(rho, AnalyzerSettings(*(
+            _parse_vector(_require(settings, f"n_{label}", "settings"), f"n_{label}")
+            for label in SINGLE_LABELS
+        )), atol=config.tolerance)
     return _parse_probs(obj, config.tolerance)
 
 
 def parse_params(obj) -> FamilyParams:
+    from .construction import FamilyParams
+
     t = _require(obj, "t", "parameter file")
     if not isinstance(t, dict):
         raise ValidationError("parameter field 't' must be an object", field="t", value=repr(t))
@@ -235,6 +224,8 @@ def parse_params(obj) -> FamilyParams:
 def _parse_grid(spec: str, axes: int) -> list[float]:
     """The sweep axis of --grid, checked against the sweep's work budget
     before it is built."""
+    from .construction import check_sweep_budget
+
     spec = spec.strip()
     try:
         if "," in spec:
@@ -267,7 +258,7 @@ def _chsh_payload(report: ChshReport) -> dict:
     return {
         "s_values": dict(zip(SINGLE_LABELS, report.s_values)),
         "max_s_value": report.max_s_value,
-        "c_values": {variant.value: c for variant, c in zip(CVariant, report.c_values)},
+        "c_values": dict(zip(report.slacks(), report.c_values)),  # slacks: keyed by variant
         "slacks": report.slacks(),
         "satisfied": report.satisfied,
         "violated": not report.satisfied,
@@ -276,7 +267,10 @@ def _chsh_payload(report: ChshReport) -> dict:
     }
 
 
-def _trace_payload(trace: ConstructionTrace) -> dict:
+def _trace_payload(probs: ExperimentalProbs, params: FamilyParams | None) -> dict:
+    from .construction import construct_trace, marginal_residuals
+
+    trace = construct_trace(probs, params)
     residuals, worst = marginal_residuals(trace.quad, trace.probs)
     payload = {
         "params_t": dict(zip(_PARAM_KEYS, trace.params)),  # FamilyParams' field order
@@ -292,6 +286,8 @@ def _trace_payload(trace: ConstructionTrace) -> dict:
 
 def cmd_chsh(config: RunConfig) -> dict:
     """The probs and chsh modes: probabilities, correlations and both CHSH forms."""
+    from .chsh import chsh_probability_form
+
     probs = _load_probs(config)
     report = chsh_probability_form(probs)
     return {
@@ -310,13 +306,15 @@ def cmd_construct(config: RunConfig) -> dict:
     elif probs.has_all_four:
         note = {"measured_aprime_bprime_ignored": probs.p_apbp}
         probs = probs.without_aprime_bprime()
-    payload = {"mode": config.mode, **_trace_payload(construct_trace(probs, config.params))}
+    payload = {"mode": config.mode, **_trace_payload(probs, config.params)}
     if note:
         payload["note"] = note
     return payload
 
 
 def cmd_oracle(config: RunConfig) -> dict:
+    from .oracle import build_system, ROW_LABELS, solve_system
+
     probs = _load_probs(config)
     system = build_system(probs)
     result = solve_system(system)
@@ -336,6 +334,7 @@ def cmd_sweep(config: RunConfig) -> dict:
     probs = _load_probs(config)
     axes = 7 if probs.has_all_four else 8
     axis = _parse_grid(config.grid, axes)
+    from .construction import construct_trace
     from .sweep import sweep_grid
 
     result = sweep_grid(probs, axis)
@@ -370,6 +369,8 @@ def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarra
 
 
 def cmd_mc_verify(config: RunConfig) -> dict:
+    from .construction import construct_trace
+
     trace = construct_trace(_load_probs(config), config.params)
     chosen = trace.chosen.get("P(A'B')")
     counts = _sample_counts(trace.quad, config.samples, config.seed)

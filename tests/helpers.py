@@ -52,6 +52,13 @@ PAULI = (
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
 
+# The numpy path the quantum layer took before it was written in plain
+# Python, kept as its referee.  Row 4m + n holds sigma_m x sigma_n flattened
+# (sigma_0 = I), so that its dot product with the flattened transpose of rho
+# is R[m, n] = tr(rho sigma_m x sigma_n).
+_SIGMA = np.array([np.eye(2), *PAULI])
+PAULI_PAIRS = np.einsum("mik,njl->mnijkl", _SIGMA, _SIGMA).reshape(16, 16)
+
 # frozen: trace oracle at the canonical CHSH-optimal settings
 P_SINGLET_LOW = (2.0 - SQRT2) / 8.0    # 0.07322330470336313
 P_SINGLET_HIGH = (2.0 + SQRT2) / 8.0   # 0.4267766952966369
@@ -226,6 +233,37 @@ def random_pure(rng: np.random.Generator) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+def boundary_matrix(rng: np.random.Generator, least: float) -> np.ndarray:
+    """A Hermitian unit-trace 4x4 matrix with random eigenvectors and the
+    eigenvalue `least`; the other three are positive, or about half the
+    time one of them is 0."""
+    g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    vectors = np.linalg.qr(g)[0]
+    rest = rng.dirichlet(np.ones(3)) * (1.0 - least)
+    if rng.uniform() < 0.5:
+        rest = np.array([0.0, *rest[1:] / rest[1:].sum() * (1.0 - least)])
+    m = (vectors * np.array([least, *rest])) @ vectors.conj().T
+    return (m + m.conj().T) / 2.0
+
+
+def reference_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> np.ndarray:
+    """The eight probabilities, singles then doubles, as complex traces read
+    from R by numpy products: P(X) = u.R[:, 0]/2, P(Y) = R[0, :].v/2 and
+    P(XY) = u R v^T/4 with u = (1, n_X), v = (1, n_Y)."""
+    pauli = (PAULI_PAIRS @ np.array(rho.matrix).T.reshape(16)).reshape(4, 4)
+    u = np.array([(1.0, *settings.n_a), (1.0, *settings.n_ap)])
+    v = np.array([(1.0, *settings.n_b), (1.0, *settings.n_bp)])
+    return np.concatenate((
+        u @ pauli[:, 0] / 2.0, pauli[0] @ v.T / 2.0, (u @ pauli @ v.T).reshape(4) / 4.0
+    ))
+
+
+def min_eigenvalue(matrix) -> float:
+    """The least eigenvalue of the Hermitian matrix on and below the
+    diagonal of matrix (numpy.linalg.eigvalsh): the positivity referee."""
+    return float(np.linalg.eigvalsh(np.array(matrix, dtype=complex)).min())
+
+
 def random_unit(rng: np.random.Generator) -> tuple[float, float, float]:
     while True:
         v = rng.normal(size=3)
@@ -331,7 +369,7 @@ def observable_matrix(direction, first: bool) -> np.ndarray:
 def trace_correlation(rho: DensityMatrix, n_x, n_y) -> complex:
     """<XY> = tr(rho (sigma.n_X x sigma.n_Y)) by direct 4x4 trace."""
     op = observable_matrix(n_x, first=True) @ observable_matrix(n_y, first=False)
-    return np.trace(rho.matrix @ op)
+    return np.trace(np.array(rho.matrix) @ op)
 
 
 def trace_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> tuple[complex, ...]:
@@ -342,7 +380,8 @@ def trace_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> tuple[complex
     proj_a = [(eye + observable_matrix(n, first=True)) / 2 for n in (settings.n_a, settings.n_ap)]
     proj_b = [(eye + observable_matrix(n, first=False)) / 2 for n in (settings.n_b, settings.n_bp)]
     ops = [*proj_a, *proj_b, *(pa @ pb for pa in proj_a for pb in proj_b)]
-    return tuple(np.trace(rho.matrix @ op) for op in ops)
+    matrix = np.array(rho.matrix)
+    return tuple(np.trace(matrix @ op) for op in ops)
 
 
 def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:

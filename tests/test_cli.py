@@ -524,7 +524,8 @@ class TestStructuredErrors:
     def test_state_file_decided_at_tolerance(self, write_json, capsys, tolerance, code):
         # diag(1 + 5e-10, -5e-10, 0, 0) passes the density-matrix checks at
         # 1e-9; with n_B = z it gives P(B) = 1 + 5e-10, as does a probability
-        # file of the same numbers
+        # file of the same numbers.  At 1e-12 the state's own entry part
+        # check refuses it first.
         entries = [[0.0, 0.0]] * 16
         entries[0], entries[5] = [1.0 + 5e-10, 0.0], [-5e-10, 0.0]
         settings = {"n_A": [0.0, 0.0, 1.0], "n_A'": [1.0, 0.0, 0.0],
@@ -540,10 +541,30 @@ class TestStructuredErrors:
         if code:
             fields = [json.loads(err)["field"] for _, _, err in runs]
             bounds = [json.loads(err)["bound"] for _, _, err in runs]
-            assert (fields, bounds) == (["B", "B"], [1.0, 1.0])
+            values = [json.loads(err)["value"] for _, _, err in runs]
+            assert (fields, bounds) == (["state", "B"], [1.0, 1.0])
+            assert values == [1.0 + 5e-10] * 2
         else:
             singles = [json.loads(out)["probs"]["singles"] for _, out, _ in runs]
             assert singles[0]["B"] == singles[1]["B"] == 1.0
+
+    @pytest.mark.parametrize("tolerance, defect, code", [("1e-6", 5e-9, 0), ("1e-12", 5e-10, 2)])
+    def test_state_checks_follow_tolerance(self, write_json, capsys, tolerance, defect, code):
+        # I/4 with rho_01 = i * defect: a Hermitian defect of 5e-9 passes at
+        # 1e-6, and one of 5e-10 fails at 1e-12 as a density-matrix check,
+        # not later as the imaginary part of a probability
+        entries = [[0.25 if k % 5 == 0 else 0.0, 0.0] for k in range(16)]
+        entries[1] = [0.0, defect]
+        path = write_json("s.json", {**SINGLET_STATE, "state": entries})
+        done, out, err = run_cli(capsys, "--mode", "probs", "--input", path,
+                                 "--tolerance", tolerance)
+        assert done == code
+        if code:
+            error = json.loads(err)
+            assert "density matrix is not Hermitian" in error["message"]
+            assert (error["field"], error["value"], error["bound"]) == ("state", defect, 0.0)
+        else:
+            assert json.loads(out)["probs"]["singles"]["A"] == 0.5
 
     def test_errors_without_a_bound_add_no_keys(self, capsys, tmp_path):
         path = tmp_path / "x.json"

@@ -1,6 +1,7 @@
-"""The package's import graph: which paths load numpy, dataclasses and
-inspect, which modules the LP oracle may read, the public names that resolve
-on first access, the names the benchmark reads, and the immutable records."""
+"""The package's import graph: which modules each CLI mode loads, which
+paths load numpy, dataclasses and inspect, which modules the LP oracle may
+read, the public names that resolve on first access, the names the benchmark
+reads, and the immutable records."""
 
 from __future__ import annotations
 
@@ -37,20 +38,23 @@ EXPORTS = {
     "sweep": ("sweep_grid",),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
-# Names of the modules that import numpy, loaded on first access.
-LAZY = [name for module in ("quantum", "sweep") for name in EXPORTS[module]]
+# Every public name resolves on first access.
+LAZY = [name for _, name in NAMES]
 
-# Runs cli.main once per (mode, input) pair given as a JSON list in argv[1],
-# then prints the exit codes and whether numpy, dataclasses and inspect were
-# ever imported.
+# Imports eprjoint, then, when argv[1] (a JSON list of (mode, input, output))
+# names runs, eprjoint.cli, and runs cli.main once per triple; then prints the
+# exit codes and the watched modules that were ever imported.
 RUN_CLI = """
 import json, sys
-import eprjoint, eprjoint.cli
+import eprjoint
 runs = json.loads(sys.argv[1])
+if runs:
+    import eprjoint.cli
 codes = [eprjoint.cli.main(["--mode", mode, "--input", path, "--output", out])
          for mode, path, out in runs]
-print(json.dumps({"codes": codes,
-                  **{name: name in sys.modules for name in ("numpy", "dataclasses", "inspect")}}))
+print(json.dumps({"codes": codes, "loaded": sorted(
+    name for name in sys.modules if name.startswith("eprjoint.")
+    or name in ("numpy", "fractions", "dataclasses", "inspect"))}))
 """
 
 SINGLES = {"A": 0.5, "A'": 0.5, "B": 0.5, "B'": 0.5}
@@ -60,11 +64,25 @@ VIOLATING = {"singles": SINGLES, "doubles": {"AB": P_SINGLET_LOW, "AB'": P_SINGL
                                              "A'B": P_SINGLET_LOW, "A'B'": P_SINGLET_HIGH}}
 STATE = {"state": "werner:0.5", "settings": {"n_A": [0, 0, 1], "n_A'": [1, 0, 0],
                                              "n_B": [0, 0, 1], "n_B'": [1, 0, 0]}}
+MATRIX_STATE = {**STATE, "state": [[0.25 if k % 5 == 0 else 0.0, 0.0] for k in range(16)]}
+
+# Each scalar child: its runs, their exit codes, and the modules it may not
+# load besides numpy, dataclasses and inspect (records are NamedTuples).
+SCALAR_CHILDREN = {
+    "probs-chsh": ([("probs", STATE), ("probs", MATRIX_STATE), ("chsh", STATE),
+                    ("chsh", VIOLATING)], [0, 0, 0, 0],
+                   {"eprjoint.construction", "eprjoint.oracle"}),
+    "construct": ([("construct4", UNIFORM), ("construct4", VIOLATING), ("construct3", THREE),
+                   ("construct4", STATE), ("construct3", MATRIX_STATE)], [0, 3, 0, 0, 0],
+                  {"eprjoint.oracle", "fractions"}),
+    "oracle": ([("oracle", UNIFORM), ("oracle", VIOLATING), ("oracle", STATE)], [0, 0, 0],
+               {"eprjoint.construction", "eprjoint.chsh"}),
+}
 
 
 def run_cli(tmp_path, runs) -> dict:
-    """Exit codes and the presence of numpy, dataclasses and inspect after
-    the runs in one fresh process."""
+    """Exit codes and the watched modules loaded after the runs in one
+    fresh process."""
     argv = []
     for k, (mode, payload) in enumerate(runs):
         path = tmp_path / f"in{k}.json"
@@ -78,18 +96,22 @@ def run_cli(tmp_path, runs) -> dict:
 
 
 class TestNumpyLoadsOnlyWhereArraysAreUsed:
-    def test_scalar_modes_never_import_numpy(self, tmp_path):
-        # records are NamedTuples, so dataclasses (and the inspect it
-        # imports) stay out of every scalar child too
-        runs = [("chsh", VIOLATING), ("construct4", UNIFORM), ("construct4", VIOLATING),
-                ("construct3", THREE), ("oracle", UNIFORM)]
-        assert run_cli(tmp_path, runs) == {"codes": [0, 0, 3, 0, 0], "numpy": False,
-                                           "dataclasses": False, "inspect": False}
+    def test_import_loads_no_submodule(self, tmp_path):
+        assert run_cli(tmp_path, []) == {"codes": [], "loaded": []}
 
-    def test_state_file_imports_numpy(self, tmp_path):
+    def test_scalar_modes_never_import_numpy(self, tmp_path):
+        for child, (runs, codes, barred) in SCALAR_CHILDREN.items():
+            loaded = run_cli(tmp_path, runs)
+            assert loaded["codes"] == codes, child
+            assert "eprjoint.cli" in loaded["loaded"], child  # the guard sees what runs load
+            barred = barred | {"numpy", "dataclasses", "inspect"}
+            assert barred.isdisjoint(loaded["loaded"]), (child, loaded["loaded"])
+
+    def test_sweep_imports_numpy(self, tmp_path):
         # the guard sees numpy when a path does load it
-        loaded = run_cli(tmp_path, [("probs", STATE)])
-        assert (loaded["codes"], loaded["numpy"]) == ([0], True)
+        loaded = run_cli(tmp_path, [("sweep", STATE)])
+        assert loaded["codes"] == [0]
+        assert {"numpy", "eprjoint.sweep"} <= set(loaded["loaded"])
 
 
 def test_no_module_imports_dataclasses_or_inspect():

@@ -25,11 +25,15 @@ from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
     TSIRELSON,
+    boundary_matrix,
     chsh_correlation_form,
     ginibre_density,
+    min_eigenvalue,
     observable_matrix,
+    random_pure,
     random_settings,
     random_unit,
+    reference_probs,
     trace_correlation,
     trace_probs,
 )
@@ -206,7 +210,7 @@ class TestExperimentalProbs:
                      + n[1] * np.array([[0, -1j], [1j, 0]])
                      + n[2] * np.array([[1, 0], [0, -1]])) / 2.0
             for op in (np.kron(local, np.eye(2)), np.kron(np.eye(2), local)):
-                raw = np.trace(rho.matrix @ op)
+                raw = np.trace(np.array(rho.matrix) @ op)
                 assert abs(raw.imag) < 1e-10
                 assert -1e-10 <= raw.real <= 1.0 + 1e-10
 
@@ -254,9 +258,37 @@ class TestStatesAndValidation:
         assert (err.value.field, err.value.value, err.value.bound) == ("state", [3, 3], None)
 
     def test_matrix_is_frozen(self):
+        # the matrix is a tuple of four tuples of complex
         rho = singlet()
-        with pytest.raises(ValueError):
-            rho.matrix[0, 0] = 1.0
+        assert type(rho.matrix) is tuple and len(rho.matrix) == 4
+        assert all(type(row) is tuple and list(map(type, row)) == [complex] * 4
+                   for row in rho.matrix)
+        for index in ((0, 0), 0):
+            with pytest.raises(TypeError):
+                rho.matrix[index] = 1.0
+        with pytest.raises(TypeError):
+            rho.matrix[0][0] = 1.0
+
+    def test_checks_decided_at_atol(self):
+        # each check passes a defect of 5e-9 at atol 1e-6 and refuses it at
+        # the default 1e-9, naming the same value
+        def mixed_with(i: int, j: int, z: complex) -> np.ndarray:
+            m = np.eye(4, dtype=complex) / 4
+            m[i, j] += z
+            return m
+
+        cases = [("entry part", mixed_with(0, 1, 1.0 + 5e-9), 1.0 + 5e-9),
+                 ("Hermitian", mixed_with(0, 1, 5e-9j), 5e-9),
+                 ("trace", mixed_with(0, 0, 5e-9), 1.0 + 5e-9),
+                 ("semidefinite", np.diag([0.5 + 5e-9, 0.5, 0.0, -5e-9]), -5e-9)]
+        for match, m, value in cases:
+            with pytest.raises(ValidationError, match=match) as err:
+                DensityMatrix(m)
+            assert err.value.value == pytest.approx(value, abs=1e-16)
+            with pytest.raises(ValidationError, match=match):
+                DensityMatrix(m, 1e-12)
+            if match != "entry part":  # a part above 1 is never a density matrix's
+                assert isinstance(DensityMatrix(m, 1e-6).matrix, tuple)
 
     def test_settings_name_bad_field(self):
         with pytest.raises(ValidationError, match="n_B'") as err:
@@ -283,3 +315,58 @@ class TestStatesAndValidation:
             warnings.simplefilter("error")
             with pytest.raises(ValidationError, match="1e\\+308 > 1"):
                 DensityMatrix(m)
+
+
+class TestNumpyReferee:
+    """The plain-Python layer against the numpy path it replaced (helpers)."""
+
+    def test_probs_match_within_4e16(self):
+        rng = np.random.default_rng(59)
+        named = [singlet(), maximally_mixed(), werner(0.3), werner(0.9),
+                 *(ket_state(bits) for bits in ("00", "01", "10", "11"))]
+        states = ([ginibre_density(rng) for _ in range(1000)]
+                  + [random_pure(rng) for _ in range(1000)] + named * 25)
+        worst = 0.0
+        for rho in states:
+            settings = random_settings(rng)
+            probs = experimental_probs(rho, settings)
+            expected = reference_probs(rho, settings)
+            assert max(abs(expected.imag)) < 1e-15
+            worst = max(worst, *(abs(p - e) for p, e in zip(probs[:8], expected.real)))
+        assert 0.0 < worst <= 4e-16  # summed in another order: they differ, by an ulp or so
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-9, 1e-6])
+    def test_positivity_verdict_is_eigvalsh(self, atol):
+        # 3e-10 inside and outside the boundary least eigenvalue = -atol;
+        # a refused matrix reports eigvalsh's least eigenvalue, as before
+        rng = np.random.default_rng(61)
+        accepted = []
+        for i in range(400):
+            m = boundary_matrix(rng, -atol + (3e-10 if i % 2 else -3e-10))
+            least = min_eigenvalue(m)
+            try:
+                DensityMatrix(m, atol)
+                accepted.append(True)
+            except ValidationError as err:
+                assert (err.field, err.value, err.bound) == ("state", least, 0.0)
+                assert f"(min eigenvalue {least!r})" in str(err)
+                accepted.append(False)
+            assert accepted[-1] == (least >= -atol)
+        assert accepted == [i % 2 == 1 for i in range(400)]
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-9, 1e-6])
+    def test_rank_one_states_accepted(self, atol):
+        rng = np.random.default_rng(67)
+        for _ in range(500):
+            v = rng.normal(size=4) + 1j * rng.normal(size=4)
+            m = np.outer(v, v.conj()) / np.vdot(v, v).real
+            assert min_eigenvalue(m) >= -atol
+            DensityMatrix(m, atol)
+
+    def test_refused_matrix_reports_least_eigenvalue(self):
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            m = boundary_matrix(rng, -float(rng.uniform(1e-8, 0.2)))
+            with pytest.raises(ValidationError, match="semidefinite") as err:
+                DensityMatrix(m)
+            assert err.value.value == min_eigenvalue(m)

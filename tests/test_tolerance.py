@@ -79,8 +79,10 @@ def test_routes_agree_near_faces_at_loose_atol():
 
 
 # The scopes of src/eprjoint that may read DEFAULT_ATOL: the defaults of
-# the input's atol (and their help text), the checks of tables built
-# elsewhere, and the quantum inputs validated before an atol is known.
+# the input's atol (and their help text; a state's checks and its
+# probabilities take the run's atol as an argument, defaulting to it), the
+# checks of tables built elsewhere, and the unit norm of a settings
+# direction, a check of the directions' geometry, not of measured values.
 # Every other decision reads the atol of its input.
 DEFAULT_ATOL_READERS = {
     ("cli", "RunConfig.__new__"),
