@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 # so `import eprjoint` loads no submodule, and a caller loads only the
 # modules whose names it reads.
 _EXPORTS = {name: module for module, names in {
-    "chsh": ("ChshReport", "CVariant", "c_function", "chsh_probability_form"),
+    "chsh": ("ChshReport", "chsh_probability_form"),
     "construction": ("ConstructionTrace", "FamilyParams", "Interval", "SweepResult",
                      "construct_3exp", "construct_4exp", "construct_trace",
-                     "interval_p_aprime_bprime", "interval_p_dotdot", "interval_p_plusplus",
-                     "invert_params", "marginal_residuals", "step1_triples"),
+                     "interval_p_aprime_bprime", "invert_params", "marginal_residuals"),
     "errors": ("ChshViolationError", "EprJointError", "InternalInvariantError",
                "ValidationError"),
-    "experiments": ("ExperimentalProbs", "QuadDistribution", "correlations_of", "frechet_bounds"),
+    "experiments": ("ExperimentalProbs", "QuadDistribution", "frechet_bounds"),
     "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "solve_system"),
     "quantum": ("AnalyzerSettings", "DensityMatrix", "chsh_optimal_settings",
                 "experimental_probs", "ket_state", "maximally_mixed", "singlet", "werner"),

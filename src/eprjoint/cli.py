@@ -121,22 +121,23 @@ def _number(value, where: str, field: str) -> float:
 
 
 def _parse_state(spec, atol: float) -> DensityMatrix:
-    from .quantum import DensityMatrix, ket_state, maximally_mixed, singlet, werner
+    from .quantum import DensityMatrix, _ket_matrix, _mixed_matrix, _singlet_matrix, _werner_matrix
 
-    if isinstance(spec, str):
+    if isinstance(spec, str):  # a named state, checked at the run's atol as a matrix is
         if spec == "singlet":
-            return singlet()
+            return DensityMatrix(_singlet_matrix(), atol)
         if spec == "mixed":
-            return maximally_mixed()
+            return DensityMatrix(_mixed_matrix(), atol)
         if spec.startswith("werner:"):
             text = spec.split(":", 1)[1]
             try:
                 p = float(text)
             except ValueError:
                 p = math.nan
-            return werner(_finite(p, text, "field 'state' werner parameter", "state"))
+            p = _finite(p, text, "field 'state' werner parameter", "state")
+            return DensityMatrix(_werner_matrix(p), atol)
         if spec.startswith("ket:"):
-            return ket_state(spec.split(":", 1)[1])
+            return DensityMatrix(_ket_matrix(spec.split(":", 1)[1]), atol)
         raise ValidationError(f"unknown named state {spec!r}", field="state", value=spec)
     if isinstance(spec, list):
         if len(spec) != 16:
@@ -359,13 +360,17 @@ def _sample_counts(quad: QuadDistribution, samples: int, seed: int) -> np.ndarra
     multinomial variate of a PCG64 generator seeded with seed, by numpy's
     conditional-binomial method (C. S. Davis, Comput. Stat. Data Anal. 16,
     1993).  The entries are nonnegative and sum to one (from_raw), as numpy
-    requires.  The counts sum to samples.  A zero cell draws none, except a
-    zero last cell, which takes what float rounding leaves of the running
-    remainder: of order samples * 1e-16 expected draws.
+    requires.  The counts sum to samples.  Only the nonzero cells enter the
+    draw, so a zero cell counts exactly 0.
     """
     import numpy as np
 
-    return np.random.Generator(np.random.PCG64(seed)).multinomial(samples, quad.entries)
+    entries = np.array(quad.entries)
+    nonzero = entries > 0.0
+    counts = np.zeros(16, dtype=np.int64)
+    counts[nonzero] = np.random.Generator(np.random.PCG64(seed)).multinomial(
+        samples, entries[nonzero])
+    return counts
 
 
 def cmd_mc_verify(config: RunConfig) -> dict:

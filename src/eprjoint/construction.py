@@ -8,10 +8,12 @@ with + before -, which fix the remaining entries by sum rules (step 2).
 Each scalar ranges over an explicit interval.  The one for P(..++) is
 nonempty exactly when the eight CHSH inequalities hold (Fine's theorem);
 the others are never empty.  With the unmeasured P(A'B') visited first, the
-same walk fits three experiments for arbitrary inputs.  construct_trace
-picks each scalar at a fraction t in [0, 1] of its interval, so every
-t-tuple yields a valid distribution; invert_params walks at the positions of
-a given table's own values.
+same walk fits three experiments for arbitrary inputs.  The walk runs on the
+eight measured floats through private maps that sweep_grid shares on arrays
+(_sides, _dotdot, _split, _side_triples).  construct_trace picks each scalar
+at a fraction t in [0, 1] of its interval, so every t-tuple yields a valid
+distribution; invert_params walks at the positions of a given table's own
+values.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
+from . import experiments
 from .chsh import chsh_probability_form
 from .errors import ChshViolationError, InternalInvariantError, ValidationError, check_range
 from .experiments import (
     ExperimentalProbs,
     QuadDistribution,
+    _project,
     correlation_from_pair,
     frechet_bounds,
     frechet_cells,
@@ -42,6 +46,14 @@ _BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
 SWEEP_MAX_CELLS = 1 << 24
 
 
+def _pick(lo: float, hi: float, t: float) -> float:
+    """The point at fraction t of [lo, hi], clamped inside it; the midpoint
+    of a degenerate or slightly inverted interval."""
+    if hi <= lo:
+        return (lo + hi) / 2.0
+    return min(max(lo + t * (hi - lo), lo), hi)
+
+
 class Interval(NamedTuple):
     """A closed feasible interval.  Construction code declares it empty only
     when lo - hi exceeds the input's atol; a slightly inverted interval
@@ -53,20 +65,7 @@ class Interval(NamedTuple):
     def pick(self, t: float) -> float:
         """The point at fraction t of the interval, clamped inside it."""
         check_range("t", t, 0.0, 1.0)
-        lo, hi = self
-        if hi <= lo:
-            return (lo + hi) / 2.0
-        return min(max(lo + t * (hi - lo), lo), hi)
-
-    def position(self, x: float) -> float:
-        """Inverse of pick: the fraction where x sits (0.5 for degenerate)."""
-        lo, hi = self
-        if hi - lo <= 0.0:
-            return 0.5
-        return min(max((x - lo) / (hi - lo), 0.0), 1.0)
-
-    def intersect(self, other: "Interval") -> "Interval":
-        return Interval(max(self.lo, other.lo), min(self.hi, other.hi))
+        return _pick(*self, t)
 
 
 class _FamilyFields(NamedTuple):
@@ -115,20 +114,19 @@ class FamilyParams(_FamilyFields):
 _DEFAULT_PARAMS = FamilyParams()
 
 
-def _side_inputs(probs: ExperimentalProbs, primed: bool, sign: Sign) -> tuple[float, float, float]:
-    """(P(x+.), P(x.+), P(x..)) for x = sign on the A side, or on the A' side
-    (P(.x+.), P(.x.+), P(.x..)) when primed, which needs the fourth experiment."""
-    if primed:
-        with_b, with_bp, single = probs.p_apb, probs.require_all_four(), probs.p_ap
-    else:
-        with_b, with_bp, single = probs.p_ab, probs.p_abp, probs.p_a
-    if sign > 0:
-        return with_b, with_bp, single
-    return probs.p_b - with_b, probs.p_bp - with_bp, 1.0 - single
+def _sides(values) -> tuple:
+    """The margins (P(x+.), P(x.+), P(x..)) of the side tables P(xbb') for
+    x = +, - of A, then of P(.xbb') for x = +, - of A', from the eight
+    measured values: ((plus, minus), (primed plus, primed minus))."""
+    p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp = values
+    return tuple(((with_b, with_bp, single), (p_b - with_b, p_bp - with_bp, 1.0 - single))
+                 for with_b, with_bp, single in ((p_ab, p_abp, p_a), (p_apb, p_apbp, p_ap)))
 
 
-def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
-    """Allowed interval of the shared marginal P(..++).
+def _dotdot(probs: ExperimentalProbs, values, sides) -> tuple[float, float]:
+    """Allowed interval (lo, hi) of the shared marginal P(..++), from the
+    eight values (those of probs, completed by the walk's P(A'B') when probs
+    lacks it) and their _sides.
 
     Intersects the region reachable as P(+.++) + P(-.++) with the region
     reachable as P(.+++) + P(.-++).  Each cross-side lo - hi equals -C or
@@ -136,84 +134,46 @@ def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
     probs.atol) exactly when chsh_probability_form reports a violation;
     then ChshViolationError.
     """
-    sides = []
-    for primed in (False, True):
-        lows, highs = [0.0, probs.p_b + probs.p_bp - 1.0], [probs.p_b, probs.p_bp]
-        cross = []
-        for sign in SIGNS:
-            with_b, with_bp, single = _side_inputs(probs, primed, sign)
-            lows.append(with_b + with_bp - single)
-            cross.append((with_b, with_bp))
-        (pb_plus, pbp_plus), (pb_minus, pbp_minus) = cross
-        highs.extend([pb_plus + pbp_minus, pbp_plus + pb_minus])
-        sides.append(Interval(max(lows), min(highs)))
-    result = sides[0].intersect(sides[1])
-    if result.lo - result.hi > probs.atol:
-        report = chsh_probability_form(probs)
+    p_b, p_bp = values[2], values[3]
+    lo, hi = max(0.0, p_b + p_bp - 1.0), min(p_b, p_bp)
+    for (pb_plus, pbp_plus, mass_plus), (pb_minus, pbp_minus, mass_minus) in sides:
+        lo = max(lo, pb_plus + pbp_plus - mass_plus, pb_minus + pbp_minus - mass_minus)
+        hi = min(hi, pb_plus + pbp_minus, pbp_plus + pb_minus)
+    if lo - hi > probs.atol:
+        report = chsh_probability_form(probs._replace(p_apbp=values[7]))
         raise ChshViolationError(
             "the measured probabilities violate the CHSH inequalities "
-            f"(P(..++) interval [{result.lo!r}, {result.hi!r}] is empty); "
+            f"(P(..++) interval [{lo!r}, {hi!r}] is empty); "
             "no four-experiment joint distribution exists",
             report=report,
         )
-    return result
+    return lo, hi
 
 
-def interval_p_plusplus(probs: ExperimentalProbs, primed: bool, p_dotdot: float) -> Interval:
-    """Allowed interval of P(+.++), or of P(.+++) when primed, given the shared
-    marginal P(..++).
+def _split(plus, minus, p_dotdot: float, atol: float, primed: bool) -> tuple[float, float]:
+    """Allowed interval (lo, hi) of P(+.++), or of P(.+++) when primed, given
+    the shared marginal P(..++) and the side's tables plus and minus.
 
     Both P(x++) and the conjugate P(-x++) = P(..++) - P(x++) must lie within
-    the Fréchet bounds of their sides' tables P(x bb') and P(-x bb').
+    the Fréchet bounds of their tables.
     """
-    own_lo, own_hi = frechet_bounds(*_side_inputs(probs, primed, 1))
-    other_lo, other_hi = frechet_bounds(*_side_inputs(probs, primed, -1))
-    result = Interval(max(own_lo, p_dotdot - other_hi), min(own_hi, p_dotdot - other_lo))
-    if result.lo - result.hi > probs.atol:
+    own_lo, own_hi = frechet_bounds(*plus)
+    other_lo, other_hi = frechet_bounds(*minus)
+    lo, hi = max(own_lo, p_dotdot - other_hi), min(own_hi, p_dotdot - other_lo)
+    if lo - hi > atol:
         raise InternalInvariantError(
             f"empty interval for P({'.+' if primed else '+.'}++) at P(..++) = {p_dotdot!r}: "
             "the scalar lies outside its allowed region"
         )
-    return result
+    return lo, hi
 
 
-def _side_triples(probs: ExperimentalProbs, primed: bool, chosen, p_dotdot: float) -> tuple:
+def _side_triples(plus, minus, chosen, p_dotdot: float) -> tuple:
     """The eight triple probabilities of one side, P(+.bb') then P(-.bb')
-    (P(.+bb') then P(.-bb') when primed), given the chosen P(+.++) (or
-    P(.+++)); a numpy array of chosen values gives arrays."""
-    return (*frechet_cells(*_side_inputs(probs, primed, 1), chosen),
-            *frechet_cells(*_side_inputs(probs, primed, -1), p_dotdot - chosen))
-
-
-def step1_triples(
-    probs: ExperimentalProbs, p_a_pp: float, p_ap_pp: float, p_dotdot: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """All sixteen triple probabilities from the three chosen scalars: (pa,
-    pap), the eight P(a.bb') and the eight P(.a'bb'), each indexed 4*i(first
-    sign) + k with k = 2*i(b) + i(b') the BB_BLOCKS index, i(+1)=0, i(-1)=1.
-
-    P(+.++) = p_a_pp and P(-.++) = p_dotdot - p_a_pp; per side and sign the
-    table of (b, b') with margins P(x+.), P(x.+) and mass P(x..) then has
-    cells P(x++), P(x+-) = P(x+.) - P(x++), P(x-+) = P(x.+) - P(x++),
-    P(x--) = P(x..) - P(x+.) - P(x.+) + P(x++); same with primes.
-    """
-    sides = []
-    for primed, chosen in ((False, p_a_pp), (True, p_ap_pp)):
-        side = _side_triples(probs, primed, chosen, p_dotdot)
-        if min(side) < -probs.atol:
-            x, cells = ("+", side[:4]) if min(side[:4]) < -probs.atol else ("-", side[4:])
-            raise InternalInvariantError(
-                f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
-                "have a negative entry; a chosen scalar violates its interval"
-            )
-        sides.append(side)
-    pa, pap = sides
-    for k, cell in enumerate(_CELL_LABELS):
-        lhs, rhs = 0 + pa[k] + pa[k + 4], 0 + pap[k] + pap[k + 4]
-        if abs(lhs - rhs) > probs.atol:
-            raise InternalInvariantError(
-                f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
-    return pa, pap
+    (P(.+bb') then P(.-bb') for the A' side), index 4*i(first sign) + k with
+    k the BB_BLOCKS index, given the chosen P(+.++) (or P(.+++)); a numpy
+    array of chosen values gives arrays."""
+    return (*frechet_cells(*plus, chosen), *frechet_cells(*minus, p_dotdot - chosen))
 
 
 class ConstructionTrace(NamedTuple):
@@ -240,67 +200,109 @@ def interval_p_aprime_bprime(probs: ExperimentalProbs) -> Interval:
     validated input (lo - hi <= probs.atol) by the paper's three-experiment
     result; InternalInvariantError otherwise.
     """
+    return Interval(*_aprime_bprime(probs))
+
+
+def _aprime_bprime(probs: ExperimentalProbs) -> tuple[float, float]:
+    """interval_p_aprime_bprime as (lo, hi)."""
     e_ab = correlation_from_pair(probs.p_ab, probs.p_a, probs.p_b)
     e_abp = correlation_from_pair(probs.p_abp, probs.p_a, probs.p_bp)
     e_apb = correlation_from_pair(probs.p_apb, probs.p_ap, probs.p_b)
 
-    def corr_window(center: float, radius: float) -> Interval:
-        return Interval(pair_from_correlation(center - radius, probs.p_ap, probs.p_bp),
-                        pair_from_correlation(center + radius, probs.p_ap, probs.p_bp))
+    def corr_window(center: float, radius: float) -> tuple[float, float]:
+        return (pair_from_correlation(center - radius, probs.p_ap, probs.p_bp),
+                pair_from_correlation(center + radius, probs.p_ap, probs.p_bp))
 
-    same_sign = corr_window(e_apb, 2.0 - abs(e_ab + e_abp))
-    flip_sign = corr_window(-e_apb, 2.0 - abs(e_ab - e_abp))
-    frechet = Interval(*frechet_bounds(probs.p_ap, probs.p_bp))
-    result = same_sign.intersect(flip_sign).intersect(frechet)
-    if result.lo - result.hi > probs.atol:
+    same_lo, same_hi = corr_window(e_apb, 2.0 - abs(e_ab + e_abp))
+    flip_lo, flip_hi = corr_window(-e_apb, 2.0 - abs(e_ab - e_abp))
+    frechet_lo, frechet_hi = frechet_bounds(probs.p_ap, probs.p_bp)
+    lo, hi = max(same_lo, flip_lo, frechet_lo), min(same_hi, flip_hi, frechet_hi)
+    if lo - hi > probs.atol:
         raise InternalInvariantError(
             "no value of P(A'B') is consistent with the three measured "
-            f"experiments (interval [{result.lo!r}, {result.hi!r}] is empty)"
+            f"experiments (interval [{lo!r}, {hi!r}] is empty)"
         )
-    return result
+    return lo, hi
+
+
+# The scalars in walk order; P(A'B') is visited only when probs lacks it.
+_LABELS = ("P(A'B')", "P(..++)", "P(+.++)", "P(.+++)", *_BLOCK_LABELS)
+
+
+def _visit(visits: list, lo: float, hi: float, t: float, own: float | None) -> float:
+    """Record (lo, hi, t, value) for the scalar at fraction t of [lo, hi], or
+    at the fraction where own sits when given (0.5 for degenerate), and
+    return its value."""
+    if own is not None:
+        t = 0.5 if hi - lo <= 0.0 else min(max((own - lo) / (hi - lo), 0.0), 1.0)
+    value = _pick(lo, hi, t)
+    visits.append((lo, hi, t, value))
+    return value
 
 
 def _walk(probs: ExperimentalProbs, params: FamilyParams, table: tuple[float, ...] | None):
     """The construction's one pass, shared by construct_trace and invert_params.
 
     Visits P(A'B') when probs lacks it, then P(..++), P(+.++), P(.+++) and
-    the four P(++bb'), recording each interval and chosen scalar.  Each
-    scalar sits at a fraction t of its interval: params' fraction or, given a
-    table's 16 entries, the position of the table's own value.  Returns the
-    completed probs, intervals and chosen by label, the fractions in as_tuple
-    order, and each block's margins (P(+.bb'), P(.+bb'), P(..bb')).
+    the four P(++bb').  Each scalar sits at a fraction t of its interval:
+    params' fraction or, given a table's 16 entries, the position of the
+    table's own value.  Returns the eight completed values, one (lo, hi, t,
+    value) per visited scalar in _LABELS order, and the 16 entries, those in
+    [-probs.atol, 0) zeroed.
     """
-    intervals, chosen, ts = {}, {}, []
+    values, atol, visits = probs[:8], probs.atol, []
+    # the table's own value of each scalar, in _LABELS order
+    owns = [None] * 8 if table is None else [
+        marginal(table, ap=1, bp=1), marginal(table, b=1, bp=1), marginal(table, 1, 0, 1, 1),
+        marginal(table, 0, 1, 1, 1), *table[:4]]
     if not probs.has_all_four:
-        intervals["P(A'B')"] = iv = interval_p_aprime_bprime(probs)
-        t = params.t_aprime_bprime if table is None else iv.position(marginal(table, ap=1, bp=1))
-        t = 0.5 if t is None else t  # the default midpoint
-        ts.append(t)
-        chosen["P(A'B')"] = iv.pick(t)
-        probs = probs.with_aprime_bprime(chosen["P(A'B')"])
-    intervals["P(..++)"] = iv = interval_p_dotdot(probs)
-    t = params.t_dotdot if table is None else iv.position(marginal(table, b=1, bp=1))
-    ts.append(t)
-    chosen["P(..++)"] = p_dotdot = iv.pick(t)
-    for primed, label, t, a, ap in ((False, "P(+.++)", params.t_aplus, 1, 0),
-                                    (True, "P(.+++)", params.t_aprimeplus, 0, 1)):
-        intervals[label] = iv = interval_p_plusplus(probs, primed, p_dotdot)
-        if table is not None:
-            t = iv.position(marginal(table, a, ap, 1, 1))
-        ts.append(t)
-        chosen[label] = iv.pick(t)
+        t = params.t_aprime_bprime
+        p_apbp = _visit(visits, *_aprime_bprime(probs), 0.5 if t is None else t, owns[0])
+        # projected as ExperimentalProbs projects a measured P(A'B')
+        values = (*values[:7], _project(p_apbp, "A'B'", "Fréchet",
+                                        *experiments.frechet_bounds(values[1], values[3]), atol))
+    sides = _sides(values)
+    p_dotdot = _visit(visits, *_dotdot(probs, values, sides), params.t_dotdot, owns[1])
+    splits = []
+    for primed, t, own in ((False, params.t_aplus, owns[2]), (True, params.t_aprimeplus, owns[3])):
+        splits.append(_visit(visits, *_split(*sides[primed], p_dotdot, atol, primed), t, own))
 
-    pa, pap = step1_triples(probs, chosen["P(+.++)"], chosen["P(.+++)"], p_dotdot)
+    # Step 1: both sides' triples are nonnegative and agree on P(..bb').
+    pa, pap = triples = [_side_triples(*side, chosen, p_dotdot)
+                         for side, chosen in zip(sides, splits)]
+    for primed, side in enumerate(triples):
+        if min(side) < -atol:
+            x, cells = ("+", side[:4]) if min(side[:4]) < -atol else ("-", side[4:])
+            raise InternalInvariantError(
+                f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
+                "have a negative entry; a chosen scalar violates its interval"
+            )
+    for k, cell in enumerate(_CELL_LABELS):
+        lhs, rhs = 0 + pa[k] + pa[k + 4], 0 + pap[k] + pap[k + 4]
+        if abs(lhs - rhs) > atol:
+            raise InternalInvariantError(
+                f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
+
+    # Step 2: block k is the table of (a, a') with margins P(+.bb'),
+    # P(.+bb') and mass P(..bb'); its P(++bb') is entry k.
     blocks = [(pa[k], pap[k], pa[k] + pa[k + 4]) for k in range(4)]
     for k, (label, margins) in enumerate(zip(_BLOCK_LABELS, blocks)):
-        intervals[label] = iv = Interval(*frechet_bounds(*margins))
-        if iv.lo - iv.hi > probs.atol:
+        lo, hi = frechet_bounds(*margins)
+        if lo - hi > atol:
             raise InternalInvariantError(
                 f"empty interval for {label}: triples violate their sum rules")
-        t = params.t_bb[k] if table is None else iv.position(table[k])  # P(++bb') is entry k
-        ts.append(t)
-        chosen[label] = iv.pick(t)
-    return probs, intervals, chosen, ts, blocks
+        _visit(visits, lo, hi, params.t_bb[k], owns[4 + k])
+    entries = [0.0] * 16
+    for k, (margins, (_, _, _, pp)) in enumerate(zip(blocks, visits[-4:])):
+        # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
+        for j, value in enumerate(frechet_cells(*margins, pp)):
+            if value < -atol:
+                raise InternalInvariantError(
+                    f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
+                    "a block value violates its interval"
+                )
+            entries[4 * j + k] = max(value, 0.0)
+    return values, visits, entries
 
 
 def construct_trace(
@@ -314,17 +316,12 @@ def construct_trace(
     [-probs.atol, 0) are zeroed.
     """
     params = params if params is not None else _DEFAULT_PARAMS
-    probs, intervals, chosen, _, blocks = _walk(probs, params, None)
-    entries = [0.0] * 16
-    for k, (label, margins) in enumerate(zip(_BLOCK_LABELS, blocks)):
-        # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
-        for j, value in enumerate(frechet_cells(*margins, chosen[label])):
-            if value < -probs.atol:
-                raise InternalInvariantError(
-                    f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
-                    "a block value violates its interval"
-                )
-            entries[4 * j + k] = max(value, 0.0)
+    values, visits, entries = _walk(probs, params, None)
+    labels = _LABELS[1:] if probs.has_all_four else _LABELS
+    intervals = {label: Interval(lo, hi) for label, (lo, hi, _, _) in zip(labels, visits)}
+    chosen = {label: value for label, (_, _, _, value) in zip(labels, visits)}
+    if not probs.has_all_four:
+        probs = ExperimentalProbs(*values, probs.atol)
     return ConstructionTrace(probs, params, intervals, chosen, QuadDistribution.from_raw(entries))
 
 
@@ -360,7 +357,7 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
     fed back into construct_trace reproduces quad (up to rounding) whenever
     quad's marginals equal probs.
     """
-    ts = _walk(probs, _DEFAULT_PARAMS, quad.entries)[3]
+    ts = [t for _, _, t, _ in _walk(probs, _DEFAULT_PARAMS, quad.entries)[1]]
     return FamilyParams(*ts[-7:-4], ts[-4:], *ts[:-7])
 
 

@@ -14,6 +14,8 @@ from .errors import ValidationError, check_range
 from .indexing import _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
+# The range of an input's atol, for probabilities and states alike.
+_ATOL_RANGE = (1e-12, 1e-6)
 
 _QUAD_FIELDS = tuple(f"P({label})" for label in _QUAD_LABELS)
 
@@ -86,7 +88,7 @@ class ExperimentalProbs(_ProbsFields):
     _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
     def __new__(cls, p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp=None, atol=DEFAULT_ATOL):
-        check_range("atol", atol, 1e-12, 1e-6)
+        check_range("atol", atol, *_ATOL_RANGE)
         singles = [_project(value, label, "unit-interval", 0.0, 1.0, atol)
                    for value, label in zip((p_a, p_ap, p_b, p_bp), SINGLE_LABELS)]
         doubles = [p_ab, p_abp, p_apb, p_apbp]

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError
-from .experiments import DEFAULT_ATOL, PAIR_LABELS, SINGLE_LABELS, ExperimentalProbs
+from .errors import ValidationError, check_range
+from .experiments import _ATOL_RANGE, DEFAULT_ATOL, PAIR_LABELS, SINGLE_LABELS, ExperimentalProbs
 
 _LABELS = SINGLE_LABELS + PAIR_LABELS
 
@@ -87,7 +87,8 @@ class DensityMatrix:
     identity; matrix is a tuple of four rows, each a tuple of four complex.
 
     Invariants: finite entries with real and imaginary parts in [-1, 1],
-    Hermitian, unit trace, positive semidefinite, each within atol.
+    Hermitian, unit trace, positive semidefinite, each within atol, which
+    takes the range of ExperimentalProbs' atol.
     Positivity: rho + atol*I has a Cholesky factor.  Only a matrix without
     one loads numpy, for the least eigenvalue (eigvalsh) its error reports.
     """
@@ -95,6 +96,7 @@ class DensityMatrix:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, atol: float = DEFAULT_ATOL) -> None:
+        check_range("atol", atol, *_ATOL_RANGE)
         rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix  # numpy arrays
         # numpy's shape, to two levels (rows of unequal lengths give each length)
         shape = (len(rows), *{len(row) for row in rows if hasattr(row, "__len__")})
@@ -139,29 +141,47 @@ def _outer(ket) -> tuple:
     return tuple(tuple(a * b.conjugate() for b in ket) for a in ket)
 
 
+# The named states' matrices, which DensityMatrix validates at the caller's
+# atol: the builders below use the default, the CLI the run's --tolerance.
+def _singlet_matrix() -> tuple:
+    s = 1.0 / math.sqrt(2.0)
+    return _outer((0j, complex(s), complex(-s), 0j))
+
+
+def _ket_matrix(bits: str) -> tuple:
+    if bits not in ("00", "01", "10", "11"):
+        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits",
+                              field="state", value=bits)
+    return _outer([1 + 0j if k == int(bits, 2) else 0j for k in range(4)])
+
+
+def _mixed_matrix() -> list:
+    return [[0.25 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
+
+
+def _werner_matrix(p: float) -> list:
+    noise = (1.0 - p) / 4.0
+    return [[p * z + (noise if i == j else 0.0) for j, z in enumerate(row)]
+            for i, row in enumerate(_singlet_matrix())]
+
+
 def singlet() -> DensityMatrix:
     """The maximally entangled state (|01> - |10>)/sqrt(2); <AB> = -n_A.n_B."""
-    s = 1.0 / math.sqrt(2.0)
-    return DensityMatrix(_outer((0j, complex(s), complex(-s), 0j)))
+    return DensityMatrix(_singlet_matrix())
 
 
 def ket_state(bits: str) -> DensityMatrix:
     """Computational-basis product state |b1 b2><b1 b2| for bits in {00,01,10,11}."""
-    if bits not in ("00", "01", "10", "11"):
-        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits",
-                              field="state", value=bits)
-    return DensityMatrix(_outer([1 + 0j if k == int(bits, 2) else 0j for k in range(4)]))
+    return DensityMatrix(_ket_matrix(bits))
 
 
 def maximally_mixed() -> DensityMatrix:
-    return DensityMatrix([[0.25 + 0j if i == j else 0j for j in range(4)] for i in range(4)])
+    return DensityMatrix(_mixed_matrix())
 
 
 def werner(p: float) -> DensityMatrix:
     """Werner mixture p * singlet + (1-p) * I/4; violates CHSH iff p > 1/sqrt(2)."""
-    noise = (1.0 - p) / 4.0
-    return DensityMatrix([[p * z + (noise if i == j else 0.0) for j, z in enumerate(row)]
-                          for i, row in enumerate(singlet().matrix)])
+    return DensityMatrix(_werner_matrix(p))
 
 
 def chsh_optimal_settings() -> AnalyzerSettings:

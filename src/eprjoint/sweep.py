@@ -19,10 +19,12 @@ from . import construction
 from .construction import (
     FamilyParams,
     SweepResult,
+    _dotdot,
+    _pick,
+    _sides,
+    _split,
     check_sweep_budget,
     interval_p_aprime_bprime,
-    interval_p_dotdot,
-    interval_p_plusplus,
 )
 from .errors import InternalInvariantError, ValidationError, check_range
 from .experiments import ExperimentalProbs
@@ -39,7 +41,7 @@ def _first_min(x, y):
 
 
 def _pick_array(lo, hi, t):
-    """Interval(lo, hi).pick(t) elementwise, with the same float operations."""
+    """construction._pick(lo, hi, t) elementwise, with the same float operations."""
     clamped = _first_min(_first_max(lo + t * (hi - lo), lo), hi)
     return np.where(hi <= lo, (lo + hi) / 2.0, clamped)
 
@@ -99,17 +101,15 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     extremes = {"argmin": (float("inf"), None), "argmax": (float("-inf"), None)}
 
     for t_apbp, full in completions:
-        atol = full.atol
-        dotdot_interval = interval_p_dotdot(full)
-        # picking every t0 first validates the whole axis before any pass
-        for t0, p0 in [(t0, dotdot_interval.pick(t0)) for t0 in axis]:
-            a_interval = interval_p_plusplus(full, False, p0)
-            ap_interval = interval_p_plusplus(full, True, p0)
+        atol, sides = full.atol, _sides(full[:8])
+        dotdot = _dotdot(full, full[:8], sides)
+        for t0 in axis:
+            p0 = _pick(*dotdot, t0)
             # Triples: P(a.bb') varies with t1 (rows), P(.a'bb') with t2 (columns).
-            a_picks = _pick_array(a_interval.lo, a_interval.hi, ts)
-            ap_picks = _pick_array(ap_interval.lo, ap_interval.hi, ts)
-            pa = np.array(construction._side_triples(full, False, a_picks, p0))
-            pap = np.array(construction._side_triples(full, True, ap_picks, p0))
+            a_picks = _pick_array(*_split(*sides[0], p0, atol, False), ts)
+            ap_picks = _pick_array(*_split(*sides[1], p0, atol, True), ts)
+            pa = np.array(construction._side_triples(*sides[0], a_picks, p0))
+            pap = np.array(construction._side_triples(*sides[1], ap_picks, p0))
             row, col = pa[:4, :, None], pap[:4, None, :]
             total = 0.0 + pa[:4, :, None] + pa[4:, :, None]
             total_ap = 0.0 + pap[:4, None, :] + pap[4:, None, :]

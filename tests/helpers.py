@@ -1,6 +1,6 @@
 """Shared generators, frozen reference values and test-only views of the
-library (pair outcome tables, C-functions summed from a quadruple table)
-for the test suite.
+library (pair outcome tables, C-functions summed from a quadruple table,
+the construction's step intervals and triples) for the test suite.
 
 Expected values tagged "frozen" were computed with independent scratch
 oracles (direct 4x4 trace enumeration, literal substitution into the
@@ -20,7 +20,6 @@ import numpy as np
 
 from eprjoint import (
     AnalyzerSettings,
-    CVariant,
     DensityMatrix,
     ExperimentalProbs,
     FamilyParams,
@@ -35,11 +34,10 @@ from eprjoint import (
     experimental_probs,
     frechet_bounds,
     interval_p_aprime_bprime,
-    interval_p_dotdot,
-    interval_p_plusplus,
-    step1_triples,
     werner,
 )
+from eprjoint import construction
+from eprjoint.chsh import CVariant
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import SIGNS, marginal
 from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
@@ -382,6 +380,58 @@ def trace_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> tuple[complex
     ops = [*proj_a, *proj_b, *(pa @ pb for pa in proj_a for pb in proj_b)]
     matrix = np.array(rho.matrix)
     return tuple(np.trace(matrix @ op) for op in ops)
+
+
+def _sides_of(probs: ExperimentalProbs) -> tuple:
+    """construction._sides of a four-experiment input."""
+    probs.require_all_four()
+    return construction._sides(probs[:8])
+
+
+def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
+    """The walk's interval of the shared marginal P(..++); ChshViolationError
+    when it is empty."""
+    return Interval(*construction._dotdot(probs, probs[:8], _sides_of(probs)))
+
+
+def interval_p_plusplus(probs: ExperimentalProbs, primed: bool, p_dotdot: float) -> Interval:
+    """The walk's interval of P(+.++), or of P(.+++) when primed, given the
+    shared marginal P(..++)."""
+    sides = _sides_of(probs)[primed]
+    return Interval(*construction._split(*sides, p_dotdot, probs.atol, primed))
+
+
+def step1_triples(
+    probs: ExperimentalProbs, p_a_pp: float, p_ap_pp: float, p_dotdot: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """All sixteen triple probabilities from the three chosen scalars: (pa,
+    pap), the eight P(a.bb') and the eight P(.a'bb'), each indexed 4*i(first
+    sign) + k with k = 2*i(b) + i(b') the BB_BLOCKS index, i(+1)=0, i(-1)=1.
+
+    P(+.++) = p_a_pp and P(-.++) = p_dotdot - p_a_pp; per side and sign the
+    table of (b, b') with margins P(x+.), P(x.+) and mass P(x..) then has
+    cells P(x++), P(x+-) = P(x+.) - P(x++), P(x-+) = P(x.+) - P(x++),
+    P(x--) = P(x..) - P(x+.) - P(x.+) + P(x++); same with primes.  Runs the
+    walk's two step-1 checks with its messages.
+    """
+    sides = _sides_of(probs)
+    triples = []
+    for primed, chosen in ((False, p_a_pp), (True, p_ap_pp)):
+        side = construction._side_triples(*sides[primed], chosen, p_dotdot)
+        if min(side) < -probs.atol:
+            x, cells = ("+", side[:4]) if min(side[:4]) < -probs.atol else ("-", side[4:])
+            raise InternalInvariantError(
+                f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
+                "have a negative entry; a chosen scalar violates its interval"
+            )
+        triples.append(side)
+    pa, pap = triples
+    for k, cell in enumerate(("++", "+-", "-+", "--")):
+        lhs, rhs = 0 + pa[k] + pa[k + 4], 0 + pap[k] + pap[k + 4]
+        if abs(lhs - rhs) > probs.atol:
+            raise InternalInvariantError(
+                f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
+    return pa, pap
 
 
 def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:

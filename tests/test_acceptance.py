@@ -15,16 +15,13 @@ import pytest
 
 from eprjoint import (
     ChshViolationError,
-    CVariant,
     FamilyParams,
     build_system,
-    c_function,
     chsh_probability_form,
     chsh_optimal_settings,
     construct_3exp,
     construct_4exp,
     construct_trace,
-    correlations_of,
     experimental_probs,
     invert_params,
     marginal_residuals,
@@ -33,7 +30,9 @@ from eprjoint import (
     sweep_grid,
     werner,
 )
+from eprjoint.chsh import CVariant, c_function
 from eprjoint.cli import _sample_counts
+from eprjoint.experiments import correlations_of
 from eprjoint.indexing import SIGNS, marginal_indices
 from helpers import (
     P_SINGLET_HIGH,

@@ -9,15 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from eprjoint import (
-    CVariant,
     ExperimentalProbs,
     build_system,
-    c_function,
     chsh_probability_form,
-    correlations_of,
     solve_system,
 )
-from eprjoint.experiments import DEFAULT_ATOL
+from eprjoint.chsh import CVariant, c_function
+from eprjoint.experiments import DEFAULT_ATOL, correlations_of
 from helpers import (
     TSIRELSON,
     chsh_correlation_form,

@@ -566,6 +566,23 @@ class TestStructuredErrors:
         else:
             assert json.loads(out)["probs"]["singles"]["A"] == 0.5
 
+    @pytest.mark.parametrize("tolerance", ["1e-12", "1e-9", "1e-6"])
+    def test_named_state_decided_at_tolerance(self, write_json, capsys, tolerance):
+        # werner:p for p just above 1 has the least eigenvalue (1 - p)/4, so
+        # it passes the run's atol at p = 1 + 2 atol and fails at 1 + 8 atol;
+        # by name or as its 16 [re, im] entries, a run decides it alike
+        atol = float(tolerance)
+        ket = (0j, complex(S), complex(-S), 0j)
+        for p, code in ((1.0 + 2.0 * atol, 0), (1.0 + 8.0 * atol, 2)):
+            noise = (1.0 - p) / 4.0
+            matrix = [p * (x * y.conjugate()) + (noise if i == j else 0.0)
+                      for i, x in enumerate(ket) for j, y in enumerate(ket)]
+            runs = [run_cli(capsys, "--mode", "probs", "--tolerance", tolerance, "--input",
+                            write_json("s.json", {**SINGLET_STATE, "state": state}))
+                    for state in (f"werner:{p!r}", [[z.real, z.imag] for z in matrix])]
+            assert runs[0] == runs[1]
+            assert runs[0][0] == code, runs[0]
+
     def test_errors_without_a_bound_add_no_keys(self, capsys, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("{")

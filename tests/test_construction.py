@@ -11,7 +11,6 @@ import pytest
 
 from eprjoint import (
     ChshViolationError,
-    CVariant,
     ExperimentalProbs,
     FamilyParams,
     InternalInvariantError,
@@ -19,21 +18,18 @@ from eprjoint import (
     QuadDistribution,
     SweepResult,
     ValidationError,
-    c_function,
     chsh_probability_form,
     construct_3exp,
     construct_4exp,
     construct_trace,
     frechet_bounds,
     interval_p_aprime_bprime,
-    interval_p_dotdot,
-    interval_p_plusplus,
     invert_params,
     marginal_residuals,
-    step1_triples,
     sweep_grid,
 )
 from eprjoint import cli, construction
+from eprjoint.chsh import CVariant, c_function
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
 from eprjoint.indexing import (
     PAIR_LABELS, PAIR_SLOTS, marginal, marginal_indices, pair_marginals, quad_index,
@@ -43,11 +39,14 @@ from helpers import (
     P_SINGLET_HIGH,
     c_from_quadruple,
     det00_probs,
+    interval_p_dotdot,
+    interval_p_plusplus,
     mixed_population,
     near_face_inputs,
     reference_sweep_grid,
     singlet_optimal_probs,
     sparse_tables,
+    step1_triples,
     synthetic_probs,
     to_probs,
     uniform_probs,
@@ -434,6 +433,30 @@ class TestInversion:
             assert (recovered.t_aprime_bprime is not None) == three
 
 
+def test_probability_record_built_only_for_a_three_experiment_report(monkeypatch):
+    # construct_trace builds one ExperimentalProbs, the completed record it
+    # reports, and only for three experiments; invert_params builds none
+    rng = np.random.default_rng(137)
+    inputs = [uniform_probs(), det00_probs(), *(satisfying_probs(rng) for _ in range(20))]
+    cases = [(probs, construct_4exp(probs, random_params(rng))) for probs in inputs]
+    original, built = ExperimentalProbs.__new__, []
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentalProbs, "__new__", staticmethod(counted))
+    for probs, quad in cases:
+        probs3 = probs.without_aprime_bprime()
+        for call, count in ((lambda: construct_trace(probs3), 1),
+                            (lambda: construct_trace(probs), 0),
+                            (lambda: invert_params(probs3, quad), 0),
+                            (lambda: invert_params(probs, quad), 0)):
+            built.clear()
+            call()
+            assert len(built) == count
+
+
 class TestSweep:
     def test_matches_brute_force_4exp(self):
         rng = np.random.default_rng(101)
@@ -563,23 +586,20 @@ class TestSweepMatchesLoop:
 
     def test_disagreeing_triple_marginals_raise(self, monkeypatch):
         # a skewed primed side: P(.+++) gains 0.01, so the two sides' P(..++)
-        # disagree; step1_triples raises, and so does the sweep's pass
-        side_triples = construction._side_triples
-
-        def skewed(probs, primed, chosen, p_dotdot):
-            side = side_triples(probs, primed, chosen, p_dotdot)
-            return (side[0] + 0.01, *side[1:]) if primed else side
-
-        monkeypatch.setattr(construction, "_side_triples", skewed)
+        # disagree; step1_triples raises, and so does the sweep's pass.  Each
+        # call computes the unprimed side first, so the skew starts at call 1.
         probs = uniform_probs()
-        with pytest.raises(InternalInvariantError,
-                           match=r"triple marginals disagree on P\(\.\.\+\+\)"):
-            step1_triples(probs, 0.125, 0.125, 0.25)
-        with pytest.raises(InternalInvariantError,
-                           match=r"^triple marginals disagree on P\(\.\.\+\+\): 0\.25 vs 0\.26$"):
-            construct_trace(probs)
-        with pytest.raises(InternalInvariantError, match="triple marginals disagree"):
-            sweep_grid(probs, [0.0, 1.0])
+        for call, message in (
+            (lambda: step1_triples(probs, 0.125, 0.125, 0.25),
+             r"triple marginals disagree on P\(\.\.\+\+\)"),
+            (lambda: construct_trace(probs),
+             r"^triple marginals disagree on P\(\.\.\+\+\): 0\.25 vs 0\.26$"),
+            (lambda: sweep_grid(probs, [0.0, 1.0]), "triple marginals disagree"),
+        ):
+            with monkeypatch.context() as patch:
+                skew_calls(patch, "_side_triples", 1, lambda side: (side[0] + 0.01, *side[1:]))
+                with pytest.raises(InternalInvariantError, match=message):
+                    call()
 
 
 class TestSweepBudget:

@@ -13,10 +13,9 @@ from eprjoint import (
     ValidationError,
     construct_3exp,
     construct_4exp,
-    correlations_of,
     marginal_residuals,
 )
-from eprjoint.experiments import correlation_from_pair, pair_from_correlation
+from eprjoint.experiments import correlation_from_pair, correlations_of, pair_from_correlation
 from helpers import expand_pair, quantum_probs, synthetic_probs, uniform_probs
 
 SQRT2 = math.sqrt(2.0)

@@ -22,16 +22,15 @@ from helpers import P_SINGLET_HIGH, P_SINGLET_LOW, uniform_probs
 SRC = Path(eprjoint.__file__).resolve().parent.parent
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# The 38 public names, by the module that defines them.
+# The 32 public names, by the module that defines them.
 EXPORTS = {
-    "chsh": ("ChshReport", "CVariant", "c_function", "chsh_probability_form"),
+    "chsh": ("ChshReport", "chsh_probability_form"),
     "construction": ("ConstructionTrace", "FamilyParams", "Interval", "SweepResult",
                      "construct_3exp", "construct_4exp", "construct_trace",
-                     "interval_p_aprime_bprime", "interval_p_dotdot", "interval_p_plusplus",
-                     "invert_params", "marginal_residuals", "step1_triples"),
+                     "interval_p_aprime_bprime", "invert_params", "marginal_residuals"),
     "errors": ("ChshViolationError", "EprJointError", "InternalInvariantError",
                "ValidationError"),
-    "experiments": ("ExperimentalProbs", "QuadDistribution", "correlations_of", "frechet_bounds"),
+    "experiments": ("ExperimentalProbs", "QuadDistribution", "frechet_bounds"),
     "oracle": ("FeasibilityResult", "MarginalSystem", "build_system", "solve_system"),
     "quantum": ("AnalyzerSettings", "DensityMatrix", "chsh_optimal_settings",
                 "experimental_probs", "ket_state", "maximally_mixed", "singlet", "werner"),
@@ -153,7 +152,7 @@ def test_oracle_reads_no_other_route():
 class TestPublicNames:
     def test_export_count(self):
         assert sorted(eprjoint.__all__) == sorted(name for _, name in NAMES)
-        assert len(eprjoint.__all__) == 38
+        assert len(eprjoint.__all__) == 32
 
     @pytest.mark.parametrize("module, name", NAMES)
     def test_name_resolves_to_its_module_object(self, module, name):

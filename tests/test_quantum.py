@@ -14,13 +14,13 @@ from eprjoint import (
     ValidationError,
     chsh_optimal_settings,
     chsh_probability_form,
-    correlations_of,
     experimental_probs,
     ket_state,
     maximally_mixed,
     singlet,
     werner,
 )
+from eprjoint.experiments import correlations_of
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
@@ -268,6 +268,14 @@ class TestStatesAndValidation:
                 rho.matrix[index] = 1.0
         with pytest.raises(TypeError):
             rho.matrix[0][0] = 1.0
+
+    def test_atol_range(self):
+        # the range ExperimentalProbs takes, checked first: a state file is
+        # refused for its --tolerance whether it names or spells its state
+        for atol in (math.nan, math.inf, -1.0, 0.0, 1e-5):
+            with pytest.raises(ValidationError, match="^atol = ") as err:
+                DensityMatrix(maximally_mixed().matrix, atol)
+            assert err.value.field == "atol"
 
     def test_checks_decided_at_atol(self):
         # each check passes a defect of 5e-9 at atol 1e-6 and refuses it at
