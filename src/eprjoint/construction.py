@@ -9,11 +9,11 @@ Each scalar ranges over an explicit interval.  The one for P(..++) is
 nonempty exactly when the eight CHSH inequalities hold (Fine's theorem);
 the others are never empty.  With the unmeasured P(A'B') visited first, the
 same walk fits three experiments for arbitrary inputs.  The walk runs on the
-eight measured floats through private maps that sweep_grid shares on arrays
-(_sides, _dotdot, _split, _side_triples).  construct_trace picks each scalar
-at a fraction t in [0, 1] of its interval, so every t-tuple yields a valid
-distribution; invert_params walks at the positions of a given table's own
-values.
+eight measured floats through private maps that sweep_grid shares
+(_complete, _sides, _dotdot, _split, and _side_triples on arrays).
+construct_trace picks each scalar at a fraction t in [0, 1] of its
+interval, so every t-tuple yields a valid distribution; invert_params walks
+at the positions of a given table's own values.
 """
 
 from __future__ import annotations
@@ -225,6 +225,14 @@ def _aprime_bprime(probs: ExperimentalProbs) -> tuple[float, float]:
     return lo, hi
 
 
+def _complete(values, p_apbp: float, atol: float) -> tuple[float, ...]:
+    """The eight values of a three-experiment input completed by a picked
+    P(A'B'), projected onto its Fréchet bounds as ExperimentalProbs projects
+    a measured one, without validating the other seven values again."""
+    return (*values[:7], _project(p_apbp, "A'B'", "Fréchet",
+                                  *experiments.frechet_bounds(values[1], values[3]), atol))
+
+
 # The scalars in walk order; P(A'B') is visited only when probs lacks it.
 _LABELS = ("P(A'B')", "P(..++)", "P(+.++)", "P(.+++)", *_BLOCK_LABELS)
 
@@ -258,9 +266,7 @@ def _walk(probs: ExperimentalProbs, params: FamilyParams, table: tuple[float, ..
     if not probs.has_all_four:
         t = params.t_aprime_bprime
         p_apbp = _visit(visits, *_aprime_bprime(probs), 0.5 if t is None else t, owns[0])
-        # projected as ExperimentalProbs projects a measured P(A'B')
-        values = (*values[:7], _project(p_apbp, "A'B'", "Fréchet",
-                                        *experiments.frechet_bounds(values[1], values[3]), atol))
+        values = _complete(values, p_apbp, atol)
     sides = _sides(values)
     p_dotdot = _visit(visits, *_dotdot(probs, values, sides), params.t_dotdot, owns[1])
     splits = []

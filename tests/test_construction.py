@@ -31,6 +31,7 @@ from eprjoint import (
 from eprjoint import cli, construction
 from eprjoint.chsh import CVariant, c_function
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
+from eprjoint.sweep import SWEEP_PASS_CELLS
 from eprjoint.indexing import (
     PAIR_LABELS, PAIR_SLOTS, marginal, marginal_indices, pair_marginals, quad_index,
 )
@@ -435,7 +436,8 @@ class TestInversion:
 
 def test_probability_record_built_only_for_a_three_experiment_report(monkeypatch):
     # construct_trace builds one ExperimentalProbs, the completed record it
-    # reports, and only for three experiments; invert_params builds none
+    # reports, and only for three experiments; invert_params and sweep_grid
+    # build none
     rng = np.random.default_rng(137)
     inputs = [uniform_probs(), det00_probs(), *(satisfying_probs(rng) for _ in range(20))]
     cases = [(probs, construct_4exp(probs, random_params(rng))) for probs in inputs]
@@ -451,7 +453,9 @@ def test_probability_record_built_only_for_a_three_experiment_report(monkeypatch
         for call, count in ((lambda: construct_trace(probs3), 1),
                             (lambda: construct_trace(probs), 0),
                             (lambda: invert_params(probs3, quad), 0),
-                            (lambda: invert_params(probs, quad), 0)):
+                            (lambda: invert_params(probs, quad), 0),
+                            (lambda: sweep_grid(probs3, [0.0, 0.5, 1.0]), 0),
+                            (lambda: sweep_grid(probs, [0.0, 0.5, 1.0]), 0)):
             built.clear()
             call()
             assert len(built) == count
@@ -600,6 +604,76 @@ class TestSweepMatchesLoop:
                 skew_calls(patch, "_side_triples", 1, lambda side: (side[0] + 0.01, *side[1:]))
                 with pytest.raises(InternalInvariantError, match=message):
                     call()
+
+
+class TestSweepPassSize(TestSweepMatchesLoop):
+    """The array sweep equals the nested-loop reference exactly whatever the
+    pass size: one prefix per pass; 768 cells, 7 prefixes of a 3-point axis
+    or 3 of a 4-point one, so passes split a completion's t0 list; and
+    SWEEP_MAX_CELLS, one pass for the whole grid."""
+
+    @pytest.fixture(autouse=True, params=[1, 768, SWEEP_MAX_CELLS])
+    def pass_cells(self, request, monkeypatch):
+        monkeypatch.setattr("eprjoint.sweep.SWEEP_PASS_CELLS", request.param)
+
+
+def assert_same_sweep(result: SweepResult, reference: SweepResult) -> None:
+    """Equal results, the reported floats equal to the bit."""
+    assert result == reference
+    for name in ("min_entry", "best_min_entry"):
+        assert float(getattr(result, name)).hex() == float(getattr(reference, name)).hex()
+
+
+class TestSweepPasses:
+    def test_family_grid_sizes(self):
+        # the family workload's grids: 12 points for four experiments, one
+        # prefix per pass at SWEEP_PASS_CELLS, and 7 for three, five prefixes
+        # per pass, so passes cross completions
+        probs = satisfying_probs(np.random.default_rng(131))
+        assert SWEEP_PASS_CELLS // (4 * 12**3) == 1 and SWEEP_PASS_CELLS // (4 * 7**3) == 5
+        for p, points in ((probs, 12), (probs.without_aprime_bprime(), 7)):
+            axis = [i / (points - 1) for i in range(points)]
+            assert_same_sweep(sweep_grid(p, axis), reference_sweep_grid(p, axis))
+
+    @pytest.mark.parametrize("three", [False, True], ids=["four", "three"])
+    def test_working_set_bound(self, monkeypatch, three):
+        # the largest array frechet_cells receives, the block cells of one
+        # pass, holds one prefix or at most SWEEP_PASS_CELLS cells, and runs
+        # of small prefixes fill more than half of that (a 3-point grid has
+        # too few prefixes); 25 points exceed the three-experiment budget
+        original, largest = construction.frechet_cells, []
+
+        def recorded(*args):
+            largest.append(max(np.size(arg) for arg in args))
+            return original(*args)
+
+        monkeypatch.setattr(construction, "frechet_cells", recorded)
+        probs = satisfying_probs(np.random.default_rng(139))
+        probs = probs.without_aprime_bprime() if three else probs
+        for points in (3, 7, 12) if three else (3, 7, 12, 25):
+            largest.clear()
+            sweep_grid(probs, [i / (points - 1) for i in range(points)])
+            assert max(largest) <= max(4 * points**3, SWEEP_PASS_CELLS)
+            assert max(largest) > SWEEP_PASS_CELLS // 2 or points == 3
+
+    @pytest.mark.parametrize("pass_cells", [1, SWEEP_PASS_CELLS])
+    def test_later_prefix_fails(self, monkeypatch, pass_cells):
+        # On the uniform table the prefixes pick P(..++) = 0, 0.25 and 0.5,
+        # and a side table's P(+.++) or P(-.++) reaches 0.25 only in the
+        # later two.  A skew there makes their triples negative: the pass
+        # names the first of them, also when all three share one pass.
+        original = construction.frechet_cells
+
+        def skewed(row, col, total, pp):
+            cells = original(row, col, total, pp)
+            return cells[0], cells[1] - np.where(pp >= 0.25, 1.0, 0.0), *cells[2:]
+
+        monkeypatch.setattr(construction, "frechet_cells", skewed)
+        monkeypatch.setattr("eprjoint.sweep.SWEEP_PASS_CELLS", pass_cells)
+        with pytest.raises(InternalInvariantError, match=(
+                r"^sweep pass at P\(\.\.\+\+\) = 0\.25: negative triple probabilities, "
+                r"triple marginals disagree, empty P\(\+\+bb'\) interval$")):
+            sweep_grid(uniform_probs(), [0.0, 0.5, 1.0])
 
 
 class TestSweepBudget:
