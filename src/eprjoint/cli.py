@@ -14,6 +14,8 @@ parameters, and reports.  A state file holds {"state": ..., "settings":
 {"singles": {"A": ..}, "doubles": {"AB": ..}}; "A'B'" may be omitted for
 three-experiment modes.  Parameters: {"t": {"dotdot": .., "a_plus": ..,
 "aprime_plus": .., "bb": [..4..], "aprime_bprime": ..}}.
+--tolerance reaches the input once: a state is checked at it and its
+probabilities inherit it; a probability file's values are checked at it.
 
 Reports are JSON with sorted keys; identical configuration (including the
 seed and numpy version) produces byte-identical output.  Monte Carlo
@@ -121,13 +123,13 @@ def _number(value, where: str, field: str) -> float:
 
 
 def _parse_state(spec, atol: float) -> DensityMatrix:
-    from .quantum import DensityMatrix, _ket_matrix, _mixed_matrix, _singlet_matrix, _werner_matrix
+    from .quantum import DensityMatrix, _werner_matrix, ket_state, maximally_mixed, singlet
 
     if isinstance(spec, str):  # a named state, checked at the run's atol as a matrix is
         if spec == "singlet":
-            return DensityMatrix(_singlet_matrix(), atol)
+            return singlet()._replace(atol=atol)
         if spec == "mixed":
-            return DensityMatrix(_mixed_matrix(), atol)
+            return maximally_mixed()._replace(atol=atol)
         if spec.startswith("werner:"):
             text = spec.split(":", 1)[1]
             try:
@@ -137,7 +139,7 @@ def _parse_state(spec, atol: float) -> DensityMatrix:
             p = _finite(p, text, "field 'state' werner parameter", "state")
             return DensityMatrix(_werner_matrix(p), atol)
         if spec.startswith("ket:"):
-            return DensityMatrix(_ket_matrix(spec.split(":", 1)[1]), atol)
+            return ket_state(spec.split(":", 1)[1])._replace(atol=atol)
         raise ValidationError(f"unknown named state {spec!r}", field="state", value=spec)
     if isinstance(spec, list):
         if len(spec) != 16:
@@ -190,7 +192,7 @@ def _load_probs(config: RunConfig) -> ExperimentalProbs:
         return experimental_probs(rho, AnalyzerSettings(*(
             _parse_vector(_require(settings, f"n_{label}", "settings"), f"n_{label}")
             for label in SINGLE_LABELS
-        )), atol=config.tolerance)
+        )))
     return _parse_probs(obj, config.tolerance)
 
 

@@ -62,11 +62,6 @@ class Interval(NamedTuple):
     lo: float
     hi: float
 
-    def pick(self, t: float) -> float:
-        """The point at fraction t of the interval, clamped inside it."""
-        check_range("t", t, 0.0, 1.0)
-        return _pick(*self, t)
-
 
 class _FamilyFields(NamedTuple):
     t_dotdot: float

@@ -7,6 +7,7 @@ Pi = (I + sigma.n)/2 on the relevant qubit, identity on the other.  All
 such traces are affine in the 16 Pauli expectations
 R[m, n] = tr(rho sigma_m x sigma_n), sigma_0 = I (R., P. & M. Horodecki,
 Phys. Lett. A 200, 340 (1995)), so the probabilities are read from R.
+A state carries the atol it was checked at, and its probabilities inherit it.
 """
 
 from __future__ import annotations
@@ -82,9 +83,14 @@ def _has_cholesky(a: tuple, atol: float) -> bool:
     return d3 > 0.0
 
 
-class DensityMatrix:
-    """A validated 4x4 two-qubit density matrix, immutable and compared by
-    identity; matrix is a tuple of four rows, each a tuple of four complex.
+class _DensityFields(NamedTuple):
+    matrix: tuple
+    atol: float
+
+
+class DensityMatrix(_DensityFields):
+    """A validated 4x4 two-qubit density matrix and the atol it was checked
+    at; matrix is a tuple of four rows, each a tuple of four complex.
 
     Invariants: finite entries with real and imaginary parts in [-1, 1],
     Hermitian, unit trace, positive semidefinite, each within atol, which
@@ -93,9 +99,10 @@ class DensityMatrix:
     one loads numpy, for the least eigenvalue (eigvalsh) its error reports.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
-    def __init__(self, matrix, atol: float = DEFAULT_ATOL) -> None:
+    def __new__(cls, matrix, atol: float = DEFAULT_ATOL):
         check_range("atol", atol, *_ATOL_RANGE)
         rows = matrix.tolist() if hasattr(matrix, "tolist") else matrix  # numpy arrays
         # numpy's shape, to two levels (rows of unequal lengths give each length)
@@ -127,13 +134,7 @@ class DensityMatrix:
             min_eig = float(np.linalg.eigvalsh(np.array(mat)).min())
             raise _state_error(
                 f"is not positive semidefinite (min eigenvalue {min_eig!r})", min_eig, 0.0)
-        object.__setattr__(self, "matrix", mat)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to DensityMatrix.{name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete DensityMatrix.{name}")
+        return super().__new__(cls, mat, atol)
 
 
 def _outer(ket) -> tuple:
@@ -141,42 +142,30 @@ def _outer(ket) -> tuple:
     return tuple(tuple(a * b.conjugate() for b in ket) for a in ket)
 
 
-# The named states' matrices, which DensityMatrix validates at the caller's
-# atol: the builders below use the default, the CLI the run's --tolerance.
-def _singlet_matrix() -> tuple:
-    s = 1.0 / math.sqrt(2.0)
-    return _outer((0j, complex(s), complex(-s), 0j))
-
-
-def _ket_matrix(bits: str) -> tuple:
-    if bits not in ("00", "01", "10", "11"):
-        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits",
-                              field="state", value=bits)
-    return _outer([1 + 0j if k == int(bits, 2) else 0j for k in range(4)])
-
-
-def _mixed_matrix() -> list:
-    return [[0.25 + 0j if i == j else 0j for j in range(4)] for i in range(4)]
-
-
-def _werner_matrix(p: float) -> list:
-    noise = (1.0 - p) / 4.0
-    return [[p * z + (noise if i == j else 0.0) for j, z in enumerate(row)]
-            for i, row in enumerate(_singlet_matrix())]
-
-
 def singlet() -> DensityMatrix:
     """The maximally entangled state (|01> - |10>)/sqrt(2); <AB> = -n_A.n_B."""
-    return DensityMatrix(_singlet_matrix())
+    s = 1.0 / math.sqrt(2.0)
+    return DensityMatrix(_outer((0j, complex(s), complex(-s), 0j)))
 
 
 def ket_state(bits: str) -> DensityMatrix:
     """Computational-basis product state |b1 b2><b1 b2| for bits in {00,01,10,11}."""
-    return DensityMatrix(_ket_matrix(bits))
+    if bits not in ("00", "01", "10", "11"):
+        raise ValidationError(f"unsupported basis ket {bits!r}, expected two bits",
+                              field="state", value=bits)
+    return DensityMatrix(_outer([1 + 0j if k == int(bits, 2) else 0j for k in range(4)]))
 
 
 def maximally_mixed() -> DensityMatrix:
-    return DensityMatrix(_mixed_matrix())
+    return DensityMatrix([[0.25 + 0j if i == j else 0j for j in range(4)] for i in range(4)])
+
+
+# Werner's matrix, which the CLI validates at the run's --tolerance: its p
+# may exceed 1 by up to that atol, so it is not werner(p) at another atol.
+def _werner_matrix(p: float) -> list:
+    noise = (1.0 - p) / 4.0
+    return [[p * z + (noise if i == j else 0.0) for j, z in enumerate(row)]
+            for i, row in enumerate(singlet().matrix)]
 
 
 def werner(p: float) -> DensityMatrix:
@@ -205,16 +194,15 @@ def _affine(w, n: Vec3) -> complex:
     return w[0] + n[0] * w[1] + n[1] * w[2] + n[2] * w[3]
 
 
-def experimental_probs(
-    rho: DensityMatrix, settings: AnalyzerSettings, atol: float = DEFAULT_ATOL
-) -> ExperimentalProbs:
+def experimental_probs(rho: DensityMatrix, settings: AnalyzerSettings) -> ExperimentalProbs:
     """All eight independent measured probabilities of the four EPR experiments.
 
     With u = (1, n_X) and v = (1, n_Y): P(X) = u.R[:, 0]/2, P(Y) = R[0, :].v/2
     and P(XY) = u R v^T/4, the traces tr(rho Pi+) and tr(rho Pi+_X Pi+_Y).
-    The real parts are validated, and the imaginary parts checked, at atol.
+    The real parts are validated, and the imaginary parts checked, at the
+    state's own atol, which the probabilities carry.
     """
-    r = rho.matrix
+    r, atol = rho
     # Each Pauli matrix has one nonzero entry per row, so R is two passes of
     # 2x2 traces: blocks[2a + a'][n] = tr(B sigma_n) for the 2x2 block B of
     # rows 2a, 2a+1 and columns 2a', 2a'+1; column n of R holds the same

@@ -38,6 +38,7 @@ from eprjoint import (
 )
 from eprjoint import construction
 from eprjoint.chsh import CVariant
+from eprjoint.errors import check_range
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import SIGNS, marginal
 from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
@@ -388,6 +389,12 @@ def _sides_of(probs: ExperimentalProbs) -> tuple:
     return construction._sides(probs[:8])
 
 
+def pick(interval: Interval, t: float) -> float:
+    """The point at fraction t of interval, clamped inside it."""
+    check_range("t", t, 0.0, 1.0)
+    return construction._pick(*interval, t)
+
+
 def interval_p_dotdot(probs: ExperimentalProbs) -> Interval:
     """The walk's interval of the shared marginal P(..++); ChshViolationError
     when it is empty."""
@@ -445,7 +452,7 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
         total_points = len(axis) ** 7
     else:
         apbp_interval = interval_p_aprime_bprime(probs)
-        completions = [(t, probs.with_aprime_bprime(apbp_interval.pick(t))) for t in axis]
+        completions = [(t, probs.with_aprime_bprime(pick(apbp_interval, t))) for t in axis]
         total_points = len(axis) ** 8
 
     valid_points = 0
@@ -457,16 +464,16 @@ def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> Swe
     for t_apbp, full in completions:
         dotdot_interval = interval_p_dotdot(full)
         for t0 in axis:
-            p0 = dotdot_interval.pick(t0)
+            p0 = pick(dotdot_interval, t0)
             a_interval = interval_p_plusplus(full, False, p0)
             ap_interval = interval_p_plusplus(full, True, p0)
             for t1, t2 in product(axis, repeat=2):
-                pa, pap = step1_triples(full, a_interval.pick(t1), ap_interval.pick(t2), p0)
+                pa, pap = step1_triples(full, pick(a_interval, t1), pick(ap_interval, t2), p0)
                 block_mins = []
                 for k in range(4):
                     margins = (pa[k], pap[k], pa[k] + pa[k + 4])
                     iv = Interval(*frechet_bounds(*margins))
-                    block_mins.append([min(frechet_cells(*margins, iv.pick(t))) for t in axis])
+                    block_mins.append([min(frechet_cells(*margins, pick(iv, t))) for t in axis])
 
                 valid_points += prod(sum(m >= -full.atol for m in mins) for mins in block_mins)
 

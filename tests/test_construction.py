@@ -44,6 +44,7 @@ from helpers import (
     interval_p_plusplus,
     mixed_population,
     near_face_inputs,
+    pick,
     reference_sweep_grid,
     singlet_optimal_probs,
     sparse_tables,
@@ -173,9 +174,9 @@ class TestStep1:
         rng = np.random.default_rng(73)
         for _ in range(300):
             probs = satisfying_probs(rng)
-            p0 = interval_p_dotdot(probs).pick(rng.uniform())
-            p1 = interval_p_plusplus(probs, False, p0).pick(rng.uniform())
-            p2 = interval_p_plusplus(probs, True, p0).pick(rng.uniform())
+            p0 = pick(interval_p_dotdot(probs), rng.uniform())
+            p1 = pick(interval_p_plusplus(probs, False, p0), rng.uniform())
+            p2 = pick(interval_p_plusplus(probs, True, p0), rng.uniform())
             pa, _ = step1_triples(probs, p1, p2, p0)
             assert sum(pa) == pytest.approx(1.0, abs=1e-12)
             for a in (1, -1):

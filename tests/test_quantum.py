@@ -132,16 +132,42 @@ class TestProbabilities:
 
 class TestExperimentalProbs:
     def test_imaginary_part_checked_at_atol(self):
-        # rho_01 - conj(rho_10) = 5e-10i passes the Hermitian check at 1e-9
-        # and gives P(B') (n_B' = x) an imaginary part of 2.5e-10
-        m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        m[0, 1], m[1, 0] = 0.1 + 5e-10j, 0.1
+        # 0.49e-9i on every off-diagonal entry of I/4 is a Hermitian defect of
+        # 0.98e-9, which the state's checks pass at 1e-9; measured along x on
+        # both sides it gives P(AB) an imaginary part of 1.47e-9, which its
+        # probabilities refuse at the same atol
+        m = np.eye(4, dtype=complex) / 4 + 0.49e-9j * (1.0 - np.eye(4))
+        rho = DensityMatrix(m)
+        assert rho.atol == 1e-9
+        with pytest.raises(ValidationError, match="P\\(AB\\) trace has imaginary part") as err:
+            probs_at(rho, n_a=X, n_b=X)
+        assert (err.value.field, err.value.bound) == ("AB", 0.0)
+        assert err.value.value == pytest.approx(1.47e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("atol", [1e-12, 1e-9, 1e-6])
+    def test_probabilities_inherit_the_state_atol(self, atol):
+        rng = np.random.default_rng(29)
+        for m in (singlet().matrix, maximally_mixed().matrix, ginibre_density(rng).matrix):
+            rho = DensityMatrix(m, atol)
+            assert rho.atol == atol
+            assert experimental_probs(rho, random_settings(rng)).atol == atol
+
+    def test_state_accepted_at_loose_atol_is_measured_at_it(self):
+        # a Hermitian defect of 5e-9 passes at 1e-6 and gives P(B') an
+        # imaginary part of 2.5e-9, which the probabilities judge at 1e-6 too
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] += 5e-9j
         settings = AnalyzerSettings(Z, X, (0.0, 1.0, 0.0), X)
-        assert experimental_probs(DensityMatrix(m), settings).atol == 1e-9
-        with pytest.raises(ValidationError, match="P\\(B'\\) trace has imaginary part") as err:
-            experimental_probs(DensityMatrix(m), settings, atol=1e-12)
-        assert (err.value.field, err.value.bound) == ("B'", 0.0)
-        assert err.value.value == pytest.approx(2.5e-10, rel=1e-6)
+        assert experimental_probs(DensityMatrix(m, 1e-6), settings).atol == 1e-6
+        # Werner p = 1 + 4e-7 has least eigenvalue -1e-7: a state only at
+        # 1e-6, whose probabilities carry 1e-6 to CHSH and the routes
+        p = 1.0000004
+        m = p * np.array(singlet().matrix) + (1.0 - p) / 4.0 * np.eye(4)
+        rho = DensityMatrix(m, 1e-6)
+        assert experimental_probs(rho, chsh_optimal_settings()).atol == 1e-6
+        for refused in (lambda: DensityMatrix(m), lambda: rho._replace(atol=1e-9)):
+            with pytest.raises(ValidationError, match="semidefinite"):
+                refused()
 
     def test_mixed_state(self):
         rng = np.random.default_rng(37)

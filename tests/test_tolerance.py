@@ -14,6 +14,7 @@ witness) decide alike, and three experiments always admit a joint table.
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import eprjoint
@@ -79,11 +80,11 @@ def test_routes_agree_near_faces_at_loose_atol():
 
 
 # The scopes of src/eprjoint that may read DEFAULT_ATOL: the defaults of
-# the input's atol (and their help text; a state's checks and its
-# probabilities take the run's atol as an argument, defaulting to it), the
-# checks of tables built elsewhere, and the unit norm of a settings
-# direction, a check of the directions' geometry, not of measured values.
-# Every other decision reads the atol of its input.
+# the input's atol (and their help text; a state takes the run's atol as an
+# argument, defaulting to it, and its probabilities inherit it), the checks
+# of tables built elsewhere, and the unit norm of a settings direction, a
+# check of the directions' geometry, not of measured values.  Every other
+# decision reads the atol of its input.
 DEFAULT_ATOL_READERS = {
     ("cli", "RunConfig.__new__"),
     ("cli", "build_parser"),
@@ -91,10 +92,17 @@ DEFAULT_ATOL_READERS = {
     ("experiments", "QuadDistribution.__new__"),
     ("experiments", "QuadDistribution.from_raw"),
     ("oracle", "MarginalSystem.__new__"),
-    ("quantum", "DensityMatrix.__init__"),
+    ("quantum", "DensityMatrix.__new__"),
     ("quantum", "_as_unit_vector"),
-    ("quantum", "experimental_probs"),
 }
+
+
+def test_only_input_records_take_an_atol():
+    # a tolerance enters with the input it checks; every other public
+    # function reads the atol its input record carries
+    takers = {name for name in eprjoint.__all__ if callable(getattr(eprjoint, name))
+              and "atol" in inspect.signature(getattr(eprjoint, name)).parameters}
+    assert takers == {"ExperimentalProbs", "DensityMatrix", "MarginalSystem"}
 
 
 def scopes_where(match, tree: ast.AST, scope: str = "") -> set[str]:
