@@ -11,9 +11,11 @@ the others are never empty.  With the unmeasured P(A'B') visited first, the
 same walk fits three experiments for arbitrary inputs.  The walk runs on the
 eight measured floats through private maps that sweep_grid shares
 (_complete, _sides, _dotdot, _split, and _side_triples on arrays).
-construct_trace picks each scalar at a fraction t in [0, 1] of its
+The constructions pick each scalar at a fraction t in [0, 1] of its
 interval, so every t-tuple yields a valid distribution; invert_params walks
-at the positions of a given table's own values.
+at the positions of a given table's own values.  Only construct_trace
+records the intervals and picks; construct_4exp and construct_3exp build
+just the table.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .experiments import (
     pair_from_correlation,
 )
 from .indexing import (
-    _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, marginal, outcome_label, pair_marginals,
+    _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SIGNS, Sign, outcome_label, pair_marginals,
 )
 
 BB_BLOCKS: tuple[tuple[Sign, Sign], ...] = tuple(product(SIGNS, repeat=2))
@@ -71,6 +73,11 @@ class _FamilyFields(NamedTuple):
     t_aprime_bprime: float | None
 
 
+# The fractions as FamilyParams' errors name them, in the order it checks them.
+_PARAM_FIELDS = ("t_dotdot", "t_aplus", "t_aprimeplus", *(f"t_bb[{i}]" for i in range(4)),
+                 "t_aprime_bprime")
+
+
 class FamilyParams(_FamilyFields):
     """Fractions t in [0, 1] positioning each free parameter in its interval.
 
@@ -87,16 +94,12 @@ class FamilyParams(_FamilyFields):
         if len(t_bb) != 4:
             raise ValidationError(f"t_bb needs 4 entries, got {len(t_bb)}",
                                   field="t_bb", value=len(t_bb), bound=4)
-        named = [
-            ("t_dotdot", t_dotdot),
-            ("t_aplus", t_aplus),
-            ("t_aprimeplus", t_aprimeplus),
-            *((f"t_bb[{i}]", t) for i, t in enumerate(t_bb)),
-        ]
+        ts = (t_dotdot, t_aplus, t_aprimeplus, *t_bb)
         if t_aprime_bprime is not None:
-            named.append(("t_aprime_bprime", t_aprime_bprime))
-        for name, value in named:
-            check_range(name, value, 0.0, 1.0)
+            ts += (t_aprime_bprime,)
+        if not all(0.0 <= t <= 1.0 for t in ts):  # the first one out of range, NaN included
+            for name, value in zip(_PARAM_FIELDS, ts):
+                check_range(name, value, 0.0, 1.0)
         return super().__new__(cls, t_dotdot, t_aplus, t_aprimeplus, t_bb, t_aprime_bprime)
 
     def as_tuple(self) -> tuple[float, ...]:
@@ -235,29 +238,29 @@ _LABELS = ("P(A'B')", "P(..++)", "P(+.++)", "P(.+++)", *_BLOCK_LABELS)
 def _visit(visits: list, lo: float, hi: float, t: float, own: float | None) -> float:
     """Record (lo, hi, t, value) for the scalar at fraction t of [lo, hi], or
     at the fraction where own sits when given (0.5 for degenerate), and
-    return its value."""
+    return its value, picked as _pick picks it."""
     if own is not None:
         t = 0.5 if hi - lo <= 0.0 else min(max((own - lo) / (hi - lo), 0.0), 1.0)
-    value = _pick(lo, hi, t)
+    value = (lo + hi) / 2.0 if hi <= lo else min(max(lo + t * (hi - lo), lo), hi)
     visits.append((lo, hi, t, value))
     return value
 
 
-def _walk(probs: ExperimentalProbs, params: FamilyParams, table: tuple[float, ...] | None):
-    """The construction's one pass, shared by construct_trace and invert_params.
+# The own values of a walk that picks every scalar at params' fraction.
+_NO_OWNS = (None,) * 8
+
+
+def _walk(probs: ExperimentalProbs, params: FamilyParams, owns=_NO_OWNS):
+    """The construction's one pass, shared by the constructions and invert_params.
 
     Visits P(A'B') when probs lacks it, then P(..++), P(+.++), P(.+++) and
     the four P(++bb').  Each scalar sits at a fraction t of its interval:
-    params' fraction or, given a table's 16 entries, the position of the
-    table's own value.  Returns the eight completed values, one (lo, hi, t,
-    value) per visited scalar in _LABELS order, and the 16 entries, those in
-    [-probs.atol, 0) zeroed.
+    params' fraction or, where owns (one per scalar, in _LABELS order) holds
+    a table's own value, the position of that value.  Returns the eight
+    completed values, one (lo, hi, t, value) per visited scalar in _LABELS
+    order, and the 16 entries, those in [-probs.atol, 0) zeroed.
     """
     values, atol, visits = probs[:8], probs.atol, []
-    # the table's own value of each scalar, in _LABELS order
-    owns = [None] * 8 if table is None else [
-        marginal(table, ap=1, bp=1), marginal(table, b=1, bp=1), marginal(table, 1, 0, 1, 1),
-        marginal(table, 0, 1, 1, 1), *table[:4]]
     if not probs.has_all_four:
         t = params.t_aprime_bprime
         p_apbp = _visit(visits, *_aprime_bprime(probs), 0.5 if t is None else t, owns[0])
@@ -286,15 +289,14 @@ def _walk(probs: ExperimentalProbs, params: FamilyParams, table: tuple[float, ..
 
     # Step 2: block k is the table of (a, a') with margins P(+.bb'),
     # P(.+bb') and mass P(..bb'); its P(++bb') is entry k.
-    blocks = [(pa[k], pap[k], pa[k] + pa[k + 4]) for k in range(4)]
-    for k, (label, margins) in enumerate(zip(_BLOCK_LABELS, blocks)):
+    entries = [0.0] * 16
+    for k, label in enumerate(_BLOCK_LABELS):
+        margins = pa[k], pap[k], pa[k] + pa[k + 4]
         lo, hi = frechet_bounds(*margins)
         if lo - hi > atol:
             raise InternalInvariantError(
                 f"empty interval for {label}: triples violate their sum rules")
-        _visit(visits, lo, hi, params.t_bb[k], owns[4 + k])
-    entries = [0.0] * 16
-    for k, (margins, (_, _, _, pp)) in enumerate(zip(blocks, visits[-4:])):
+        pp = _visit(visits, lo, hi, params.t_bb[k], owns[4 + k])
         # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
         for j, value in enumerate(frechet_cells(*margins, pp)):
             if value < -atol:
@@ -317,7 +319,7 @@ def construct_trace(
     [-probs.atol, 0) are zeroed.
     """
     params = params if params is not None else _DEFAULT_PARAMS
-    values, visits, entries = _walk(probs, params, None)
+    values, visits, entries = _walk(probs, params)
     labels = _LABELS[1:] if probs.has_all_four else _LABELS
     intervals = {label: Interval(lo, hi) for label, (lo, hi, _, _) in zip(labels, visits)}
     chosen = {label: value for label, (_, _, _, value) in zip(labels, visits)}
@@ -332,7 +334,8 @@ def construct_4exp(
     """A joint distribution fitting all four experiments; ChshViolationError
     when none exists."""
     probs.require_all_four()
-    return construct_trace(probs, params).quad
+    _, _, entries = _walk(probs, params if params is not None else _DEFAULT_PARAMS)
+    return QuadDistribution.from_raw(entries)
 
 
 def construct_3exp(
@@ -346,8 +349,8 @@ def construct_3exp(
             "drop it with without_aprime_bprime()",
             field="A'B'", value=probs.p_apbp,
         )
-    trace = construct_trace(probs, params)
-    return trace.quad, trace.chosen["P(A'B')"]
+    _, visits, entries = _walk(probs, params if params is not None else _DEFAULT_PARAMS)
+    return QuadDistribution.from_raw(entries), visits[0][3]
 
 
 def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyParams:
@@ -358,7 +361,12 @@ def invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyPar
     fed back into construct_trace reproduces quad (up to rounding) whenever
     quad's marginals equal probs.
     """
-    ts = [t for _, _, t, _ in _walk(probs, _DEFAULT_PARAMS, quad.entries)[1]]
+    e = quad.entries
+    # each scalar's own value, summed in outcome order from 0.0 as
+    # pair_marginals sums: P(A'B'), P(..++), P(+.++), P(.+++), the P(++bb')
+    owns = (0.0 + e[0] + e[2] + e[8] + e[10], 0.0 + e[0] + e[4] + e[8] + e[12],
+            0.0 + e[0] + e[4], 0.0 + e[0] + e[8], *e[:4])
+    ts = [t for _, _, t, _ in _walk(probs, _DEFAULT_PARAMS, owns)[1]]
     return FamilyParams(*ts[-7:-4], ts[-4:], *ts[:-7])
 
 

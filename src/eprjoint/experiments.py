@@ -140,10 +140,12 @@ class QuadDistribution(_QuadFields):
         if len(entries) != 16:
             raise ValidationError(f"quadruple table needs 16 entries, got {len(entries)}",
                                   field="entries", value=len(entries), bound=16)
-        for field_name, value in zip(_QUAD_FIELDS, entries):
-            check_range(field_name, value, -DEFAULT_ATOL, 1.0 + DEFAULT_ATOL)
-        total = sum(entries)
-        if abs(total - 1.0) > DEFAULT_ATOL:
+        total = sum(entries)  # NaN when an entry is
+        if not (min(entries) >= -DEFAULT_ATOL and max(entries) <= 1.0 + DEFAULT_ATOL
+                and abs(total - 1.0) <= DEFAULT_ATOL):
+            # the first failing check, in field order, then the sum's
+            for field_name, value in zip(_QUAD_FIELDS, entries):
+                check_range(field_name, value, -DEFAULT_ATOL, 1.0 + DEFAULT_ATOL)
             raise ValidationError(f"quadruple table sums to {total!r}, not 1",
                                   field="sum(entries)", value=total, bound=1.0)
         return super().__new__(cls, entries)

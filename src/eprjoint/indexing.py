@@ -56,18 +56,10 @@ def marginal_indices(a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0) -> tu
     return _MARGINAL_INDICES[a, ap, b, bp]
 
 
-def marginal(entries: Sequence, a: Sign = 0, ap: Sign = 0, b: Sign = 0, bp: Sign = 0):
-    """Marginal sum of a 16-entry quadruple table over the dotted (0) slots."""
-    total = entries[0] - entries[0]  # zero of the entry type (float, Fraction or count)
-    for i in _MARGINAL_INDICES[a, ap, b, bp]:
-        total += entries[i]
-    return total
-
-
-# The marginal patterns of the four cells (++, +-, -+, --) of each measured pair.
-_PAIR_CELLS: dict[tuple[int, int], tuple[tuple[Sign, ...], ...]] = {
+# The indices entering the four cells (++, +-, -+, --) of each measured pair.
+_PAIR_CELLS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {
     (x, y): tuple(
-        tuple(sx if k == x else sy if k == y else 0 for k in range(4))
+        _MARGINAL_INDICES[tuple(sx if k == x else sy if k == y else 0 for k in range(4))]
         for sx, sy in product(SIGNS, repeat=2)
     )
     for x, y in PAIR_SLOTS
@@ -76,5 +68,8 @@ _PAIR_CELLS: dict[tuple[int, int], tuple[tuple[Sign, ...], ...]] = {
 
 def pair_marginals(entries: Sequence, x: int, y: int) -> tuple:
     """The cells (++, +-, -+, --) of the measured table of slots (x, y), a
-    PAIR_SLOTS entry, summed from a 16-entry quadruple table."""
-    return tuple(marginal(entries, *pattern) for pattern in _PAIR_CELLS[x, y])
+    PAIR_SLOTS entry, summed from a 16-entry quadruple table in outcome order
+    from a zero of the entry type (float, Fraction or count)."""
+    zero = entries[0] - entries[0]
+    return tuple(zero + entries[i] + entries[j] + entries[k] + entries[m]
+                 for i, j, k, m in _PAIR_CELLS[x, y])

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError, check_range
-from .experiments import DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
+from .experiments import _ATOL_RANGE, DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS, marginal_indices
 
 _PIVOT_TOL = 1e-11
@@ -58,7 +58,8 @@ class _SystemFields(NamedTuple):
 
 class MarginalSystem(_SystemFields):
     """The nine marginal equalities STANDARD_ROWS (0/1 coefficients) with
-    their rhs values, and the tolerance atol of the feasibility decision.
+    their rhs values, and the tolerance atol of the feasibility decision,
+    in the range ExperimentalProbs allows.
 
     Row order matches ROW_LABELS.  rhs entries may be finite floats or exact
     Fractions; Fractions switch the solver to exact arithmetic.
@@ -68,6 +69,7 @@ class MarginalSystem(_SystemFields):
     _make = classmethod(lambda cls, values: cls(*values))  # and so _replace: both validate
 
     def __new__(cls, rhs, atol=DEFAULT_ATOL):
+        check_range("atol", atol, *_ATOL_RANGE)
         if len(rhs) != 9:
             raise ValidationError(f"marginal system needs 9 rhs values, got {len(rhs)}",
                                   field="rhs", value=len(rhs), bound=9)

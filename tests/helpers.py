@@ -40,7 +40,7 @@ from eprjoint import construction
 from eprjoint.chsh import CVariant
 from eprjoint.errors import check_range
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
-from eprjoint.indexing import SIGNS, marginal
+from eprjoint.indexing import SIGNS, marginal_indices
 from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
 
 SQRT2 = math.sqrt(2.0)
@@ -114,6 +114,15 @@ def expand_pair(p_x: float, p_y: float, p_xy: float) -> PairOutcomeTable:
                 f"outcome {name} = {value!r} is negative: violates the Fréchet bound {bound}"
             )
     return PairOutcomeTable(*cells)
+
+
+def marginal(entries: Sequence, a: int = 0, ap: int = 0, b: int = 0, bp: int = 0):
+    """Marginal sum of a 16-entry quadruple table over the dotted (0) slots,
+    in outcome order from a zero of the entry type (float, Fraction or count)."""
+    total = entries[0] - entries[0]
+    for i in marginal_indices(a, ap, b, bp):
+        total += entries[i]
+    return total
 
 
 def to_probs(quad: QuadDistribution) -> ExperimentalProbs:
@@ -439,6 +448,58 @@ def step1_triples(
             raise InternalInvariantError(
                 f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
     return pa, pap
+
+
+def reference_invert_params(probs: ExperimentalProbs, quad: QuadDistribution) -> FamilyParams:
+    """invert_params with each scalar's own value summed by marginal: the
+    walk at the positions of the table's P(A'B'), P(..++), P(+.++), P(.+++)
+    and four P(++bb')."""
+    e = quad.entries
+    owns = (marginal(e, ap=1, bp=1), marginal(e, b=1, bp=1), marginal(e, 1, 0, 1, 1),
+            marginal(e, 0, 1, 1, 1), *e[:4])
+    ts = [t for _, _, t, _ in construction._walk(probs, FamilyParams(), owns)[1]]
+    return FamilyParams(*ts[-7:-4], ts[-4:], *ts[:-7])
+
+
+def reference_pair_marginals(entries: Sequence, x: int, y: int) -> tuple:
+    """The cells (++, +-, -+, --) of the pair of slots (x, y), each summed by
+    marginal."""
+    return tuple(marginal(entries, *(sx if k == x else sy if k == y else 0 for k in range(4)))
+                 for sx, sy in product(SIGNS, repeat=2))
+
+
+def first_range_error(named, lo, hi) -> tuple | None:
+    """(message, field, value, bound) of the first (name, value) pair outside
+    [lo, hi] by check_range, checked one by one; None when all are inside."""
+    try:
+        for name, value in named:
+            check_range(name, value, lo, hi)
+    except ValidationError as exc:
+        return str(exc), exc.field, exc.value, exc.bound
+    return None
+
+
+def reference_quad_error(entries: Sequence[float]) -> tuple | None:
+    """QuadDistribution's checks one field at a time, then the sum: the first
+    failure as (message, field, value, bound), None when the table passes."""
+    entries = tuple(float(e) for e in entries)
+    labels = (f"P({''.join('+' if s > 0 else '-' for s in o)})" for o in ALL_OUTCOMES)
+    failed = first_range_error(zip(labels, entries), -DEFAULT_ATOL, 1.0 + DEFAULT_ATOL)
+    total = sum(entries)
+    if failed is None and abs(total - 1.0) > DEFAULT_ATOL:
+        return f"quadruple table sums to {total!r}, not 1", "sum(entries)", total, 1.0
+    return failed
+
+
+def reference_params_error(t_dotdot=0.5, t_aplus=0.5, t_aprimeplus=0.5, t_bb=(0.5,) * 4,
+                           t_aprime_bprime=None) -> tuple | None:
+    """FamilyParams' range checks one fraction at a time, in field order:
+    the first failure as (message, field, value, bound), None when all pass."""
+    named = [("t_dotdot", t_dotdot), ("t_aplus", t_aplus), ("t_aprimeplus", t_aprimeplus),
+             *((f"t_bb[{i}]", float(t)) for i, t in enumerate(t_bb))]
+    if t_aprime_bprime is not None:
+        named.append(("t_aprime_bprime", t_aprime_bprime))
+    return first_range_error(named, 0.0, 1.0)
 
 
 def reference_sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:

@@ -11,6 +11,8 @@ import pytest
 
 from eprjoint import (
     ChshViolationError,
+    ConstructionTrace,
+    EprJointError,
     ExperimentalProbs,
     FamilyParams,
     InternalInvariantError,
@@ -33,7 +35,7 @@ from eprjoint.chsh import CVariant, c_function
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
 from eprjoint.sweep import SWEEP_PASS_CELLS
 from eprjoint.indexing import (
-    PAIR_LABELS, PAIR_SLOTS, marginal, marginal_indices, pair_marginals, quad_index,
+    PAIR_LABELS, PAIR_SLOTS, marginal_indices, pair_marginals, quad_index,
 )
 from helpers import (
     ALL_OUTCOMES,
@@ -42,9 +44,14 @@ from helpers import (
     det00_probs,
     interval_p_dotdot,
     interval_p_plusplus,
+    marginal,
     mixed_population,
     near_face_inputs,
     pick,
+    reference_invert_params,
+    reference_pair_marginals,
+    reference_params_error,
+    reference_quad_error,
     reference_sweep_grid,
     singlet_optimal_probs,
     sparse_tables,
@@ -462,6 +469,94 @@ def test_probability_record_built_only_for_a_three_experiment_report(monkeypatch
             assert len(built) == count
 
 
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def outcome(call):
+    """The error of call as (class name, message, field, value, bound), or
+    its result."""
+    try:
+        return call()
+    except EprJointError as exc:
+        return type(exc).__name__, str(exc), exc.field, exc.value, exc.bound
+
+
+def parity_inputs() -> list[ExperimentalProbs]:
+    """Seeded mixed (CHSH-violating ones included), near-face and
+    sparse-table inputs."""
+    inputs = mixed_population(np.random.default_rng(311), 240)
+    for values in near_face_inputs(seed=313, count=120):
+        try:
+            inputs.append(ExperimentalProbs(*values))
+        except ValidationError:
+            pass
+    inputs += [to_probs(q) for q in sparse_tables(np.random.default_rng(317), 120)]
+    return inputs
+
+
+def with_negative_zeros(quad: QuadDistribution) -> QuadDistribution:
+    return QuadDistribution(tuple(-0.0 if e == 0.0 else e for e in quad.entries))
+
+
+class TestPathsWithoutTrace:
+    """construct_4exp and construct_3exp run the walk without
+    construct_trace's records, pair_marginals and invert_params sum at fixed
+    indices: each gives the bits of the traced or marginal-summed path."""
+
+    def test_construct_4exp_matches_trace(self):
+        rng = np.random.default_rng(331)
+        raised = 0
+        for probs in parity_inputs():
+            params = random_params(rng)
+            quad = outcome(lambda: construct_4exp(probs, params))
+            trace = outcome(lambda: construct_trace(probs, params))
+            if isinstance(trace, ConstructionTrace):
+                assert hexes(quad.entries) == hexes(trace.quad.entries), probs
+            else:
+                raised += 1
+                assert quad == trace, probs
+        assert raised > 10  # violating inputs raise the same error either way
+
+    def test_construct_3exp_matches_trace(self):
+        rng = np.random.default_rng(337)
+        for probs in parity_inputs():
+            probs3, params = probs.without_aprime_bprime(), random_params(rng, three=True)
+            quad, chosen = construct_3exp(probs3, params)
+            trace = construct_trace(probs3, params)
+            assert hexes(quad.entries) == hexes(trace.quad.entries), probs
+            assert chosen.hex() == trace.chosen["P(A'B')"].hex()
+            assert probs3.with_aprime_bprime(chosen) == trace.probs
+
+    def test_pair_marginals_match_summed_marginals(self):
+        floats = [with_negative_zeros(q).entries
+                  for q in sparse_tables(np.random.default_rng(347), 60)]
+        assert any(math.copysign(1.0, e) < 0 for table in floats for e in table)
+        fractions = [tuple(Fraction(i * k % 17, 136) for i in range(16)) for k in range(1, 8)]
+        counts = [tuple(int(n) for n in np.random.default_rng(k).integers(0, 50, 16))
+                  for k in range(7)]
+        for entries in [(-0.0,) * 16, *floats, *fractions, *counts]:
+            for x, y in PAIR_SLOTS:
+                cells, reference = pair_marginals(entries, x, y), reference_pair_marginals(
+                    entries, x, y)
+                assert [type(c) for c in cells] == [type(c) for c in reference]
+                if isinstance(entries[0], float):
+                    assert hexes(cells) == hexes(reference)
+                else:
+                    assert cells == reference
+
+    def test_invert_params_matches_summed_marginals(self):
+        tables = [with_negative_zeros(q) for q in sparse_tables(np.random.default_rng(349), 300)]
+        zeros = 0
+        for quad in tables:
+            probs = to_probs(quad)
+            for measured in (probs, probs.without_aprime_bprime()):
+                ts = invert_params(measured, quad).as_tuple()
+                assert hexes(ts) == hexes(reference_invert_params(measured, quad).as_tuple())
+                zeros += ts.count(0.0)
+        assert zeros > 100  # tables whose -0.0 cells sit at the bottom of an interval
+
+
 class TestSweep:
     def test_matches_brute_force_4exp(self):
         rng = np.random.default_rng(101)
@@ -725,6 +820,40 @@ class TestQuadDistribution:
         with pytest.raises(ValidationError, match="sums"):
             QuadDistribution(tuple([0.125] * 16))
 
+    @pytest.mark.parametrize("changes, field", [
+        ({7: math.nan}, "P(+---)"),
+        ({7: math.inf}, "P(+---)"),
+        ({7: -math.inf}, "P(+---)"),
+        ({7: -0.5e-9, 8: 0.125 + 0.5e-9}, None),
+        ({7: -1.5e-9, 8: 0.125 + 1.5e-9}, "P(+---)"),
+        ({7: 1e-9, 8: 0.125 - 1e-9}, None),
+        ({7: -3e-9, 8: 0.125 + 3e-9}, "P(+---)"),
+        ({**dict.fromkeys(range(16), 0.0), 7: 1.0 + 0.5e-9, 8: -0.5e-9}, None),
+        ({**dict.fromkeys(range(16), 0.0), 7: 1.0 + 1.5e-9, 8: -1.5e-9}, "P(+---)"),
+        ({**dict.fromkeys(range(16), 0.0), 7: 1.0 - 1e-9, 8: 1e-9}, None),
+        ({**dict.fromkeys(range(16), 0.0), 7: 1.0 + 3e-9, 8: -3e-9}, "P(+---)"),
+        ({0: 0.0625 + 0.5e-9}, None),
+        ({0: 0.0625 - 0.5e-9}, None),
+        ({0: 0.0625 + 2e-9}, "sum(entries)"),
+        ({0: 0.0625 - 2e-9}, "sum(entries)"),
+        ({3: 2.0}, "P(++--)"),
+        ({3: 2.0, 7: math.nan}, "P(++--)"),
+        ({7: math.nan, 12: 2.0}, "P(+---)"),
+    ], ids=["nan", "inf", "-inf", "low+half", "low-half", "low+2", "low-2", "high+half",
+            "high-half", "high-2", "high+2", "sum+half", "sum-half", "sum+2", "sum-2",
+            "entry-and-sum", "entry-before-nan", "nan-before-entry"])
+    def test_one_pass_check_decides_as_the_field_loop(self, changes, field):
+        # bounds at -atol and 1 + atol, moved by +-atol/2 and +-2 atol; the
+        # first error (field, value, bound, message) is the per-field loop's
+        entries = [0.0625] * 16
+        for i, value in changes.items():
+            entries[i] = value
+        result, reference = outcome(lambda: QuadDistribution(entries)), reference_quad_error(entries)
+        if reference is None:
+            assert field is None and hexes(result.entries) == hexes(entries)
+        else:
+            assert result == ("ValidationError", *reference) and reference[1] == field
+
     def test_marginal_indices_of_every_pattern(self):
         entries = [Fraction(i + 1, 136) for i in range(16)]
         for pattern in product((1, -1, 0), repeat=4):
@@ -771,6 +900,36 @@ class TestFamilyParams:
             with pytest.raises(ValidationError, match=r"is outside \[0\.0, 1\.0\]") as info:
                 FamilyParams(**kwargs)
             assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"t_aprimeplus": math.nan}, "t_aprimeplus"),
+        ({"t_bb": (0.5, 0.5, math.inf, 0.5)}, "t_bb[2]"),
+        ({"t_bb": (0.5, 0.5, -math.inf, 0.5)}, "t_bb[2]"),
+        ({"t_dotdot": 0.5e-9}, None),
+        ({"t_dotdot": -0.5e-9}, "t_dotdot"),
+        ({"t_dotdot": 2e-9}, None),
+        ({"t_dotdot": -2e-9}, "t_dotdot"),
+        ({"t_aplus": 1.0 - 0.5e-9}, None),
+        ({"t_aplus": 1.0 + 0.5e-9}, "t_aplus"),
+        ({"t_bb": (0.5, 1.0 - 2e-9, 0.5, 0.5)}, None),
+        ({"t_bb": (0.5, 1.0 + 2e-9, 0.5, 0.5)}, "t_bb[1]"),
+        ({"t_aprime_bprime": -2e-9}, "t_aprime_bprime"),
+        ({"t_aprime_bprime": 1.0}, None),
+        ({"t_aplus": 2.0, "t_bb": (0.5, -1.0, 0.5, 0.5)}, "t_aplus"),
+        ({"t_bb": (0.5, 0.5, 0.5, 1.5), "t_aprime_bprime": math.nan}, "t_bb[3]"),
+        ({"t_dotdot": math.nan, "t_aprime_bprime": 2.0}, "t_dotdot"),
+    ], ids=["nan-middle", "inf", "-inf", "low+half", "low-half", "low+2", "low-2",
+            "high-half", "high+half", "high-2", "high+2", "apbp-low", "apbp-one",
+            "two-bad", "bb-before-apbp-nan", "nan-before-apbp"])
+    def test_one_pass_check_decides_as_the_field_loop(self, kwargs, field):
+        # 0 and 1 moved by +-1e-9/2 and +-2e-9: the first error (field,
+        # value, bound, message) is the per-field loop's
+        result, reference = outcome(lambda: FamilyParams(**kwargs)), reference_params_error(**kwargs)
+        if reference is None:
+            assert field is None and isinstance(result, FamilyParams)
+            assert all(getattr(result, k) == v for k, v in kwargs.items())
+        else:
+            assert result == ("ValidationError", *reference) and reference[1] == field
 
     def test_bb_length_names_field_and_bound(self):
         with pytest.raises(ValidationError, match="t_bb needs 4 entries, got 3") as info:

@@ -79,6 +79,12 @@ SCALAR_CHILDREN = {
 }
 
 
+def child_env() -> dict:
+    """The environment of a fresh child that imports the package from SRC."""
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+
+
 def run_cli(tmp_path, runs) -> dict:
     """Exit codes and the watched modules loaded after the runs in one
     fresh process."""
@@ -87,10 +93,8 @@ def run_cli(tmp_path, runs) -> dict:
         path = tmp_path / f"in{k}.json"
         path.write_text(json.dumps(payload))
         argv.append([mode, str(path), str(tmp_path / f"out{k}.json")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", RUN_CLI, json.dumps(argv)],
-                          capture_output=True, text=True, env=env, timeout=60, check=True)
+                          capture_output=True, text=True, env=child_env(), timeout=60, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -111,6 +115,26 @@ class TestNumpyLoadsOnlyWhereArraysAreUsed:
         loaded = run_cli(tmp_path, [("sweep", STATE)])
         assert loaded["codes"] == [0]
         assert {"numpy", "eprjoint.sweep"} <= set(loaded["loaded"])
+
+
+# Builds the family workload's probability records in a fresh process and
+# prints the package modules (and numpy) it loaded.
+BUILD_PROBS = """
+import json, sys
+import eprjoint
+eprjoint.ExperimentalProbs(0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25).without_aprime_bprime()
+print(json.dumps(sorted(name for name in sys.modules
+                        if name.startswith("eprjoint.") or name == "numpy")))
+"""
+
+
+def test_probability_records_load_only_their_modules():
+    # the benchmark's timed set-up imports eprjoint and builds these records;
+    # a module or an import added to their path lands in that time
+    done = subprocess.run([sys.executable, "-c", BUILD_PROBS], capture_output=True, text=True,
+                          env=child_env(), timeout=60, check=True)
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == ["eprjoint.errors", "eprjoint.experiments", "eprjoint.indexing"]
 
 
 def test_no_module_imports_dataclasses_or_inspect():

@@ -15,12 +15,16 @@ from __future__ import annotations
 
 import ast
 import inspect
+import math
 from pathlib import Path
+
+import pytest
 
 import eprjoint
 from eprjoint import (
     ChshViolationError,
     ExperimentalProbs,
+    MarginalSystem,
     ValidationError,
     build_system,
     chsh_probability_form,
@@ -31,7 +35,7 @@ from eprjoint import (
 )
 from eprjoint import errors
 from eprjoint.experiments import DEFAULT_ATOL
-from helpers import near_face_inputs
+from helpers import near_face_inputs, uniform_probs
 
 RESIDUAL_LIMIT = 1e-10
 
@@ -77,6 +81,24 @@ def test_routes_agree_near_faces_at_loose_atol():
     # the LP reads the input's atol: at 1e-6 the default 1e-9 would
     # disagree with CHSH on inputs inside the band
     check_routes(1e-6, (-9, -6), 1500)
+
+
+@pytest.mark.parametrize("atol", [math.nan, -1.0, 5.0, 1e-13])
+def test_marginal_system_rejects_atol_out_of_range(atol):
+    # an unchecked atol used to call the uniform table infeasible
+    system = build_system(uniform_probs())
+    for build in (lambda: MarginalSystem(system.rhs, atol), lambda: system._replace(atol=atol)):
+        with pytest.raises(ValidationError, match=r"^atol = ") as info:
+            build()
+        assert info.value.field == "atol"
+
+
+@pytest.mark.parametrize("atol", [1e-12, 1e-9, 1e-6])
+def test_marginal_system_in_range_atol_keeps_uniform_feasible(atol):
+    system = build_system(uniform_probs())
+    for built in (MarginalSystem(system.rhs, atol), system._replace(atol=atol)):
+        assert built.atol == atol
+        assert solve_system(built).feasible
 
 
 # The scopes of src/eprjoint that may read DEFAULT_ATOL: the defaults of
