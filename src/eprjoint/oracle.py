@@ -21,17 +21,30 @@ whose tableau [B^-1 A | B^-1 A.1 | B^-1] is built once at import: no
 artificial variables and no phase 1.  A call fills the rhs column
 B^-1 (rhs + A.1) and pivots under the dual Bland rule until it is
 nonnegative, about 2 pivots on exact dyadic face inputs and 5 on float
-inputs.  A pivot touches only the pivot row's nonzero columns, in the rows
-with a nonzero entry in the entering column.  The tableau is plain lists, so
-one code path runs on floats or on exact Fractions (supplied as the system's
-rhs), the latter a tolerance-free mode for dyadic inputs: an exact system is
-feasible when its max-min entry is >= 0.
+inputs.
+
+A basis alone fixes the rest of its tableau, B^-1 [A | A.1 | I] and the
+reduced costs, whatever pivots reached it.  The dual simplex visits only
+dual-feasible bases, 3,080 of the 24,310 nine-column subsets of [A | A.1],
+and each of their tableaux has entries with denominators at most 8, so
+every float pivot is exact and lands on the same values as a pivot in
+Fractions.  So each basis is pivoted once per arithmetic: a solve walks a
+map filled on first use, keyed by the sorted basis, whose node holds the
+tableau without its rhs column and, for each leaving row, the entering
+column and the next node.  A pivot then updates only the rhs column, with
+the operations a full pivot applies to it, so every result is bit for bit
+that of pivoting the whole tableau.  The map holds at most 3,080 nodes per
+arithmetic and affects only speed.  The tableau is plain lists and tuples,
+so one code path runs on floats or on exact Fractions (supplied as the
+system's rhs), the latter a tolerance-free mode for dyadic inputs: an exact
+system is feasible when its max-min entry is >= 0.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from numbers import Rational, Real
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, ValidationError, check_range
@@ -61,8 +74,9 @@ class MarginalSystem(_SystemFields):
     their rhs values, and the tolerance atol of the feasibility decision,
     in the range ExperimentalProbs allows.
 
-    Row order matches ROW_LABELS.  rhs entries may be finite floats or exact
-    Fractions; Fractions switch the solver to exact arithmetic.
+    Row order matches ROW_LABELS.  rhs entries may be finite real numbers
+    (numbers.Real, so no str, complex or Decimal) or exact Fractions and
+    ints; an all-exact rhs switches the solver to exact arithmetic.
     """
 
     __slots__ = ()
@@ -75,8 +89,14 @@ class MarginalSystem(_SystemFields):
                                   field="rhs", value=len(rhs), bound=9)
         rhs = tuple(rhs)
         for label, v in zip(ROW_LABELS, rhs):
-            if isinstance(v, float):
-                check_range(label, v, -sys.float_info.max, sys.float_info.max)
+            if type(v) is not float:
+                if not isinstance(v, Real):
+                    raise ValidationError(f"{label} = {v!r} is not a real number",
+                                          field=label, value=v)
+                if isinstance(v, Rational):
+                    continue
+                v = float(v)  # a numpy float32 would compare at its own width
+            check_range(label, v, -sys.float_info.max, sys.float_info.max)
         return super().__new__(cls, rhs, atol)
 
     @property
@@ -186,9 +206,65 @@ _EXACT = {v: Fraction(v) for v in {v for row in _TABLEAUS[float] for v in row}}
 _TABLEAUS[Fraction] = [[_EXACT[v] for v in row] for row in _TABLEAUS[float]]
 
 
+# One map per arithmetic, filled by solves: 0.5 == Fraction(1, 2) and both
+# hash alike, so a shared map or intern table would hand one the other's
+# rows.  A node is keyed by its sorted basis, as bytes, and is a list: the
+# tableau rows without the rhs column, one per basic column in ascending
+# order, then the reduced-cost row; the key; and one slot per row for the
+# step taken when that row leaves, (entering column, child node, order),
+# where the child's rhs is [rhs[k] for k in order].  Rows, their entries
+# and the orders are kept once in the intern table.
+_MAPS = {float: ({}, {}), Fraction: ({}, {})}
+_START_KEY = bytes(sorted(_START_BASIS))
+_BASIS = _M + 1
+_STEPS = _M + 2
+
+
+def _node(cast, basis: bytes, rows) -> list:
+    """The map's node of basis, made from its tableau rows."""
+    nodes, interned = _MAPS[cast]
+    keep = lambda row: interned.setdefault(row, row)
+    rows = [keep(tuple(keep(v) for v in row[:_RHS])) for row in rows]
+    return nodes.setdefault(basis, rows + [basis] + [None] * _M)
+
+
+def _step(cast, node: list, row: int, tol) -> tuple | None:
+    """The step of node with row leaving, found and stored on first use:
+    the least ratio of reduced cost to |entry| enters, ties to the least
+    column.  None when no column can enter."""
+    prow, obj, basis = node[row], node[_M], node[_BASIS]
+    col = None
+    for j in range(_N_STRUCT):
+        if prow[j] < -tol:
+            ratio = obj[j] / -prow[j]
+            if col is None or ratio < best:
+                col, best = j, ratio
+    if col is None:
+        return None
+    nodes, interned = _MAPS[cast]
+    entered = (*basis[:row], col, *basis[row + 1:])
+    order = tuple(sorted(range(_M), key=entered.__getitem__))
+    order = interned.setdefault(order, order)
+    key = bytes(entered[k] for k in order)
+    child = nodes.get(key)
+    if child is None:
+        tab = [list(r) for r in node[:_BASIS]]
+        _pivot(tab, row, col)
+        child = _node(cast, key, [tab[k] for k in order] + [tab[_M]])
+    node[_STEPS + row] = step = (col, child, order)
+    return step
+
+
+def _start_node(cast) -> list:
+    """The map's node of _START_BASIS, made from _TABLEAUS."""
+    tab = _TABLEAUS[cast]
+    return _node(cast, _START_KEY,
+                 [tab[i] for i in sorted(range(_M), key=_START_BASIS.__getitem__)] + [tab[_M]])
+
+
 def solve_system(system: MarginalSystem) -> FeasibilityResult:
-    """Run the dual simplex from _START_BASIS and report the max-min-entry
-    optimum."""
+    """Run the dual simplex from _START_BASIS over the map of its
+    arithmetic and report the max-min-entry optimum."""
     exact = system.exact
     cast = Fraction if exact else float
     zero, one = cast(0), cast(1)
@@ -196,44 +272,41 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
     # Each row is a combination of the constraint rows, recorded in its
     # identity block: its rhs is that combination of rhs + A.1.
     b = [cast(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
-    tab = [row.copy() for row in _TABLEAUS[cast]]
-    for row in tab:
-        row[_RHS] = sum((y * v for y, v in zip(row[_N_STRUCT:_RHS], b) if y), zero)
-    basis = list(_START_BASIS)
-    obj = tab[_M]
+    node = _MAPS[cast][0].get(_START_KEY) or _start_node(cast)
+    rhs = [sum((y * v for y, v in zip(row[_N_STRUCT:], b) if y), zero) for row in node[:_M]]
+    below = -tol
     iterations = 0
     while True:
-        # Dual Bland rule: the infeasible row of least basic index leaves;
-        # the least ratio of reduced cost to |entry| enters, ties to the
-        # least column.
-        rows = [i for i in range(_M) if tab[i][_RHS] < -tol]
-        if not rows:
+        # Dual Bland rule: the infeasible row of least basic index leaves.
+        for row, v in enumerate(rhs):
+            if v < below:
+                break
+        else:
             break
-        row = min(rows, key=basis.__getitem__)
-        prow = tab[row]
-        col = None
-        for j in range(_N_STRUCT):
-            if prow[j] < -tol:
-                ratio = obj[j] / -prow[j]
-                if col is None or ratio < best:
-                    col, best = j, ratio
-        if col is None:
+        step = node[_STEPS + row] or _step(cast, node, row, tol)
+        if step is None:
             # y.A >= 0 and y.(rhs + A.1) < 0 for this row's multipliers y:
             # no table with entries >= -1 matches this rhs (impossible for
             # Fréchet-consistent inputs); report the floor.
             return FeasibilityResult(
                 feasible=False, value=-one, witness=None,
-                certificate=tuple(prow[_N_STRUCT:_RHS]), iterations=iterations, floored=True,
+                certificate=node[row][_N_STRUCT:], iterations=iterations, floored=True,
             )
-        _pivot(tab, row, col)
-        basis[row] = col
+        col, child, order = step
+        rhs[row] = v = v / node[row][col]
+        for i in range(_M):
+            factor = node[i][col]
+            if factor and i != row:
+                rhs[i] -= factor * v
+        rhs = [rhs[k] for k in order]
+        node = child
         iterations += 1
         if iterations > _MAX_PIVOTS:
             raise InternalInvariantError("simplex failed to terminate")
 
     x = [zero] * _N_STRUCT
-    for i, col in enumerate(basis):
-        x[col] = tab[i][_RHS]
+    for col, v in zip(node[_BASIS], rhs):
+        x[col] = v
     value = x[_AUX] - one
     return FeasibilityResult(
         feasible=bool(value >= (zero if exact else -system.atol / 8)),
@@ -242,7 +315,6 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
         # Reduced cost of identity column i is -y_i; the flipped sign is the
         # dual of the maximization, satisfying y.(rhs + rowsums) = value + 1,
         # y.A >= 0.
-        certificate=tuple(obj[_N_STRUCT:_RHS]),
+        certificate=node[_M][_N_STRUCT:],
         iterations=iterations,
     )
-

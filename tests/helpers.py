@@ -36,12 +36,13 @@ from eprjoint import (
     interval_p_aprime_bprime,
     werner,
 )
-from eprjoint import construction
+from eprjoint import construction, oracle
 from eprjoint.chsh import CVariant
 from eprjoint.errors import check_range
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import SIGNS, marginal_indices
-from eprjoint.oracle import _MAX_PIVOTS, _PIVOT_TOL, ROW_LABELS, STANDARD_ROWS
+from eprjoint.oracle import (_AUX, _M, _MAX_PIVOTS, _N_STRUCT, _PIVOT_TOL, _RHS, _ROW_SUMS,
+                             _START_BASIS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -719,6 +720,56 @@ def reference_solve_system(system: MarginalSystem, eps: float = DEFAULT_ATOL) ->
 def reference_basis(system: MarginalSystem) -> tuple[int, ...]:
     """The basic column of each row where the two-phase solve ends."""
     return tuple(_reference_run(system, DEFAULT_ATOL)[1])
+
+
+def pivoting_solve_system(system: MarginalSystem) -> FeasibilityResult:
+    """The dual simplex of solve_system pivoting a copy of the whole start
+    tableau, rhs column included, under the dual Bland rule, with no map:
+    solve_system must return the same fields, bit for bit."""
+    exact = system.exact
+    cast = Fraction if exact else float
+    zero, one = cast(0), cast(1)
+    tol = zero if exact else _PIVOT_TOL
+    b = [cast(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
+    tab = [row.copy() for row in _TABLEAUS[cast]]
+    for row in tab:
+        row[_RHS] = sum((y * v for y, v in zip(row[_N_STRUCT:_RHS], b) if y), zero)
+    basis = list(_START_BASIS)
+    obj = tab[_M]
+    iterations = 0
+    while True:
+        rows = [i for i in range(_M) if tab[i][_RHS] < -tol]
+        if not rows:
+            break
+        row = min(rows, key=basis.__getitem__)
+        prow = tab[row]
+        col = None
+        for j in range(_N_STRUCT):
+            if prow[j] < -tol:
+                ratio = obj[j] / -prow[j]
+                if col is None or ratio < best:
+                    col, best = j, ratio
+        if col is None:
+            return FeasibilityResult(
+                feasible=False, value=-one, witness=None,
+                certificate=tuple(prow[_N_STRUCT:_RHS]), iterations=iterations, floored=True,
+            )
+        oracle._pivot(tab, row, col)
+        basis[row] = col
+        iterations += 1
+        if iterations > _MAX_PIVOTS:
+            raise InternalInvariantError("simplex failed to terminate")
+    x = [zero] * _N_STRUCT
+    for i, col in enumerate(basis):
+        x[col] = tab[i][_RHS]
+    value = x[_AUX] - one
+    return FeasibilityResult(
+        feasible=bool(value >= (zero if exact else -system.atol / 8)),
+        value=value,
+        witness=tuple(q + value for q in x[:16]),
+        certificate=tuple(obj[_N_STRUCT:_RHS]),
+        iterations=iterations,
+    )
 
 
 # Draws per chunk of reference_sample_counts, which bounds its memory.

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -24,7 +27,8 @@ from eprjoint import (
 )
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import PAIR_LABELS, SINGLE_LABELS, marginal_indices
-from eprjoint.oracle import _START_BASIS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS, _start_tableau
+from eprjoint.oracle import (_AUX, _BASIS, _M, _MAPS, _START_BASIS, _TABLEAUS, ROW_LABELS,
+                             STANDARD_ROWS, _start_tableau)
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
@@ -33,6 +37,7 @@ from helpers import (
     dyadic_systems,
     mixed_population,
     near_face_inputs,
+    pivoting_solve_system,
     reference_basis,
     reference_solve_system,
     singlet_optimal_probs,
@@ -90,6 +95,41 @@ class TestSystemStructure:
             MarginalSystem.from_values(*values)
         assert (info.value.field, info.value.value, info.value.bound) == (
             ROW_LABELS[index + 1], repr(bad), bound)
+
+    @pytest.mark.parametrize("index, bad", [
+        (0, Decimal("NaN")), (3, Decimal("0.5")), (6, "0.5"), (8, 1j), (2, 0.5 + 0j),
+    ], ids=["decimal_nan", "decimal", "str", "complex", "complex_real"])
+    def test_non_real_rhs_rejected(self, index, bad):
+        # a Decimal NaN used to solve to feasible=False, value=nan in 0
+        # pivots, strings were solved, and complex values raised TypeError
+        rhs = [1.0, *[0.5] * 4, *[0.25] * 4]
+        rhs[index] = bad
+        with pytest.raises(ValidationError) as info:
+            MarginalSystem(rhs)
+        assert (info.value.field, info.value.value) == (ROW_LABELS[index], bad)
+        with pytest.raises(ValidationError):
+            MarginalSystem((bad,) * 9)
+
+    @pytest.mark.parametrize("bad, bound", [
+        (np.float32("nan"), None), (np.float32("inf"), 1.7976931348623157e308),
+        (np.float64("-inf"), -1.7976931348623157e308),
+    ], ids=["float32_nan", "float32_inf", "float64_-inf"])
+    def test_non_finite_numpy_rhs_rejected(self, bad, bound):
+        with pytest.raises(ValidationError) as info:
+            MarginalSystem((1.0, *[0.5] * 4, *[0.25] * 3, bad))
+        assert (info.value.field, info.value.value, info.value.bound) == (
+            ROW_LABELS[8], repr(float(bad)), bound)
+
+    @pytest.mark.parametrize("kind, exact", [
+        (float, False), (np.float64, False), (np.float32, False), (Fraction, True), (int, True),
+    ], ids=["float", "float64", "float32", "Fraction", "int"])
+    def test_real_rhs_accepted(self, kind, exact):
+        # the deterministic table: every marginal 1, so int is exact too
+        system = MarginalSystem((kind(1),) * 9)
+        assert system.rhs == (1,) * 9 and system.exact is exact
+        result = solve_system(system)
+        assert result.feasible and result.value == 0
+        assert type(result.value) is (Fraction if exact else float)
 
     def test_three_experiments_rejected(self):
         with pytest.raises(ValidationError):
@@ -485,3 +525,159 @@ class TestClosedFormOptimum:
                 closed_form_optimum(build_system(probs).rhs), abs=1e-15
             )
         assert feasible_count == 3291
+
+
+def clear_maps() -> None:
+    """Empty both per-basis maps, so the next solves start cold."""
+    for nodes, interned in _MAPS.values():
+        nodes.clear()
+        interned.clear()
+
+
+def result_bits(result) -> tuple:
+    """Every field of a FeasibilityResult, each value with its type and
+    floats as float.hex, so -0.0 differs from 0.0."""
+    bits = lambda v: (type(v).__name__, v.hex() if isinstance(v, float) else v)
+    return (result.feasible, bits(result.value),
+            None if result.witness is None else tuple(map(bits, result.witness)),
+            tuple(map(bits, result.certificate)), result.iterations, result.floored)
+
+
+def frechet_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem]:
+    """Float systems with uniform singles and each double uniform within its
+    Fréchet bounds, one in five of those at an end of them."""
+    singles = rng.uniform(0.0, 1.0, (count, 4))
+    doubles = []
+    for x, y in ((0, 2), (0, 3), (1, 2), (1, 3)):
+        lo = np.maximum(0.0, singles[:, x] + singles[:, y] - 1.0)
+        hi = np.minimum(singles[:, x], singles[:, y])
+        u = rng.uniform(0.0, 1.0, count)
+        u = np.where(rng.uniform(0.0, 1.0, count) < 0.2, np.round(u), u)
+        doubles.append(lo + u * (hi - lo))
+    return [MarginalSystem.from_values(*values)
+            for values in np.column_stack((singles, *doubles)).tolist()]
+
+
+@pytest.fixture(scope="module")
+def dual_feasible_bases() -> set[bytes]:
+    """The nonsingular 9-column subsets B of [A | A.1] whose reduced costs
+    c - c_B B^-1 [A | A.1] are all >= 0, as sorted column bytes like the
+    map's keys.  Determinants are integers, and the least nonzero reduced
+    cost is 1/8, so the float filters are exact.  Each has a tableau
+    B^-1 [A | A.1 | I] of eighths: 8 times it is an integer matrix K with
+    B K = 8 [A | A.1 | I] in exact float arithmetic."""
+    columns = np.array([[*row, sum(row)] for row in STANDARD_ROWS], dtype=float)   # 9 x 17
+    subsets = np.array(list(combinations(range(17), 9)))                           # 24310 x 9
+    bases = np.transpose(columns[:, subsets], (1, 0, 2))
+    nonsingular = np.abs(np.linalg.det(bases)) > 0.5
+    subsets, bases = subsets[nonsingular], bases[nonsingular]
+    cost = np.zeros(17)
+    cost[_AUX] = -1.0
+    y = np.linalg.solve(np.transpose(bases, (0, 2, 1)), cost[subsets][..., None])[..., 0]
+    feasible = (cost - y @ columns >= -1e-9).all(axis=1)
+    assert (len(subsets), int(feasible.sum())) == (8168, 3080)
+    full = np.hstack((columns, np.eye(_M)))
+    eighths = np.round(8 * np.linalg.solve(bases[feasible], np.broadcast_to(full, (3080, *full.shape))))
+    assert (bases[feasible] @ eighths == 8 * full).all()
+    return {bytes(s) for s in subsets[feasible].tolist()}
+
+
+class TestBasisMap:
+    """solve_system walks per-basis maps filled on first use.  This rests
+    on one fact: every dual-feasible basis has a tableau with entries of
+    denominator at most 8, so float pivots are exact and a basis alone
+    fixes its float and exact tableau, whatever pivots reached it."""
+
+    def test_bit_parity_with_the_pivoting_solve(self):
+        rng = np.random.default_rng(181)
+        systems = [build_system(p) for p in mixed_population(rng, 1000)]
+        for values in near_face_inputs(seed=191, count=300):
+            try:
+                systems.append(build_system(ExperimentalProbs(*values)))
+            except ValidationError:
+                pass
+        systems += dyadic_systems(rng, 100)
+        # junk rhs far outside the Fréchet bounds, about a quarter floored
+        junk = rng.uniform(-2.0, 3.0, (400, 8))
+        systems += [MarginalSystem((1.0, *row)) for row in junk[:300].tolist()]
+        systems += [MarginalSystem((1, *(Fraction(round(8 * v), 8) for v in row)))
+                    for row in junk[300:].tolist()]
+        expected = [result_bits(pivoting_solve_system(s)) for s in systems]
+        floored = {(r[1][0], r[-1]) for r in expected}
+        assert floored == {("float", False), ("float", True),
+                           ("Fraction", False), ("Fraction", True)}
+        clear_maps()
+        assert [result_bits(solve_system(s)) for s in systems] == expected       # cold
+        assert [result_bits(solve_system(s)) for s in systems] == expected       # warm
+        clear_maps()
+        assert [result_bits(solve_system(s)) for s in reversed(systems)] == expected[::-1]
+
+    def test_nodes_are_exact_tableaux_of_dual_feasible_bases(self, dual_feasible_bases):
+        clear_maps()
+        rng = np.random.default_rng(193)
+        for probs in mixed_population(rng, 1000):
+            solve_system(build_system(probs))
+        for system in dyadic_systems(rng, 200):
+            solve_system(system)
+        # B^-1 [A | A.1 | I] and c - c_B B^-1 [...] of each key, times 8,
+        # checked in integers: B (8 T) = 8 [A | A.1 | I]
+        full = np.array([[*row, sum(row), *(int(k == i) for k in range(_M))]
+                         for i, row in enumerate(STANDARD_ROWS)])
+        cost = np.zeros(full.shape[1], dtype=int)
+        cost[_AUX] = -8
+        for cast, (nodes, _) in _MAPS.items():
+            assert len(nodes) >= (300 if cast is float else 50)
+            for key, node in nodes.items():
+                assert key in dual_feasible_bases and node[_BASIS] == key
+                rows = node[:_M + 1]
+                assert all(type(v) is cast for row in rows for v in row)
+                assert max(Fraction(v).denominator for row in rows for v in row) <= 8
+                scaled = np.array([[int(v * 8) for v in row] for row in rows])
+                assert (full[:, list(key)] @ scaled[:_M] == 8 * full).all()
+                assert (scaled[_M] == cost + scaled[list(key).index(_AUX)]).all()
+        floats, exacts = (_MAPS[cast][0] for cast in (float, Fraction))
+        common = floats.keys() & exacts.keys()
+        assert len(common) >= 10
+        for key in common:
+            assert ([[v.hex() for v in row] for row in floats[key][:_M + 1]]
+                    == [[float(v).hex() for v in row] for row in exacts[key][:_M + 1]])
+
+    def test_maps_keep_their_arithmetic(self):
+        rng = np.random.default_rng(197)
+        floats = [build_system(p) for p in mixed_population(rng, 200)]
+        exacts = dyadic_systems(rng, 50)
+        for first, then, cast in ((floats, exacts, Fraction), (exacts, floats, float)):
+            clear_maps()
+            for system in first:
+                solve_system(system)
+            for system in then:
+                result = solve_system(system)
+                assert all(type(v) is cast for v in (result.value, *result.certificate))
+                assert all(type(v) is cast for v in result.witness or ())
+
+    def test_map_memory_is_bounded(self):
+        # rows, their entries and the row orders are interned and a node is
+        # one list keyed by bytes: about 483 KiB on CPython 3.11, against
+        # 606 KiB with a node tuple, a separate step list and a tuple key
+        rng = np.random.default_rng(199)
+        systems = [build_system(p) for p in mixed_population(rng, 2000)]
+        systems += dyadic_systems(rng, 200)
+        clear_maps()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for system in systems:
+                solve_system(system)
+            gc.collect()  # and so empties the free lists, which hold dropped results
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < grown <= 512 * 1024
+
+    def test_map_size_is_bounded(self, dual_feasible_bases):
+        for system in frechet_systems(np.random.default_rng(211), 20_000):
+            solve_system(system)
+        for nodes, _ in _MAPS.values():
+            assert len(nodes) <= len(dual_feasible_bases) == 3080
+            assert nodes.keys() <= dual_feasible_bases
