@@ -75,8 +75,9 @@ class MarginalSystem(_SystemFields):
     in the range ExperimentalProbs allows.
 
     Row order matches ROW_LABELS.  rhs entries may be finite real numbers
-    (numbers.Real, so no str, complex or Decimal) or exact Fractions and
-    ints; an all-exact rhs switches the solver to exact arithmetic.
+    (numbers.Real, so no str, complex or Decimal, and no bool) or exact
+    Fractions and ints; an all-exact rhs switches the solver to exact
+    arithmetic.
     """
 
     __slots__ = ()
@@ -90,7 +91,7 @@ class MarginalSystem(_SystemFields):
         rhs = tuple(rhs)
         for label, v in zip(ROW_LABELS, rhs):
             if type(v) is not float:
-                if not isinstance(v, Real):
+                if not isinstance(v, Real) or isinstance(v, bool):
                     raise ValidationError(f"{label} = {v!r} is not a real number",
                                           field=label, value=v)
                 if isinstance(v, Rational):

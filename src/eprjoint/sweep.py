@@ -3,14 +3,24 @@
 The one module of the construction layer that needs numpy: sweep_grid
 evaluates the scalar maps of construction on whole arrays of grid points,
 with the same float operations, so its result equals enumerating the grid
-through them.  A pass that fails one of their checks, which no validated
-input does, raises InternalInvariantError naming the first failing prefix's
-P(..++) and the checks.
+through them.  A group that fails one of their step-1 checks, which no
+validated input does, raises InternalInvariantError naming the first failing
+prefix's P(..++) and the checks.
+
+np.maximum and np.minimum stand for the scalar maps' first-wins max and
+min.  They differ only on NaN and on a 0.0/-0.0 tie, where either zero may
+come back.  No NaN arises: the validated input and the axis are finite, and
+sums, differences, products with t in [0, 1] and halves of probabilities
+stay finite.  A zero's sign changes no value and no comparison here, so
+every value and decision is the scalar maps' own.  It could show only in a
+reported extreme of zero, which the scalar maps give as +0.0: their P(++bb')
+lower bound starts from 0.0 and their block mass from 0.0 +, so a cell is
+-0.0 only after a +0.0 P(++bb') in its block or beside a negative cell.
+The sweep adds 0.0 to the extremes it reports.
 """
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -34,24 +44,21 @@ from .experiments import ExperimentalProbs
 
 # Block cells one pass evaluates: as many whole prefixes, 4 * n**3 cells
 # each, as fit, and at least one.  Larger passes make fewer numpy calls but
-# hold more memory than one prefix of a 12-point axis (6,912 cells).
+# hold more memory than one prefix of a 12-point axis (6,912 cells).  It
+# bounds a step-1 group's 4 * n**2 cells a prefix the same way.
 SWEEP_PASS_CELLS = 2**13
-
-
-def _first_max(x, y):
-    """Python's max(x, y) elementwise: y only where y > x."""
-    return np.where(y > x, y, x)
-
-
-def _first_min(x, y):
-    """Python's min(x, y) elementwise: y only where y < x."""
-    return np.where(y < x, y, x)
 
 
 def _pick_array(lo, hi, t):
     """construction._pick(lo, hi, t) elementwise, with the same float operations."""
-    clamped = _first_min(_first_max(lo + t * (hi - lo), lo), hi)
-    return np.where(hi <= lo, (lo + hi) / 2.0, clamped)
+    picked = t * (hi - lo)
+    picked += lo
+    np.maximum(picked, lo, out=picked)
+    np.minimum(picked, hi, out=picked)
+    degenerate = hi <= lo
+    if degenerate.any():
+        np.copyto(picked, (lo + hi) / 2.0, where=degenerate)
+    return picked
 
 
 def _prefixes(probs: ExperimentalProbs, axis: list[float]):
@@ -73,16 +80,36 @@ def _prefixes(probs: ExperimentalProbs, axis: list[float]):
                    _split(*sides[0], p0, atol, False), _split(*sides[1], p0, atol, True))
 
 
-def _pass(run: list, ts: np.ndarray, atol: float) -> np.ndarray:
-    """The least cell of every block at every grid point of a run of m
-    prefixes, shape (t, 4 blocks, m, t1, t2), after the step-1 checks.
+def _groups(prefixes, size: int):
+    """The prefixes in runs of size, the last run shorter.  When the scalar
+    steps of a prefix fail, the prefixes before it are yielded as a run
+    before the error is raised, so their step 1 runs first, as in loop order."""
+    group = []
+    try:
+        for prefix in prefixes:
+            group.append(prefix)
+            if len(group) == size:
+                yield group
+                group = []
+    except Exception:
+        if group:
+            yield group
+        raise
+    if group:
+        yield group
+
+
+def _step1(group: list, ts: np.ndarray, atol: float) -> tuple[np.ndarray, ...]:
+    """Step 1 at every (prefix, t1, t2) of a group of m prefixes, after its
+    checks: each block's margins row, col and total, shapes (4 blocks, m,
+    t1, 1), (4, m, 1, t2) and (4, m, t1, 1), and its P(++bb') interval lo,
+    hi, shape (4, m, t1, t2).
 
     The prefix scalars enter as (m, 1) columns.  P(+.++) and P(.+++) are
-    picked for every t1 and t2, then come the sixteen step-1 triples, the
-    four P(++bb') intervals and each block's cells at every t.  t leads, so
-    the reductions over it run across whole slabs.
+    picked for every t1 and t2, then come the sixteen step-1 triples and
+    the four P(++bb') intervals.
     """
-    _, _, p0s, sides, a_splits, ap_splits = zip(*run)
+    _, _, p0s, sides, a_splits, ap_splits = zip(*group)
     p0 = np.array(p0s)[:, None]
     # (side, plus or minus, margin, m, 1)
     sides = np.array(sides).transpose(1, 2, 3, 0)[..., None]
@@ -94,7 +121,7 @@ def _pass(run: list, ts: np.ndarray, atol: float) -> np.ndarray:
     row, col = pa[:4, :, :, None], pap[:4, :, None, :]
     total = 0.0 + pa[:4, :, :, None] + pa[4:, :, :, None]
     total_ap = 0.0 + pap[:4, :, None, :] + pap[4:, :, None, :]
-    lo, hi = _first_max(0.0, row + col - total), _first_min(row, col)
+    lo, hi = np.maximum(row + col - total, 0.0), np.minimum(row, col)
     checks = (
         ("negative triple probabilities",
          (pa < -atol).any(axis=(0, 2)) | (pap < -atol).any(axis=(0, 2))),
@@ -106,12 +133,18 @@ def _pass(run: list, ts: np.ndarray, atol: float) -> np.ndarray:
         i = int(bad.argmax())
         failed = ", ".join(check for check, at in checks if at[i])
         raise InternalInvariantError(f"sweep pass at P(..++) = {p0s[i]!r}: {failed}")
+    return row, col, total, lo, hi
 
+
+def _block_mins(row, col, total, lo, hi, ts: np.ndarray) -> np.ndarray:
+    """The least cell of every block at every grid point of m prefixes,
+    shape (t, 4 blocks, m, t1, t2), from _step1's arrays of them.  t leads,
+    so the reductions over it run across whole slabs."""
     pp = _pick_array(lo, hi, ts[:, None, None, None, None])
-    mins = pp
+    # pp is this call's own array: the least cell is kept in it
     for cell in construction.frechet_cells(row, col, total, pp)[1:]:
-        mins = _first_min(mins, cell)
-    return mins
+        np.minimum(pp, cell, out=pp)
+    return pp
 
 
 def _extreme(mins: np.ndarray, arg: str) -> tuple[np.float64, int, np.ndarray]:
@@ -133,17 +166,22 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     Walks the grid in construction order.  A prefix is one P(A'B')
     completion and t0 value; its scalar steps (_sides and _dotdot once per
     completion, _pick and the two _split calls once per prefix) run in loop
-    order.  One numpy pass then covers a run of consecutive prefixes, as
-    many whole ones as fit in SWEEP_PASS_CELLS block cells and at least
-    one, and every (t1, t2) of each: the picked P(+.++) and P(.+++), the
-    sixteen step-1 triples, the four P(++bb') intervals, and the minimum
-    cell of each block at every t, an array of shape (n, 4, m, n, n).  The
-    blocks are independent once the triples are fixed, so validity and
-    min-entry statistics over the full grid factorize exactly over blocks.
-    Every float operation is the scalar maps' own, so the result equals
+    order.  Step 1 then runs once per group of consecutive prefixes, as
+    many whole passes of them as fit in SWEEP_PASS_CELLS at 4 * n**2 cells
+    a prefix, and at least one pass: the picked P(+.++) and P(.+++) at
+    every (t1, t2), the sixteen step-1 triples, the four P(++bb') intervals
+    and the step-1 checks.  One pass covers as many whole prefixes of the
+    group as fit in SWEEP_PASS_CELLS at 4 * n**3 block cells a prefix, and
+    at least one: it picks P(++bb') at every t and takes the minimum cell
+    of each block, an array of shape (n, 4, m, n, n).  The blocks are
+    independent once the triples are fixed, so validity and min-entry
+    statistics over the full grid factorize exactly over blocks.  Every
+    float operation is the scalar maps' own, so the result equals
     enumerating the grid through them, ties going to the first grid point
-    in loop order, whatever the pass size.  A pass that fails one of their
-    checks raises InternalInvariantError naming its first failing prefix.
+    in loop order, whatever the pass size.  Errors come in loop order: a
+    group that fails a step-1 check raises InternalInvariantError naming
+    its first failing prefix, and a prefix whose scalar steps fail raises
+    only after the prefixes before it have been swept.
     ValidationError for an empty axis, a value outside [0, 1] or more than
     SWEEP_MAX_CELLS block cells (check_sweep_budget).
     """
@@ -161,21 +199,26 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     # (entry, params) of the least entry and of the most interior point
     extremes = {"argmin": (float("inf"), None), "argmax": (float("-inf"), None)}
 
-    prefixes, per_pass = _prefixes(probs, axis), max(1, SWEEP_PASS_CELLS // (4 * n**3))
-    while run := list(islice(prefixes, per_pass)):
-        mins = _pass(run, ts, atol)
-        # at most n**4 valid points per prefix: no int64 overflow within the budget
-        counts = (mins >= -atol).sum(axis=0)
-        valid_points += int(counts.prod(axis=0).sum())
+    per_pass = max(1, SWEEP_PASS_CELLS // (4 * n**3))
+    per_group = per_pass * max(1, SWEEP_PASS_CELLS // (4 * n**2 * per_pass))
+    for group in _groups(_prefixes(probs, axis), per_group):
+        blocks = _step1(group, ts, atol)
+        for start in range(0, len(group), per_pass):
+            mins = _block_mins(*(a[:, start:start + per_pass] for a in blocks), ts)
+            # at most n**4 valid points per prefix: no int64 overflow within the budget
+            counts = (mins >= -atol).sum(axis=0)
+            valid_points += int(counts.prod(axis=0).sum())
 
-        for arg, (entry, _) in extremes.items():
-            found, k, at_t = _extreme(mins, arg)
-            if (found < entry) if arg == "argmin" else (found > entry):
-                i, i12 = divmod(k, n * n)
-                i1, i2 = divmod(i12, n)
-                t_apbp, t0 = run[i][:2]
-                t_bb = [axis[j] for j in at_t]
-                extremes[arg] = float(found), FamilyParams(t0, axis[i1], axis[i2], t_bb, t_apbp)
+            for arg, (entry, _) in extremes.items():
+                found, k, at_t = _extreme(mins, arg)
+                if (found < entry) if arg == "argmin" else (found > entry):
+                    i, i12 = divmod(k, n * n)
+                    i1, i2 = divmod(i12, n)
+                    t_apbp, t0 = group[start + i][:2]
+                    t_bb = [axis[j] for j in at_t]
+                    # + 0.0: a least cell of zero is +0.0 in the scalar maps
+                    extremes[arg] = (float(found) + 0.0,
+                                     FamilyParams(t0, axis[i1], axis[i2], t_bb, t_apbp))
 
     (min_entry, min_params), (best_min_entry, best_params) = extremes.values()
     return SweepResult(

@@ -30,7 +30,7 @@ from eprjoint import (
     marginal_residuals,
     sweep_grid,
 )
-from eprjoint import cli, construction
+from eprjoint import cli, construction, sweep
 from eprjoint.chsh import CVariant, c_function
 from eprjoint.construction import SWEEP_MAX_CELLS, check_sweep_budget
 from eprjoint.sweep import SWEEP_PASS_CELLS
@@ -658,6 +658,36 @@ class TestSweepMatchesLoop:
             result = sweep_grid(probs, [0.3])
             assert result.total_points == 1 and result.min_params == result.best_params
 
+    def test_negative_zero_in_axis(self):
+        # -0.0 lies in [0, 1]: t * (hi - lo) is then -0.0, and lo + -0.0 is lo
+        rng = np.random.default_rng(151)
+        for probs in (uniform_probs(), det00_probs(), satisfying_probs(rng)):
+            self.assert_identical(probs, [-0.0, 0.5, 1.0])
+            self.assert_identical(probs, [1.0, -0.0, 0.0, 1 / 3])
+
+    def test_zero_signs_do_not_reach_the_report(self, monkeypatch):
+        # On a 0.0/-0.0 tie np.minimum and np.maximum may return either
+        # zero, where the scalar maps' min and max keep the first.  A zero's
+        # sign changes no value and no comparison, and the sweep reports an
+        # extreme of zero as +0.0, as the scalar maps do: with every zero of
+        # the array cells turned -0.0 the result is still equal to the bit.
+        original = construction.frechet_cells
+
+        def negative_zeros(row, col, total, pp):
+            cells = original(row, col, total, pp)
+            if not isinstance(pp, np.ndarray):
+                return cells
+            return tuple(np.where(cell == 0.0, -0.0, cell) for cell in cells)
+
+        rng = np.random.default_rng(157)
+        for probs in (uniform_probs(), det00_probs(), satisfying_probs(rng)):
+            for p in (probs, probs.without_aprime_bprime()):
+                axis = [0.0, 0.5, 1.0]
+                reference = reference_sweep_grid(p, axis)
+                with monkeypatch.context() as patch:
+                    patch.setattr(construction, "frechet_cells", negative_zeros)
+                    assert_same_sweep(sweep_grid(p, axis), reference)
+
     def test_errors_match(self):
         self.assert_identical(singlet_optimal_probs(), [0.0, 1.0])
         # both reject a fraction outside [0, 1]; the sweep checks its axis
@@ -720,37 +750,72 @@ def assert_same_sweep(result: SweepResult, reference: SweepResult) -> None:
         assert float(getattr(result, name)).hex() == float(getattr(reference, name)).hex()
 
 
+def recorded_calls(monkeypatch, name: str) -> list:
+    """Replace construction.<name> by a copy that records its arguments."""
+    original, calls = getattr(construction, name), []
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(construction, name, recorded)
+    return calls
+
+
 class TestSweepPasses:
-    def test_family_grid_sizes(self):
+    def test_family_grid_sizes(self, monkeypatch):
         # the family workload's grids: 12 points for four experiments, one
-        # prefix per pass at SWEEP_PASS_CELLS, and 7 for three, five prefixes
-        # per pass, so passes cross completions
+        # prefix per pass and all 12 prefixes in one step-1 group, and 7 for
+        # three, five prefixes per pass and groups of 40, so passes cross
+        # completions and step 1 runs twice for the 49 prefixes
         probs = satisfying_probs(np.random.default_rng(131))
         assert SWEEP_PASS_CELLS // (4 * 12**3) == 1 and SWEEP_PASS_CELLS // (4 * 7**3) == 5
-        for p, points in ((probs, 12), (probs.without_aprime_bprime(), 7)):
+        assert SWEEP_PASS_CELLS // (4 * 12**2) >= 12 and SWEEP_PASS_CELLS // (4 * 7**2 * 5) == 8
+        for p, points, groups, passes in ((probs, 12, 1, 12),
+                                          (probs.without_aprime_bprime(), 7, 2, 10)):
             axis = [i / (points - 1) for i in range(points)]
-            assert_same_sweep(sweep_grid(p, axis), reference_sweep_grid(p, axis))
+            with monkeypatch.context() as patch:
+                triples = recorded_calls(patch, "_side_triples")
+                cells = recorded_calls(patch, "frechet_cells")
+                result = sweep_grid(p, axis)
+            # step 1 calls _side_triples once per side, each pass frechet_cells
+            # once on arrays with t leading
+            assert len(triples) == 2 * groups
+            assert sum(np.ndim(args[3]) == 5 for args in cells) == passes
+            assert_same_sweep(result, reference_sweep_grid(p, axis))
 
     @pytest.mark.parametrize("three", [False, True], ids=["four", "three"])
     def test_working_set_bound(self, monkeypatch, three):
         # the largest array frechet_cells receives, the block cells of one
         # pass, holds one prefix or at most SWEEP_PASS_CELLS cells, and runs
         # of small prefixes fill more than half of that (a 3-point grid has
-        # too few prefixes); 25 points exceed the three-experiment budget
+        # too few prefixes); 25 points exceed the three-experiment budget.
+        # Step 1's arrays, 4 * n**2 cells a prefix, hold one prefix or at
+        # most SWEEP_PASS_CELLS cells too.
         original, largest = construction.frechet_cells, []
 
         def recorded(*args):
             largest.append(max(np.size(arg) for arg in args))
             return original(*args)
 
+        step1, step1_largest = sweep._step1, []
+
+        def recorded_step1(*args):
+            arrays = step1(*args)
+            step1_largest.append(max(np.size(array) for array in arrays))
+            return arrays
+
         monkeypatch.setattr(construction, "frechet_cells", recorded)
+        monkeypatch.setattr(sweep, "_step1", recorded_step1)
         probs = satisfying_probs(np.random.default_rng(139))
         probs = probs.without_aprime_bprime() if three else probs
         for points in (3, 7, 12) if three else (3, 7, 12, 25):
             largest.clear()
+            step1_largest.clear()
             sweep_grid(probs, [i / (points - 1) for i in range(points)])
             assert max(largest) <= max(4 * points**3, SWEEP_PASS_CELLS)
             assert max(largest) > SWEEP_PASS_CELLS // 2 or points == 3
+            assert max(step1_largest) <= max(4 * points**2, SWEEP_PASS_CELLS)
 
     @pytest.mark.parametrize("pass_cells", [1, SWEEP_PASS_CELLS])
     def test_later_prefix_fails(self, monkeypatch, pass_cells):
@@ -770,6 +835,32 @@ class TestSweepPasses:
                 r"^sweep pass at P\(\.\.\+\+\) = 0\.25: negative triple probabilities, "
                 r"triple marginals disagree, empty P\(\+\+bb'\) interval$")):
             sweep_grid(uniform_probs(), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("pass_cells", [1, 768, SWEEP_PASS_CELLS])
+    @pytest.mark.parametrize("points", [12, 3])
+    def test_step1_fails_before_a_later_split(self, monkeypatch, pass_cells, points):
+        # On the uniform table the prefixes pick P(..++) = 0 to 0.5, and the
+        # P(+.++) interval is made to fail at 0.5, the last prefix.  Alone,
+        # that failure is raised.  With every step-1 triple negative too,
+        # the first prefix's step 1 fails first, as in loop order, also when
+        # one step-1 group or one pass holds every prefix.
+        original = sweep._split
+
+        def failing_split(plus, minus, p_dotdot, atol, primed):
+            if p_dotdot == 0.5:
+                raise InternalInvariantError(f"empty interval at P(..++) = {p_dotdot!r}")
+            return original(plus, minus, p_dotdot, atol, primed)
+
+        monkeypatch.setattr(sweep, "_split", failing_split)
+        monkeypatch.setattr(sweep, "SWEEP_PASS_CELLS", pass_cells)
+        axis = [i / (points - 1) for i in range(points)]
+        with pytest.raises(InternalInvariantError,
+                           match=r"^empty interval at P\(\.\.\+\+\) = 0\.5$"):
+            sweep_grid(uniform_probs(), axis)
+        skew_calls(monkeypatch, "frechet_cells", 0, lambda c: (c[0], c[1] - 0.5, *c[2:]))
+        with pytest.raises(InternalInvariantError, match=(
+                r"^sweep pass at P\(\.\.\+\+\) = 0\.0: negative triple probabilities")):
+            sweep_grid(uniform_probs(), axis)
 
 
 class TestSweepBudget:

@@ -110,6 +110,18 @@ class TestSystemStructure:
         with pytest.raises(ValidationError):
             MarginalSystem((bad,) * 9)
 
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True)], ids=["true", "false", "numpy"])
+    def test_bool_rhs_rejected(self, bad):
+        # bool is an int, so (True,) * 9 used to solve exactly to feasible,
+        # value 0; the CLI's parse boundary rejects JSON booleans too
+        rhs = [1.0, *[0.5] * 4, *[0.25] * 4]
+        rhs[5] = bad
+        with pytest.raises(ValidationError, match=r" is not a real number$") as info:
+            MarginalSystem(rhs)
+        assert (info.value.field, info.value.value) == (ROW_LABELS[5], bad)
+        with pytest.raises(ValidationError, match=r"^norm = True is not a real number$"):
+            MarginalSystem((True,) * 9)
+
     @pytest.mark.parametrize("bad, bound", [
         (np.float32("nan"), None), (np.float32("inf"), 1.7976931348623157e308),
         (np.float64("-inf"), -1.7976931348623157e308),
