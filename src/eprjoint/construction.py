@@ -8,14 +8,13 @@ with + before -, which fix the remaining entries by sum rules (step 2).
 Each scalar ranges over an explicit interval.  The one for P(..++) is
 nonempty exactly when the eight CHSH inequalities hold (Fine's theorem);
 the others are never empty.  With the unmeasured P(A'B') visited first, the
-same walk fits three experiments for arbitrary inputs.  The walk runs on the
-eight measured floats through private maps that sweep_grid shares
-(_complete, _sides, _dotdot, _split, and _side_triples on arrays).
-The constructions pick each scalar at a fraction t in [0, 1] of its
-interval, so every t-tuple yields a valid distribution; invert_params walks
-at the positions of a given table's own values.  Only construct_trace
-records the intervals and picks; construct_4exp and construct_3exp build
-just the table.
+same walk fits three experiments for arbitrary inputs.  The constructions
+pick each scalar at a fraction t in [0, 1] of its interval, so every
+t-tuple yields a valid distribution; invert_params walks at the positions
+of a given table's own values.  Only construct_trace records the intervals
+and picks.  Each map is written once (_complete, _sides, _dotdot, _split,
+_pick, _side_triples, _block); sweep_grid calls the same functions on
+arrays, with np.maximum, np.minimum and np.where for max, min and a branch.
 """
 
 from __future__ import annotations
@@ -25,7 +24,9 @@ from typing import NamedTuple
 
 from . import experiments
 from .chsh import chsh_probability_form
-from .errors import ChshViolationError, InternalInvariantError, ValidationError, check_range
+from .errors import (
+    ChshViolationError, InternalInvariantError, ValidationError, as_real, check_range,
+)
 from .experiments import (
     ExperimentalProbs,
     QuadDistribution,
@@ -48,12 +49,16 @@ _BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
 SWEEP_MAX_CELLS = 1 << 24
 
 
-def _pick(lo: float, hi: float, t: float) -> float:
+def _either(cond: bool, if_true: float, if_false: float) -> float:
+    """np.where for one scalar."""
+    return if_true if cond else if_false
+
+
+def _pick(lo: float, hi: float, t: float, mx=max, mn=min, where=_either) -> float:
     """The point at fraction t of [lo, hi], clamped inside it; the midpoint
-    of a degenerate or slightly inverted interval."""
-    if hi <= lo:
-        return (lo + hi) / 2.0
-    return min(max(lo + t * (hi - lo), lo), hi)
+    of a degenerate or slightly inverted interval.  sweep_grid passes
+    np.maximum, np.minimum and np.where, positionally, to pick on arrays."""
+    return where(hi <= lo, (lo + hi) / 2.0, mn(mx(lo + t * (hi - lo), lo), hi))
 
 
 class Interval(NamedTuple):
@@ -81,6 +86,7 @@ _PARAM_FIELDS = ("t_dotdot", "t_aplus", "t_aprimeplus", *(f"t_bb[{i}]" for i in 
 class FamilyParams(_FamilyFields):
     """Fractions t in [0, 1] positioning each free parameter in its interval.
 
+    Each must pass errors.as_real; an error names it as _PARAM_FIELDS does.
     t_aprime_bprime applies only to the three-experiment construction and is
     ignored otherwise; None means the default midpoint.
     """
@@ -90,17 +96,20 @@ class FamilyParams(_FamilyFields):
 
     def __new__(cls, t_dotdot=0.5, t_aplus=0.5, t_aprimeplus=0.5, t_bb=(0.5, 0.5, 0.5, 0.5),
                 t_aprime_bprime=None):
-        t_bb = tuple(float(t) for t in t_bb)
+        t_bb = tuple(t_bb)
         if len(t_bb) != 4:
             raise ValidationError(f"t_bb needs 4 entries, got {len(t_bb)}",
                                   field="t_bb", value=len(t_bb), bound=4)
         ts = (t_dotdot, t_aplus, t_aprimeplus, *t_bb)
         if t_aprime_bprime is not None:
             ts += (t_aprime_bprime,)
-        if not all(0.0 <= t <= 1.0 for t in ts):  # the first one out of range, NaN included
+        if not all(type(t) is float and 0.0 <= t <= 1.0 for t in ts):
+            # the first one not a real number, then the first out of range, NaN included
+            ts = tuple(map(as_real, _PARAM_FIELDS, ts))
             for name, value in zip(_PARAM_FIELDS, ts):
                 check_range(name, value, 0.0, 1.0)
-        return super().__new__(cls, t_dotdot, t_aplus, t_aprimeplus, t_bb, t_aprime_bprime)
+            t_bb = tuple(map(float, ts[3:7]))
+        return super().__new__(cls, *ts[:3], t_bb, *ts[7:] or (None,))
 
     def as_tuple(self) -> tuple[float, ...]:
         """The fractions in construction order, t_aprime_bprime first when set."""
@@ -174,6 +183,18 @@ def _side_triples(plus, minus, chosen, p_dotdot: float) -> tuple:
     return (*frechet_cells(*plus, chosen), *frechet_cells(*minus, p_dotdot - chosen))
 
 
+def _block(plus, minus, plus_ap, minus_ap, mx=max, mn=min) -> tuple:
+    """Step 2's table of (a, a') for one (b, b') from the triples P(+.bb') =
+    plus, P(-.bb') = minus, P(.+bb') = plus_ap and P(.-bb') = minus_ap: its
+    margins row and col and mass P(..bb') summed on the A side, the mass
+    summed on the A' side, equal by algebra, and its P(++bb') interval lo,
+    hi.  The walk maps it over the four blocks; sweep_grid calls it on
+    arrays of all four."""
+    mass = 0.0 + plus + minus
+    return (plus, plus_ap, mass, 0.0 + plus_ap + minus_ap,
+            *frechet_bounds(plus, plus_ap, mass, mx, mn))
+
+
 class ConstructionTrace(NamedTuple):
     """Full record of one construction run: intervals, chosen scalars, output.
 
@@ -238,10 +259,10 @@ _LABELS = ("P(A'B')", "P(..++)", "P(+.++)", "P(.+++)", *_BLOCK_LABELS)
 def _visit(visits: list, lo: float, hi: float, t: float, own: float | None) -> float:
     """Record (lo, hi, t, value) for the scalar at fraction t of [lo, hi], or
     at the fraction where own sits when given (0.5 for degenerate), and
-    return its value, picked as _pick picks it."""
+    return its value, picked by _pick."""
     if own is not None:
         t = 0.5 if hi - lo <= 0.0 else min(max((own - lo) / (hi - lo), 0.0), 1.0)
-    value = (lo + hi) / 2.0 if hi <= lo else min(max(lo + t * (hi - lo), lo), hi)
+    value = _pick(lo, hi, t)
     visits.append((lo, hi, t, value))
     return value
 
@@ -281,24 +302,22 @@ def _walk(probs: ExperimentalProbs, params: FamilyParams, owns=_NO_OWNS):
                 f"triple probabilities P({f'.{x}' if primed else f'{x}.'}bb') = {cells!r} "
                 "have a negative entry; a chosen scalar violates its interval"
             )
-    for k, cell in enumerate(_CELL_LABELS):
-        lhs, rhs = 0 + pa[k] + pa[k + 4], 0 + pap[k] + pap[k + 4]
-        if abs(lhs - rhs) > atol:
+    blocks = list(map(_block, pa[:4], pa[4:], pap[:4], pap[4:]))
+    for cell, (_, _, mass, mass_ap, _, _) in zip(_CELL_LABELS, blocks):
+        if abs(mass - mass_ap) > atol:
             raise InternalInvariantError(
-                f"triple marginals disagree on P(..{cell}): {lhs!r} vs {rhs!r}")
+                f"triple marginals disagree on P(..{cell}): {mass!r} vs {mass_ap!r}")
 
     # Step 2: block k is the table of (a, a') with margins P(+.bb'),
     # P(.+bb') and mass P(..bb'); its P(++bb') is entry k.
     entries = [0.0] * 16
-    for k, label in enumerate(_BLOCK_LABELS):
-        margins = pa[k], pap[k], pa[k] + pa[k + 4]
-        lo, hi = frechet_bounds(*margins)
+    for k, (label, (row, col, mass, _, lo, hi)) in enumerate(zip(_BLOCK_LABELS, blocks)):
         if lo - hi > atol:
             raise InternalInvariantError(
                 f"empty interval for {label}: triples violate their sum rules")
         pp = _visit(visits, lo, hi, params.t_bb[k], owns[4 + k])
         # cell j of block k is the outcome (a, a') = BB_BLOCKS[j], (b, b') = BB_BLOCKS[k]
-        for j, value in enumerate(frechet_cells(*margins, pp)):
+        for j, value in enumerate(frechet_cells(row, col, mass, pp)):
             if value < -atol:
                 raise InternalInvariantError(
                     f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "

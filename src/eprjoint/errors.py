@@ -1,9 +1,10 @@
 """Exception classes, one per process exit code (2 bad input, 3 a CHSH
-violation, 5 a broken theorem), and check_range, the one range check."""
+violation, 5 a broken theorem), and the one range and number checks."""
 
 from __future__ import annotations
 
 import math
+from numbers import Rational, Real
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -61,3 +62,15 @@ def check_range(field: str, value, lo, hi) -> None:
     if not lo <= value <= hi:
         raise ValidationError(f"{field} = {value!r} is outside [{lo!r}, {hi!r}]", field=field,
                               value=value, bound=lo if value < lo else hi if value > hi else None)
+
+
+def as_real(field: str, value):
+    """value unchanged when a float or a Rational (an int, a Fraction), else
+    as a float, so a numpy float32 computes at double width.  ValidationError
+    naming field unless a numbers.Real other than bool (no str, None, complex
+    or Decimal)."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, Real) or isinstance(value, bool):
+        raise ValidationError(f"{field} = {value!r} is not a real number", field=field, value=value)
+    return value if isinstance(value, Rational) else float(value)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError, check_range
+from .errors import ValidationError, as_real, check_range
 from .indexing import _QUAD_LABELS, PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS
 
 DEFAULT_ATOL = 1e-9
@@ -30,10 +30,10 @@ def pair_from_correlation(e_xy: float, p_x: float, p_y: float) -> float:
     return (e_xy + 2.0 * p_x + 2.0 * p_y - 1.0) / 4.0
 
 
-def frechet_bounds(row: float, col: float, total: float = 1.0) -> tuple[float, float]:
+def frechet_bounds(row: float, col: float, total: float = 1.0, mx=max, mn=min) -> tuple:
     """max(0, row + col - total) <= P(++) <= min(row, col) for a 2x2 table of
-    mass total with margins P(+.) = row and P(.+) = col."""
-    return max(0.0, row + col - total), min(row, col)
+    mass total, margins P(+.) = row, P(.+) = col; mx, mn elementwise on arrays."""
+    return mx(0.0, row + col - total), mn(row, col)
 
 
 def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[float, float, float, float]:
@@ -42,8 +42,11 @@ def frechet_cells(row: float, col: float, total: float, pp: float) -> tuple[floa
     return pp, row - pp, col - pp, total + pp - row - col
 
 
-def _project(value: float, label: str, domain: str, lo: float, hi: float, atol: float) -> float:
-    """value if in [lo, hi], its projection onto [lo, hi] if within atol, else ValidationError."""
+def _project(value, label: str, domain: str, lo: float, hi: float, atol: float) -> float:
+    """value as a float (errors.as_real) if in [lo, hi], its projection onto
+    [lo, hi] if within atol, else ValidationError."""
+    if type(value) is not float:
+        value = float(as_real(label, value))  # a numpy float32 computes at double width
     if lo <= value <= hi:
         return value + 0.0  # -0.0 becomes 0.0; no other float changes
     if value != value:  # NaN: no bound is broken
@@ -74,7 +77,8 @@ class ExperimentalProbs(_ProbsFields):
     """The eight independent measured probabilities of the four EPR experiments.
 
     p_apbp may be None when only three experiments were performed (the
-    (A', B') pair unmeasured).  This is the one place a tolerance is
+    (A', B') pair unmeasured).  Each value must pass errors.as_real and is
+    stored as a float.  This is the one place a tolerance is
     applied: every value within atol of its exact domain is accepted, [0, 1]
     for a single and the Fréchet bounds of its (projected) singles for a
     double, and a value outside that domain is stored projected onto it.

@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from numbers import Rational, Real
 from typing import NamedTuple
 
-from .errors import InternalInvariantError, ValidationError, check_range
+from .errors import InternalInvariantError, ValidationError, as_real, check_range
 from .experiments import _ATOL_RANGE, DEFAULT_ATOL, ExperimentalProbs, QuadDistribution
 from .indexing import PAIR_LABELS, PAIR_SLOTS, SINGLE_LABELS, marginal_indices
 
@@ -74,9 +73,9 @@ class MarginalSystem(_SystemFields):
     their rhs values, and the tolerance atol of the feasibility decision,
     in the range ExperimentalProbs allows.
 
-    Row order matches ROW_LABELS.  rhs entries may be finite real numbers
-    (numbers.Real, so no str, complex or Decimal, and no bool) or exact
-    Fractions and ints; an all-exact rhs switches the solver to exact
+    Row order matches ROW_LABELS.  rhs entries pass errors.as_real, all before
+    any range check: finite reals, stored as Python floats, or exact
+    Fractions and ints, kept; an all-exact rhs switches the solver to exact
     arithmetic.
     """
 
@@ -88,16 +87,10 @@ class MarginalSystem(_SystemFields):
         if len(rhs) != 9:
             raise ValidationError(f"marginal system needs 9 rhs values, got {len(rhs)}",
                                   field="rhs", value=len(rhs), bound=9)
-        rhs = tuple(rhs)
+        rhs = tuple(map(as_real, ROW_LABELS, rhs))
         for label, v in zip(ROW_LABELS, rhs):
-            if type(v) is not float:
-                if not isinstance(v, Real) or isinstance(v, bool):
-                    raise ValidationError(f"{label} = {v!r} is not a real number",
-                                          field=label, value=v)
-                if isinstance(v, Rational):
-                    continue
-                v = float(v)  # a numpy float32 would compare at its own width
-            check_range(label, v, -sys.float_info.max, sys.float_info.max)
+            if type(v) is float:  # not a Rational
+                check_range(label, v, -sys.float_info.max, sys.float_info.max)
         return super().__new__(cls, rhs, atol)
 
     @property

@@ -1,22 +1,19 @@
 """The full t-grid sweep of the construction family as numpy passes.
 
-The one module of the construction layer that needs numpy: sweep_grid
-evaluates the scalar maps of construction on whole arrays of grid points,
-with the same float operations, so its result equals enumerating the grid
-through them.  A group that fails one of their step-1 checks, which no
-validated input does, raises InternalInvariantError naming the first failing
-prefix's P(..++) and the checks.
+The one module of the construction layer that needs numpy.  It restates no
+map: sweep_grid calls the walk's own functions (_pick, _side_triples,
+_block, frechet_cells) on whole arrays of grid points, passing np.maximum,
+np.minimum and np.where where the walk uses max, min and a conditional, so
+its result equals enumerating the grid through the walk.  Only its checks
+against atol, with its own messages, and its reductions are its own.
 
-np.maximum and np.minimum stand for the scalar maps' first-wins max and
-min.  They differ only on NaN and on a 0.0/-0.0 tie, where either zero may
-come back.  No NaN arises: the validated input and the axis are finite, and
-sums, differences, products with t in [0, 1] and halves of probabilities
-stay finite.  A zero's sign changes no value and no comparison here, so
-every value and decision is the scalar maps' own.  It could show only in a
-reported extreme of zero, which the scalar maps give as +0.0: their P(++bb')
-lower bound starts from 0.0 and their block mass from 0.0 +, so a cell is
--0.0 only after a +0.0 P(++bb') in its block or beside a negative cell.
-The sweep adds 0.0 to the extremes it reports.
+np.maximum and np.minimum differ from the first-wins max and min only on
+NaN, which no finite validated input and axis produce, and on a 0.0/-0.0
+tie, where either zero may come back.  A zero's sign changes no sum with a
+nonzero term and no comparison, so every value and decision is the walk's
+own.  It could show only in a reported extreme of zero, which the walk
+gives as +0.0 (its P(++bb') lower bound starts from 0.0 and its block mass
+from 0.0 +), so the sweep adds 0.0 to the extremes it reports.
 """
 
 from __future__ import annotations
@@ -25,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-# frechet_cells and _side_triples are read through the module, so the sweep
-# runs whatever the scalar maps run, also where a test replaces them.
+# _pick and the maps called on arrays are read through the module, so the
+# sweep runs whatever the walk runs, also where a test replaces them.
 from . import construction
 from .construction import (
     FamilyParams,
@@ -34,12 +31,11 @@ from .construction import (
     _aprime_bprime,
     _complete,
     _dotdot,
-    _pick,
     _sides,
     _split,
     check_sweep_budget,
 )
-from .errors import InternalInvariantError, ValidationError, check_range
+from .errors import InternalInvariantError, ValidationError, as_real, check_range
 from .experiments import ExperimentalProbs
 
 # Block cells one pass evaluates: as many whole prefixes, 4 * n**3 cells
@@ -47,18 +43,6 @@ from .experiments import ExperimentalProbs
 # hold more memory than one prefix of a 12-point axis (6,912 cells).  It
 # bounds a step-1 group's 4 * n**2 cells a prefix the same way.
 SWEEP_PASS_CELLS = 2**13
-
-
-def _pick_array(lo, hi, t):
-    """construction._pick(lo, hi, t) elementwise, with the same float operations."""
-    picked = t * (hi - lo)
-    picked += lo
-    np.maximum(picked, lo, out=picked)
-    np.minimum(picked, hi, out=picked)
-    degenerate = hi <= lo
-    if degenerate.any():
-        np.copyto(picked, (lo + hi) / 2.0, where=degenerate)
-    return picked
 
 
 def _prefixes(probs: ExperimentalProbs, axis: list[float]):
@@ -70,12 +54,12 @@ def _prefixes(probs: ExperimentalProbs, axis: list[float]):
         completions = [(None, values)]
     else:
         apbp = _aprime_bprime(probs)
-        completions = [(t, _complete(values, _pick(*apbp, t), atol)) for t in axis]
+        completions = [(t, _complete(values, construction._pick(*apbp, t), atol)) for t in axis]
     for t_apbp, values in completions:
         sides = _sides(values)
         dotdot = _dotdot(probs, values, sides)
         for t0 in axis:
-            p0 = _pick(*dotdot, t0)
+            p0 = construction._pick(*dotdot, t0)
             yield (t_apbp, t0, p0, sides,
                    _split(*sides[0], p0, atol, False), _split(*sides[1], p0, atol, True))
 
@@ -100,31 +84,26 @@ def _groups(prefixes, size: int):
 
 
 def _step1(group: list, ts: np.ndarray, atol: float) -> tuple[np.ndarray, ...]:
-    """Step 1 at every (prefix, t1, t2) of a group of m prefixes, after its
-    checks: each block's margins row, col and total, shapes (4 blocks, m,
-    t1, 1), (4, m, 1, t2) and (4, m, t1, 1), and its P(++bb') interval lo,
-    hi, shape (4, m, t1, t2).
-
-    The prefix scalars enter as (m, 1) columns.  P(+.++) and P(.+++) are
-    picked for every t1 and t2, then come the sixteen step-1 triples and
-    the four P(++bb') intervals.
-    """
+    """Step 1 at every (prefix, t1, t2) of a group of m prefixes, the prefix
+    scalars as (m, 1) columns, after its checks: each block's margins row,
+    col and total, shapes (4 blocks, m, t1, 1), (4, m, 1, t2) and (4, m,
+    t1, 1), and its P(++bb') interval lo, hi, shape (4, m, t1, t2)."""
     _, _, p0s, sides, a_splits, ap_splits = zip(*group)
     p0 = np.array(p0s)[:, None]
     # (side, plus or minus, margin, m, 1)
     sides = np.array(sides).transpose(1, 2, 3, 0)[..., None]
     a_lo, a_hi = np.array(a_splits).T[..., None]
     ap_lo, ap_hi = np.array(ap_splits).T[..., None]
-    # Triples, shape (8, m, n): P(a.bb') varies with t1, P(.a'bb') with t2.
-    pa = np.array(construction._side_triples(*sides[0], _pick_array(a_lo, a_hi, ts), p0))
-    pap = np.array(construction._side_triples(*sides[1], _pick_array(ap_lo, ap_hi, ts), p0))
-    row, col = pa[:4, :, :, None], pap[:4, :, None, :]
-    total = 0.0 + pa[:4, :, :, None] + pa[4:, :, :, None]
-    total_ap = 0.0 + pap[:4, :, None, :] + pap[4:, :, None, :]
-    lo, hi = np.maximum(row + col - total, 0.0), np.minimum(row, col)
+    # Triples: P(a.bb') of shape (8, m, t1, 1), P(.a'bb') of shape (8, m, 1, t2).
+    a_picks = construction._pick(a_lo, a_hi, ts, np.maximum, np.minimum, np.where)
+    ap_picks = construction._pick(ap_lo, ap_hi, ts, np.maximum, np.minimum, np.where)
+    pa = np.array(construction._side_triples(*sides[0], a_picks, p0))[:, :, :, None]
+    pap = np.array(construction._side_triples(*sides[1], ap_picks, p0))[:, :, None, :]
+    row, col, total, total_ap, lo, hi = construction._block(pa[:4], pa[4:], pap[:4], pap[4:],
+                                                            np.maximum, np.minimum)
     checks = (
         ("negative triple probabilities",
-         (pa < -atol).any(axis=(0, 2)) | (pap < -atol).any(axis=(0, 2))),
+         (pa < -atol).any(axis=(0, 2, 3)) | (pap < -atol).any(axis=(0, 2, 3))),
         ("triple marginals disagree", (np.abs(total - total_ap) > atol).any(axis=(0, 2, 3))),
         ("empty P(++bb') interval", (lo - hi > atol).any(axis=(0, 2, 3))),
     )
@@ -140,7 +119,8 @@ def _block_mins(row, col, total, lo, hi, ts: np.ndarray) -> np.ndarray:
     """The least cell of every block at every grid point of m prefixes,
     shape (t, 4 blocks, m, t1, t2), from _step1's arrays of them.  t leads,
     so the reductions over it run across whole slabs."""
-    pp = _pick_array(lo, hi, ts[:, None, None, None, None])
+    pp = construction._pick(lo, hi, ts[:, None, None, None, None],
+                            np.maximum, np.minimum, np.where)
     # pp is this call's own array: the least cell is kept in it
     for cell in construction.frechet_cells(row, col, total, pp)[1:]:
         np.minimum(pp, cell, out=pp)
@@ -163,29 +143,19 @@ def sweep_grid(probs: ExperimentalProbs, axis: Sequence[float]) -> SweepResult:
     """Evaluate the construction on the full t-grid axis^k (k = 7 for four
     experiments, 8 for three) and report validity counts and extremes.
 
-    Walks the grid in construction order.  A prefix is one P(A'B')
-    completion and t0 value; its scalar steps (_sides and _dotdot once per
-    completion, _pick and the two _split calls once per prefix) run in loop
-    order.  Step 1 then runs once per group of consecutive prefixes, as
-    many whole passes of them as fit in SWEEP_PASS_CELLS at 4 * n**2 cells
-    a prefix, and at least one pass: the picked P(+.++) and P(.+++) at
-    every (t1, t2), the sixteen step-1 triples, the four P(++bb') intervals
-    and the step-1 checks.  One pass covers as many whole prefixes of the
-    group as fit in SWEEP_PASS_CELLS at 4 * n**3 block cells a prefix, and
-    at least one: it picks P(++bb') at every t and takes the minimum cell
-    of each block, an array of shape (n, 4, m, n, n).  The blocks are
-    independent once the triples are fixed, so validity and min-entry
-    statistics over the full grid factorize exactly over blocks.  Every
-    float operation is the scalar maps' own, so the result equals
-    enumerating the grid through them, ties going to the first grid point
-    in loop order, whatever the pass size.  Errors come in loop order: a
-    group that fails a step-1 check raises InternalInvariantError naming
-    its first failing prefix, and a prefix whose scalar steps fail raises
-    only after the prefixes before it have been swept.
-    ValidationError for an empty axis, a value outside [0, 1] or more than
-    SWEEP_MAX_CELLS block cells (check_sweep_budget).
+    A prefix is one P(A'B') completion and t0.  Step 1 (_step1) runs once
+    per group of whole passes that fit in SWEEP_PASS_CELLS at 4 * n**2 cells
+    a prefix; a pass (_block_mins) covers as many whole prefixes as fit at
+    4 * n**3 block cells each, and at least one.  The blocks are independent
+    once the triples are fixed, so the statistics factorize over blocks.
+    The result equals enumerating the grid through the walk, ties going to
+    the first point in loop order, and errors come in loop order (a failed
+    step-1 check as InternalInvariantError naming the first failing
+    prefix's P(..++)), whatever the pass size.  ValidationError for an empty
+    axis, an axis value not a real number (errors.as_real) or outside
+    [0, 1], or more than SWEEP_MAX_CELLS block cells.
     """
-    axis = [float(t) for t in axis]
+    axis = [float(as_real(f"axis[{i}]", t)) for i, t in enumerate(axis)]
     if not axis:
         raise ValidationError("sweep needs at least one grid value per axis",
                               field="len(axis)", value=0, bound=1)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from itertools import count, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eprjoint import (
     ChshViolationError,
@@ -743,6 +745,36 @@ class TestSweepPassSize(TestSweepMatchesLoop):
         monkeypatch.setattr("eprjoint.sweep.SWEEP_PASS_CELLS", request.param)
 
 
+# Property inputs: seeded feasible and synthetic tables (about a tenth of
+# those violate CHSH, so both routes raise) and the fixed tables above.
+_SWEEP_PROBS = st.one_of(
+    st.integers(0, 2**32 - 1).map(lambda seed: satisfying_probs(np.random.default_rng(seed))),
+    st.integers(0, 2**32 - 1).map(lambda seed: synthetic_probs(np.random.default_rng(seed),
+                                                               spicy=True)),
+    st.sampled_from([uniform_probs(), det00_probs(), singlet_optimal_probs(),
+                     deterministic_probs(1, 0, 0, 1)]),
+)
+_AXIS_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(probs=_SWEEP_PROBS, three=st.booleans(), pass_cells=st.integers(1, 2**13),
+       axis=st.lists(_AXIS_VALUES, min_size=1, max_size=5))
+def test_sweep_equals_reference_to_the_bit(probs, three, pass_cells, axis):
+    # any axis of up to 5 points (duplicates, -0.0, unsorted, one point),
+    # both arities and any pass size: the same result, floats to the bit,
+    # or the same error class and message
+    probs = probs.without_aprime_bprime() if three else probs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "SWEEP_PASS_CELLS", pass_cells)
+        result = sweep_outcome(sweep_grid, probs, axis)
+    reference = sweep_outcome(reference_sweep_grid, probs, axis)
+    if isinstance(reference, SweepResult):
+        assert_same_sweep(result, reference)
+    else:
+        assert result == reference
+
+
 def assert_same_sweep(result: SweepResult, reference: SweepResult) -> None:
     """Equal results, the reported floats equal to the bit."""
     assert result == reference
@@ -783,6 +815,50 @@ class TestSweepPasses:
             assert len(triples) == 2 * groups
             assert sum(np.ndim(args[3]) == 5 for args in cells) == passes
             assert_same_sweep(result, reference_sweep_grid(p, axis))
+
+    def test_family_grid_picks(self, monkeypatch):
+        # the grids of test_family_grid_sizes: every pick is construction._pick,
+        # the walk's own, with the elementwise max, min and where on arrays,
+        # twice per step-1 group (P(+.++) at every t1, P(.+++) at every t2)
+        # and once per pass (P(++bb') at every t); the scalar picks are one
+        # P(A'B') per completion and one P(..++) per prefix
+        probs = satisfying_probs(np.random.default_rng(131))
+        for p, points, groups, passes in ((probs, 12, 1, 12),
+                                          (probs.without_aprime_bprime(), 7, 2, 10)):
+            axis = [i / (points - 1) for i in range(points)]
+            with monkeypatch.context() as patch:
+                picks = recorded_calls(patch, "_pick")
+                result = sweep_grid(p, axis)
+            ndims = [np.ndim(args[2]) for args in picks]
+            assert ndims.count(1) == 2 * groups and ndims.count(5) == passes
+            completions = 1 if p.has_all_four else points
+            assert ndims.count(0) == (0 if p.has_all_four else points) + completions * points
+            assert all(args[3:] == (np.maximum, np.minimum, np.where)
+                       for args in picks if np.ndim(args[2]))
+            assert_same_sweep(result, reference_sweep_grid(p, axis))
+
+    def test_walk_picks_through_pick(self, monkeypatch):
+        # _visit has no pick of its own: each visited scalar is one _pick call
+        params = FamilyParams(0.2, 0.3, 0.4, (0.6, 0.7, 0.8, 0.9))
+        for probs, ts in ((uniform_probs(), params.as_tuple()),
+                          (uniform_probs().without_aprime_bprime(), (0.5, *params.as_tuple()))):
+            with monkeypatch.context() as patch:
+                picks = recorded_calls(patch, "_pick")
+                trace = construct_trace(probs, params)
+            assert picks == [(lo, hi, t) for (lo, hi), t in zip(trace.intervals.values(), ts)]
+            assert len(picks) == len(ts)
+
+    def test_block_bounds_come_from_frechet_bounds(self, monkeypatch):
+        # frechet_bounds is read through the module: inverted on arrays only,
+        # it empties every P(++bb') interval of step 1 while the scalar steps
+        # keep theirs, and the sweep raises its own step-1 error
+        skew_calls(monkeypatch, "frechet_bounds", 0,
+                   lambda lo_hi: (lo_hi[1] + 0.5, lo_hi[0]) if np.ndim(lo_hi[0]) else lo_hi)
+        for probs, p_dotdot in ((uniform_probs(), r"0\.0"),
+                                (uniform_probs().without_aprime_bprime(), r"0\.25")):
+            with pytest.raises(InternalInvariantError, match=(
+                    rf"^sweep pass at P\(\.\.\+\+\) = {p_dotdot}: empty P\(\+\+bb'\) interval$")):
+                sweep_grid(probs, [0.0, 0.5, 1.0])
 
     @pytest.mark.parametrize("three", [False, True], ids=["four", "three"])
     def test_working_set_bound(self, monkeypatch, three):
@@ -1022,6 +1098,32 @@ class TestFamilyParams:
         else:
             assert result == ("ValidationError", *reference) and reference[1] == field
 
+    @pytest.mark.parametrize("kwargs, field, bad", [
+        ({"t_dotdot": True}, "t_dotdot", True),
+        ({"t_aplus": None}, "t_aplus", None),
+        ({"t_aprimeplus": 0.5j}, "t_aprimeplus", 0.5j),
+        ({"t_bb": (0.5, "0.5", 0.5, 0.5)}, "t_bb[1]", "0.5"),
+        ({"t_bb": (0.5, 0.5, 0.5, np.bool_(False))}, "t_bb[3]", np.bool_(False)),
+        ({"t_aprime_bprime": Decimal("0.5")}, "t_aprime_bprime", Decimal("0.5")),
+        ({"t_dotdot": 2.0, "t_bb": (0.5, True, 0.5, 0.5)}, "t_bb[1]", True),
+    ], ids=["bool", "none", "complex", "str-in-bb", "numpy-bool-in-bb", "decimal", "type-first"])
+    def test_non_real_fraction_rejected(self, kwargs, field, bad):
+        # '0.5' and True in t_bb went through float(), a True scalar field was
+        # stored as is, and None or a complex value raised a bare TypeError;
+        # every field is checked to be a real number before any range
+        with pytest.raises(ValidationError) as info:
+            FamilyParams(**kwargs)
+        assert str(info.value) == f"{field} = {bad!r} is not a real number"
+        assert (info.value.field, info.value.value) == (field, bad)
+
+    def test_reals_stored_as_floats_or_exact(self):
+        params = FamilyParams(np.float32(0.25), np.float64(0.5), Fraction(1, 2),
+                              (np.float32(1), 1, 0.5, Fraction(1, 4)), np.float32(0.75))
+        assert params == (0.25, 0.5, 0.5, (1.0, 1.0, 0.5, 0.25), 0.75)
+        assert [type(t) for t in params.as_tuple()] == [float, float, float, Fraction,
+                                                        float, float, float, float]
+        assert construct_trace(uniform_probs(), params).params == params
+
     def test_bb_length_names_field_and_bound(self):
         with pytest.raises(ValidationError, match="t_bb needs 4 entries, got 3") as info:
             FamilyParams(t_bb=(0.5, 0.5, 0.5))
@@ -1057,3 +1159,27 @@ def test_library_errors_name_field_value_bound(call, field, value, bound):
     with pytest.raises(ValidationError) as info:
         call()
     assert (info.value.field, info.value.value, info.value.bound) == (field, value, bound)
+
+
+@pytest.mark.parametrize("axis, field, bad", [
+    (["0", "1"], "axis[0]", "0"),
+    ([True, False], "axis[0]", True),
+    ([0.0, None], "axis[1]", None),
+    ([0.5, 0.25, np.bool_(True)], "axis[2]", np.bool_(True)),
+    ([Decimal("0.5"), 2.0], "axis[0]", Decimal("0.5")),
+], ids=["str", "bool", "none", "numpy-bool", "decimal-before-range"])
+def test_sweep_axis_values_must_be_real(axis, field, bad):
+    # strings and booleans went through float() and were swept
+    for probs in (uniform_probs(), uniform_probs().without_aprime_bprime()):
+        with pytest.raises(ValidationError) as info:
+            sweep_grid(probs, axis)
+        assert str(info.value) == f"{field} = {bad!r} is not a real number"
+        assert (info.value.field, info.value.value) == (field, bad)
+
+
+def test_sweep_axis_reals_are_floats():
+    probs = satisfying_probs(np.random.default_rng(167))
+    result = sweep_grid(probs, [np.float32(0.5), Fraction(1, 4), 1])
+    assert_same_sweep(result, sweep_grid(probs, [0.5, 0.25, 1.0]))
+    assert all(type(t) is float for t in (*result.min_params.as_tuple(),
+                                          *result.best_params.as_tuple()))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from eprjoint import (
+    ChshViolationError,
     ExperimentalProbs,
     ValidationError,
     construct_3exp,
@@ -134,6 +137,47 @@ class TestValidation:
             ExperimentalProbs(*values)
         label = ("A", "A'", "B", "B'", "AB", "AB'", "A'B", "A'B'")[index]
         assert (info.value.field, info.value.value, info.value.bound) == (label, "nan", None)
+
+    @pytest.mark.parametrize("bad", ["0.5", None, Decimal("0.5"), 0.5 + 0j, True, np.bool_(False)],
+                             ids=["str", "none", "decimal", "complex", "bool", "numpy-bool"])
+    @pytest.mark.parametrize("index, label", [(0, "A"), (5, "AB'"), (6, "A'B")])
+    def test_non_real_value_rejected(self, index, label, bad):
+        # these raised a bare TypeError, or, for True, passed as 1.0
+        values = [0.5] * 4 + [0.25] * 4
+        values[index] = bad
+        with pytest.raises(ValidationError) as info:
+            ExperimentalProbs(*values)
+        assert str(info.value) == f"{label} = {bad!r} is not a real number"
+        assert (info.value.field, info.value.value) == (label, bad)
+
+    @pytest.mark.parametrize("kind", [np.float32, np.float64, Fraction, np.int64, int])
+    def test_reals_stored_as_floats(self, kind):
+        values = (1, 1, 1, 1, 1, 1, 1, 1) if kind in (np.int64, int) else \
+            (0.5, 0.5, 0.5, 0.5, 0.25, 0.375, 0.125, 0.25)
+        probs = ExperimentalProbs(*map(kind, values))
+        assert probs[:8] == values
+        assert all(type(v) is float for v in probs[:8])
+
+    def test_float32_tables_construct_in_double(self):
+        # numpy float32 values were stored as they came, so the walk ran in
+        # single precision and raised InternalInvariantError on most tables
+        rng = np.random.default_rng(163)
+        built = 0
+        for _ in range(100):
+            values = [np.float32(v) for v in synthetic_probs(rng, spicy=True)[:8]]
+            try:
+                probs = ExperimentalProbs(*values)
+            except ValidationError:
+                continue  # the rounding moved a double outside its Fréchet bounds
+            assert probs[:8] == tuple(float(v) for v in values)
+            assert all(type(v) is float for v in probs[:8])
+            construct_3exp(probs.without_aprime_bprime())
+            try:
+                construct_4exp(probs)
+            except ChshViolationError:
+                continue
+            built += 1
+        assert built >= 50
 
     def test_projection_onto_domain(self):
         # singles are clamped first, then each double into its Fréchet bounds

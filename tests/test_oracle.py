@@ -143,6 +143,20 @@ class TestSystemStructure:
         assert result.feasible and result.value == 0
         assert type(result.value) is (Fraction if exact else float)
 
+    def test_rhs_stored_as_python_floats_or_exact(self):
+        rhs = (np.float32(1), np.float64(0.5), *[Fraction(1, 2)] * 3, 0.25, 1, 0.25, 0.25)
+        system = MarginalSystem(rhs)
+        assert system.rhs == rhs
+        assert [type(v) for v in system.rhs] == [float, float, *[Fraction] * 3, float, int,
+                                                float, float]
+
+    def test_rhs_types_checked_before_ranges(self):
+        # as in FamilyParams and the sweep axis: a non-real entry is named
+        # ahead of an earlier infinite one
+        rhs = [math.inf, *[0.5] * 4, "0.25", *[0.25] * 3]
+        with pytest.raises(ValidationError, match=r"^AB = '0\.25' is not a real number$"):
+            MarginalSystem(rhs)
+
     def test_three_experiments_rejected(self):
         with pytest.raises(ValidationError):
             build_system(uniform_probs().without_aprime_bprime())
