@@ -34,14 +34,22 @@ tableau without its rhs column and, for each leaving row, the entering
 column and the next node.  A pivot then updates only the rhs column, with
 the operations a full pivot applies to it, so every result is bit for bit
 that of pivoting the whole tableau.  The map holds at most 3,080 nodes per
-arithmetic and affects only speed.  The tableau is plain lists and tuples,
-so one code path runs on floats or on exact Fractions (supplied as the
-system's rhs), the latter a tolerance-free mode for dyadic inputs: an exact
-system is feasible when its max-min entry is >= 0.
+arithmetic and affects only speed.
+
+One loop runs on floats or, when every rhs entry is a Fraction or an int,
+exactly: a tolerance-free mode in which a system is feasible when its
+max-min entry is >= 0.  The exact map stores 8 times each tableau row as
+ints, checked integral when its node is made, and the loop holds the rhs
+column as int numerators over 8 D, D the least common denominator of the
+rhs, so the fill, the sign tests and the pivots run on ints.  Each rhs
+column is B^-1 (rhs + A.1) for a B^-1 in eighths, so every division is
+exact, and it is checked.  Fractions are built only for the result: its
+value, its witness and its certificate, the last once per node.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -199,34 +207,68 @@ _TABLEAUS = {float: _start_tableau(float)}
 _EXACT = {v: Fraction(v) for v in {v for row in _TABLEAUS[float] for v in row}}
 _TABLEAUS[Fraction] = [[_EXACT[v] for v in row] for row in _TABLEAUS[float]]
 
+# Every dual-feasible tableau is in eighths: the exact map stores each row
+# times _SCALE, as ints.
+_SCALE = 8
 
-# One map per arithmetic, filled by solves: 0.5 == Fraction(1, 2) and both
-# hash alike, so a shared map or intern table would hand one the other's
-# rows.  A node is keyed by its sorted basis, as bytes, and is a list: the
-# tableau rows without the rhs column, one per basic column in ascending
-# order, then the reduced-cost row; the key; and one slot per row for the
+
+def _quotient(n: int, d: int) -> int:
+    """n / d for ints d divides: an exact tableau times _SCALE, and an exact
+    rhs over _SCALE times its denominator, stay on their integer lattice."""
+    q, r = divmod(n, d)
+    if r:
+        raise InternalInvariantError(f"{n}/{d} leaves the lattice of the exact tableau")
+    return q
+
+
+# One map per arithmetic, filled by solves: 0.5 == Fraction(1, 2) == 4 // 8
+# and all hash alike, so a shared map or intern table would hand one the
+# other's rows.  A node is keyed by its sorted basis, as bytes, and is a
+# list: the tableau rows without the rhs column, one per basic column in
+# ascending order, then the reduced-cost row, as floats in the float map and
+# as ints times _SCALE in the exact one; the key; one slot per row for the
 # step taken when that row leaves, (entering column, child node, order),
-# where the child's rhs is [rhs[k] for k in order].  Rows, their entries
-# and the orders are kept once in the intern table.
+# where the child's rhs is [rhs[k] for k in order]; and the certificate as
+# a result reports it.  Rows, their entries, the orders and the certificates
+# (24 distinct ones) are kept once in the intern table.
 _MAPS = {float: ({}, {}), Fraction: ({}, {})}
 _START_KEY = bytes(sorted(_START_BASIS))
 _BASIS = _M + 1
 _STEPS = _M + 2
+_CERTIFICATE = _STEPS + _M
+
+
+def _multipliers(cast, row: tuple) -> tuple:
+    """The identity block of a node's row, in the arithmetic of a result."""
+    y = row[_N_STRUCT:]
+    return y if cast is float else tuple(Fraction(v, _SCALE) for v in y)
 
 
 def _node(cast, basis: bytes, rows) -> list:
-    """The map's node of basis, made from its tableau rows."""
+    """The map's node of basis, made from its tableau rows in cast."""
     nodes, interned = _MAPS[cast]
     keep = lambda row: interned.setdefault(row, row)
-    rows = [keep(tuple(keep(v) for v in row[:_RHS])) for row in rows]
-    return nodes.setdefault(basis, rows + [basis] + [None] * _M)
+    rows = [row[:_RHS] for row in rows]
+    if cast is Fraction:
+        rows = [[_quotient(_SCALE * v.numerator, v.denominator) for v in row] for row in rows]
+    rows = [keep(tuple(keep(v) for v in row)) for row in rows]
+    certificate = keep(_multipliers(cast, rows[_M]))
+    return nodes.setdefault(basis, rows + [basis] + [None] * _M + [certificate])
+
+
+def _tableau(cast, node: list) -> list[list]:
+    """The node's tableau rows, without the rhs column, as lists in cast."""
+    if cast is float:
+        return [list(r) for r in node[:_BASIS]]
+    return [[Fraction(v, _SCALE) for v in r] for r in node[:_BASIS]]
 
 
 def _step(cast, node: list, row: int, tol) -> tuple | None:
     """The step of node with row leaving, found and stored on first use:
     the least ratio of reduced cost to |entry| enters, ties to the least
     column.  None when no column can enter."""
-    prow, obj, basis = node[row], node[_M], node[_BASIS]
+    tab = _tableau(cast, node)
+    prow, obj, basis = tab[row], tab[_M], node[_BASIS]
     col = None
     for j in range(_N_STRUCT):
         if prow[j] < -tol:
@@ -242,7 +284,6 @@ def _step(cast, node: list, row: int, tol) -> tuple | None:
     key = bytes(entered[k] for k in order)
     child = nodes.get(key)
     if child is None:
-        tab = [list(r) for r in node[:_BASIS]]
         _pivot(tab, row, col)
         child = _node(cast, key, [tab[k] for k in order] + [tab[_M]])
     node[_STEPS + row] = step = (col, child, order)
@@ -260,12 +301,19 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
     """Run the dual simplex from _START_BASIS over the map of its
     arithmetic and report the max-min-entry optimum."""
     exact = system.exact
-    cast = Fraction if exact else float
-    zero, one = cast(0), cast(1)
-    tol = zero if exact else _PIVOT_TOL
+    if exact:
+        # rhs + A.1 as numerators over one denominator, and the rhs column
+        # as numerators over one = _SCALE times it: all ints
+        cast, tol, zero = Fraction, 0, 0
+        den = math.lcm(*(r.denominator for r in system.rhs))
+        one = _SCALE * den
+        b = [r.numerator * (den // r.denominator) + total * den
+             for r, total in zip(system.rhs, _ROW_SUMS)]
+    else:
+        cast, tol, zero, one = float, _PIVOT_TOL, 0.0, 1.0
+        b = [float(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
     # Each row is a combination of the constraint rows, recorded in its
     # identity block: its rhs is that combination of rhs + A.1.
-    b = [cast(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
     node = _MAPS[cast][0].get(_START_KEY) or _start_node(cast)
     rhs = [sum((y * v for y, v in zip(row[_N_STRUCT:], b) if y), zero) for row in node[:_M]]
     below = -tol
@@ -283,15 +331,18 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
             # no table with entries >= -1 matches this rhs (impossible for
             # Fréchet-consistent inputs); report the floor.
             return FeasibilityResult(
-                feasible=False, value=-one, witness=None,
-                certificate=node[row][_N_STRUCT:], iterations=iterations, floored=True,
+                feasible=False, value=cast(-1), witness=None,
+                certificate=_multipliers(cast, node[row]), iterations=iterations, floored=True,
             )
         col, child, order = step
-        rhs[row] = v = v / node[row][col]
+        # v / p and factor * v, on exact numerators over one with the
+        # tableau times _SCALE
+        p = node[row][col]
+        rhs[row] = v = _quotient(_SCALE * v, p) if exact else v / p
         for i in range(_M):
             factor = node[i][col]
             if factor and i != row:
-                rhs[i] -= factor * v
+                rhs[i] -= _quotient(factor * v, _SCALE) if exact else factor * v
         rhs = [rhs[k] for k in order]
         node = child
         iterations += 1
@@ -302,13 +353,18 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
     for col, v in zip(node[_BASIS], rhs):
         x[col] = v
     value = x[_AUX] - one
+    witness = [q + value for q in x[:16]]
+    feasible = bool(value >= (zero if exact else -system.atol / 8))
+    if exact:  # Fractions only for what the result returns, one per distinct value
+        fractions = {n: Fraction(n, one) for n in {value, *witness}}
+        value, witness = fractions[value], [fractions[n] for n in witness]
     return FeasibilityResult(
-        feasible=bool(value >= (zero if exact else -system.atol / 8)),
+        feasible=feasible,
         value=value,
-        witness=tuple(q + value for q in x[:16]),
+        witness=tuple(witness),
         # Reduced cost of identity column i is -y_i; the flipped sign is the
         # dual of the maximization, satisfying y.(rhs + rowsums) = value + 1,
         # y.A >= 0.
-        certificate=node[_M][_N_STRUCT:],
+        certificate=node[_CERTIFICATE],
         iterations=iterations,
     )

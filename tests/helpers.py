@@ -369,6 +369,30 @@ def dyadic_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem]
     return systems
 
 
+def rational_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem]:
+    """Exact systems off the dyadic lattice: mixtures of 1-4 strategies with
+    weights k/d for d in (3, 7, 9, 10, 12), every other one moved toward the
+    PR box by a weight k/7, most of those past the CHSH bound."""
+    systems = []
+    for i in range(count):
+        den = int(rng.choice((3, 7, 9, 10, 12)))
+        terms = int(rng.integers(1, min(den, 4) + 1))
+        chosen = rng.choice(len(STRATEGIES), size=terms, replace=False)
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, den), size=terms - 1, replace=False))
+        edges = [0, *cuts, den]
+        values = [Fraction(0)] * 8
+        for k, s in enumerate(chosen):
+            a, ap, b, bp = STRATEGIES[int(s)]
+            weight = Fraction(edges[k + 1] - edges[k], den)
+            for j, hit in enumerate((a, ap, b, bp, a * b, a * bp, ap * b, ap * bp)):
+                values[j] += weight * hit
+        if i % 2:
+            w = Fraction(int(rng.integers(1, 8)), 7)
+            values = [(1 - w) * v + w * pr for v, pr in zip(values, PR_BOX)]
+        systems.append(MarginalSystem.from_values(*values))
+    return systems
+
+
 def observable_matrix(direction, first: bool) -> np.ndarray:
     """4x4 matrix of sigma.n on the first or second qubit, identity on the other."""
     local = sum(c * pauli for c, pauli in zip(direction, PAULI))

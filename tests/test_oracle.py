@@ -15,6 +15,7 @@ import pytest
 from eprjoint import (
     ChshViolationError,
     ExperimentalProbs,
+    InternalInvariantError,
     MarginalSystem,
     ValidationError,
     build_system,
@@ -27,17 +28,20 @@ from eprjoint import (
 )
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import PAIR_LABELS, SINGLE_LABELS, marginal_indices
-from eprjoint.oracle import (_AUX, _BASIS, _M, _MAPS, _START_BASIS, _TABLEAUS, ROW_LABELS,
-                             STANDARD_ROWS, _start_tableau)
+from eprjoint import oracle
+from eprjoint.oracle import (_AUX, _BASIS, _CERTIFICATE, _M, _MAPS, _START_BASIS, _START_KEY,
+                             _STEPS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS, _start_tableau)
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
     PR_BOX,
+    STRATEGIES,
     det00_probs,
     dyadic_systems,
     mixed_population,
     near_face_inputs,
     pivoting_solve_system,
+    rational_systems,
     reference_basis,
     reference_solve_system,
     singlet_optimal_probs,
@@ -622,17 +626,36 @@ class TestBasisMap:
                 systems.append(build_system(ExperimentalProbs(*values)))
             except ValidationError:
                 pass
-        systems += dyadic_systems(rng, 100)
+        # each validated float input's own rationals, exactly
+        systems += [MarginalSystem.from_values(*map(Fraction, s.rhs[1:])) for s in systems[:300]]
+        # exact rhs off the dyadic lattice (k/3, k/7, ...), half of them past
+        # the CHSH face, the uniform/PR-box mixtures just past and on it, and
+        # the 16 deterministic strategies as plain ints
+        systems += dyadic_systems(rng, 100) + rational_systems(rng, 100)
+        uniform = [Fraction(1, 2)] * 4 + [Fraction(1, 4)] * 4
+        for w in (Fraction(1, 2) + Fraction(1, 10**10), Fraction(1, 2), Fraction(4, 7)):
+            systems.append(MarginalSystem.from_values(
+                *((1 - w) * u + w * pr for u, pr in zip(uniform, PR_BOX))))
+        systems += [MarginalSystem((1, a, ap, b, bp, a * b, a * bp, ap * b, ap * bp))
+                    for a, ap, b, bp in STRATEGIES]
         # junk rhs far outside the Fréchet bounds, about a quarter floored
-        junk = rng.uniform(-2.0, 3.0, (400, 8))
+        junk = rng.uniform(-2.0, 3.0, (500, 8))
         systems += [MarginalSystem((1.0, *row)) for row in junk[:300].tolist()]
         systems += [MarginalSystem((1, *(Fraction(round(8 * v), 8) for v in row)))
-                    for row in junk[300:].tolist()]
+                    for row in junk[300:400].tolist()]
+        systems += [MarginalSystem((1, *(Fraction(round(3 * v), 7) for v in row)))
+                    for row in junk[400:].tolist()]
         expected = [result_bits(pivoting_solve_system(s)) for s in systems]
         floored = {(r[1][0], r[-1]) for r in expected}
         assert floored == {("float", False), ("float", True),
                            ("Fraction", False), ("Fraction", True)}
+        values = [r[1][1] for r in expected if r[1][0] == "Fraction"]
+        assert Fraction(-1, 80_000_000_000) in values
+        assert all(any(v.denominator % d == 0 for v in values) for d in (3, 7))
+        assert {(r[0], r[1][1] >= 0) for r in expected if r[1][0] == "Fraction"} == {
+            (True, True), (False, False)}
         clear_maps()
+        assert not any(nodes or interned for nodes, interned in _MAPS.values())
         assert [result_bits(solve_system(s)) for s in systems] == expected       # cold
         assert [result_bits(solve_system(s)) for s in systems] == expected       # warm
         clear_maps()
@@ -651,22 +674,70 @@ class TestBasisMap:
                          for i, row in enumerate(STANDARD_ROWS)])
         cost = np.zeros(full.shape[1], dtype=int)
         cost[_AUX] = -8
+        # (the exact map stores 8 T itself, as ints)
         for cast, (nodes, _) in _MAPS.items():
             assert len(nodes) >= (300 if cast is float else 50)
+            kind, scale = (float, 8) if cast is float else (int, 1)
             for key, node in nodes.items():
                 assert key in dual_feasible_bases and node[_BASIS] == key
                 rows = node[:_M + 1]
-                assert all(type(v) is cast for row in rows for v in row)
+                assert all(type(v) is kind for row in rows for v in row)
                 assert max(Fraction(v).denominator for row in rows for v in row) <= 8
-                scaled = np.array([[int(v * 8) for v in row] for row in rows])
+                scaled = np.array([[int(v * scale) for v in row] for row in rows])
                 assert (full[:, list(key)] @ scaled[:_M] == 8 * full).all()
                 assert (scaled[_M] == cost + scaled[list(key).index(_AUX)]).all()
+                certificate = node[_CERTIFICATE]
+                assert all(type(v) is cast for v in certificate)
+                assert [8 * v for v in certificate] == scaled[_M][-_M:].tolist()
         floats, exacts = (_MAPS[cast][0] for cast in (float, Fraction))
         common = floats.keys() & exacts.keys()
         assert len(common) >= 10
         for key in common:
             assert ([[v.hex() for v in row] for row in floats[key][:_M + 1]]
-                    == [[float(v).hex() for v in row] for row in exacts[key][:_M + 1]])
+                    == [[(v / 8).hex() for v in row] for row in exacts[key][:_M + 1]])
+
+    def test_off_lattice_exact_arithmetic_raises(self, monkeypatch):
+        # the exact map runs on ints, 8 times each tableau entry and the rhs
+        # over 8 times its denominator; leaving that lattice is an internal
+        # error, never a rounded answer
+        violating = MarginalSystem.from_values(*[Fraction(1, 2)] * 7, Fraction(0))
+        tampered = [list(row) for row in _TABLEAUS[Fraction]]
+        tampered[0][0] += Fraction(1, 16)
+        clear_maps()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setitem(_TABLEAUS, Fraction, tampered)
+                with pytest.raises(InternalInvariantError, match="lattice"):
+                    solve_system(violating)
+            assert not _MAPS[Fraction][0]
+            assert solve_system(violating).iterations >= 1
+            # a pivot entry 1009 times its own leaves the rhs lattice: the
+            # leaving row's numerator, times 8, is nonzero and far smaller
+            node = _MAPS[Fraction][0][_START_KEY]
+            row = next(i for i in range(_M) if node[_STEPS + i])
+            col = node[_STEPS + row][0]
+            node[row] = (*node[row][:col], 1009 * node[row][col], *node[row][col + 1:])
+            with pytest.raises(InternalInvariantError, match="lattice"):
+                solve_system(violating)
+        finally:
+            clear_maps()
+
+    def test_float_path_never_reaches_the_lattice_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "_quotient", lambda n, d: calls.append((n, d)) or n // d)
+        rng = np.random.default_rng(223)
+        systems = [build_system(p) for p in mixed_population(rng, 300)]
+        junk = rng.uniform(-2.0, 3.0, (100, 8))
+        systems += [MarginalSystem((1.0, *row)) for row in junk.tolist()]
+        clear_maps()
+        try:
+            for system in systems:
+                solve_system(system)
+            assert not calls
+            solve_system(dyadic_systems(rng, 1)[0])
+            assert calls
+        finally:
+            clear_maps()
 
     def test_maps_keep_their_arithmetic(self):
         rng = np.random.default_rng(197)
@@ -682,9 +753,10 @@ class TestBasisMap:
                 assert all(type(v) is cast for v in result.witness or ())
 
     def test_map_memory_is_bounded(self):
-        # rows, their entries and the row orders are interned and a node is
-        # one list keyed by bytes: about 483 KiB on CPython 3.11, against
-        # 606 KiB with a node tuple, a separate step list and a tuple key
+        # rows, their entries, the row orders and the certificates are
+        # interned and a node is one list keyed by bytes: about 498 KiB on
+        # CPython 3.11, against 606 KiB with a node tuple, a separate step
+        # list and a tuple key
         rng = np.random.default_rng(199)
         systems = [build_system(p) for p in mixed_population(rng, 2000)]
         systems += dyadic_systems(rng, 200)
