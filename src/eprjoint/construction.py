@@ -108,8 +108,7 @@ class FamilyParams(_FamilyFields):
             ts = tuple(map(as_real, _PARAM_FIELDS, ts))
             for name, value in zip(_PARAM_FIELDS, ts):
                 check_range(name, value, 0.0, 1.0)
-            t_bb = tuple(map(float, ts[3:7]))
-        return super().__new__(cls, *ts[:3], t_bb, *ts[7:] or (None,))
+        return super().__new__(cls, *ts[:3], ts[3:7], *ts[7:] or (None,))
 
     def as_tuple(self) -> tuple[float, ...]:
         """The fractions in construction order, t_aprime_bprime first when set."""

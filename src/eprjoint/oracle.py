@@ -28,28 +28,30 @@ reduced costs, whatever pivots reached it.  The dual simplex visits only
 dual-feasible bases, 3,080 of the 24,310 nine-column subsets of [A | A.1],
 and each of their tableaux has entries with denominators at most 8, so
 every float pivot is exact and lands on the same values as a pivot in
-Fractions.  So each basis is pivoted once per arithmetic: a solve walks a
-map filled on first use, keyed by the sorted basis, whose node holds the
-tableau without its rhs column and, for each leaving row, the entering
-column and the next node.  A pivot then updates only the rhs column, with
+Fractions, and either arithmetic's ratio test enters the column found on
+8 times the tableau in ints.  So each basis is pivoted once: a solve of
+either arithmetic walks one map filled on first use, keyed by the sorted
+basis, whose node holds the tableau without its rhs column, as floats and
+times 8 as ints, and, for each leaving row, the entering column and the
+next node.  A pivot then updates only the rhs column, with
 the operations a full pivot applies to it, so every result is bit for bit
-that of pivoting the whole tableau.  The map holds at most 3,080 nodes per
-arithmetic and affects only speed.
+that of pivoting the whole tableau.  The map holds at most 3,080 nodes and
+affects only speed.
 
 One loop runs on floats or, when every rhs entry is a Fraction or an int,
 exactly: a tolerance-free mode in which a system is feasible when its
-max-min entry is >= 0.  The exact map stores 8 times each tableau row as
-ints, checked integral when its node is made, and the loop holds the rhs
-column as int numerators over 8 D, D the least common denominator of the
-rhs, so the fill, the sign tests and the pivots run on ints.  Each rhs
+max-min entry is >= 0.  The exact loop reads the node's ints and holds the
+rhs column as int numerators over 8 D, D the least common denominator of
+the rhs, so the fill, the sign tests and the pivots run on ints.  Each rhs
 column is B^-1 (rhs + A.1) for a B^-1 in eighths, so every division is
 exact, and it is checked.  Fractions are built only for the result: its
-value, its witness and its certificate, the last once per node.
+value, its witness and its certificate, the last once per basis.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -160,6 +162,7 @@ _M = 9                    # constraint rows; the reduced-cost row is row _M
 _N_STRUCT = 17            # 16 shifted entries + the auxiliary min-entry variable
 _AUX = 16
 _RHS = _N_STRUCT + _M     # last column
+_SCALE = 8                # every dual-feasible tableau is in eighths
 _ROW_SUMS = tuple(sum(row) for row in STANDARD_ROWS)
 
 # The basic column of each row where a two-phase simplex (Bland's rule) ends
@@ -186,8 +189,8 @@ def _pivot(tab: list, row: int, col: int) -> None:
 
 def _start_tableau(cast) -> list[list]:
     """[B^-1 A | B^-1 A.1 | B^-1 | 0] for the basis B of _START_BASIS, row i
-    basic in _START_BASIS[i], then the reduced-cost row (cost -1 on the
-    auxiliary column): nine pivots from [A | A.1 | I | 0]."""
+    basic in sorted(_START_BASIS)[i], then the reduced-cost row (cost -1 on
+    the auxiliary column): nine pivots from [A | A.1 | I | 0]."""
     tab = [[cast(v) for v in (*row, total, *(int(k == i) for k in range(_M)), 0)]
            for i, (row, total) in enumerate(zip(STANDARD_ROWS, _ROW_SUMS))]
     tab.append([cast(-int(j == _AUX)) for j in range(_RHS + 1)])
@@ -198,124 +201,101 @@ def _start_tableau(cast) -> list[list]:
         basis[row] = col
     if any(c < 0 for c in tab[_M][:_N_STRUCT]):
         raise InternalInvariantError("the start basis is not dual feasible")
-    return [tab[basis.index(col)] for col in _START_BASIS] + [tab[_M]]
+    return [tab[basis.index(col)] for col in sorted(_START_BASIS)] + [tab[_M]]
 
 
-# Every entry is 0, +-1/4 or +-1, so the float pivots are exact and the
-# exact tableau is their conversion.
-_TABLEAUS = {float: _start_tableau(float)}
-_EXACT = {v: Fraction(v) for v in {v for row in _TABLEAUS[float] for v in row}}
-_TABLEAUS[Fraction] = [[_EXACT[v] for v in row] for row in _TABLEAUS[float]]
-
-# Every dual-feasible tableau is in eighths: the exact map stores each row
-# times _SCALE, as ints.
-_SCALE = 8
+# Every entry is 0, +-1/4 or +-1, so the float pivots are exact.
+_TABLEAU = _start_tableau(float)
 
 
 def _quotient(n: int, d: int) -> int:
-    """n / d for ints d divides: an exact tableau times _SCALE, and an exact
-    rhs over _SCALE times its denominator, stay on their integer lattice."""
+    """n / d for ints d divides: an exact rhs over _SCALE times its
+    denominator stays on its integer lattice."""
     q, r = divmod(n, d)
     if r:
         raise InternalInvariantError(f"{n}/{d} leaves the lattice of the exact tableau")
     return q
 
 
-# One map per arithmetic, filled by solves: 0.5 == Fraction(1, 2) == 4 // 8
-# and all hash alike, so a shared map or intern table would hand one the
-# other's rows.  A node is keyed by its sorted basis, as bytes, and is a
-# list: the tableau rows without the rhs column, one per basic column in
-# ascending order, then the reduced-cost row, as floats in the float map and
-# as ints times _SCALE in the exact one; the key; one slot per row for the
-# step taken when that row leaves, (entering column, child node, order),
-# where the child's rhs is [rhs[k] for k in order]; and the certificate as
-# a result reports it.  Rows, their entries, the orders and the certificates
-# (24 distinct ones) are kept once in the intern table.
-_MAPS = {float: ({}, {}), Fraction: ({}, {})}
+# The map, filled by solves of either arithmetic, is keyed by the sorted
+# basis, as bytes.  A node is a list: the tableau rows without the rhs
+# column, one per basic column in ascending order, then the reduced-cost
+# row, each holding its entries times _SCALE as ints from column _INTS and
+# as floats from column _FLOATS; the key; the certificate as a float and as
+# an exact result reports it; and one slot per row for the step taken when
+# that row leaves, (entering column, child node, order), where the child's
+# rhs is [rhs[k] for k in order].  What repeats is kept once, float and
+# exact items in tables apart: 0.5 == Fraction(1, 2) and 1 == 1.0 hash alike.
+_NODES = {}
+_INTERNED = ({}, {}, {}, {})  # floats; their numerators; rows, orders; Fractions by numerators
+_INTS, _FLOATS = 0, _RHS
+_KEY, _CERTIFICATES, _STEPS = _M + 1, _M + 2, _M + 4
 _START_KEY = bytes(sorted(_START_BASIS))
-_BASIS = _M + 1
-_STEPS = _M + 2
-_CERTIFICATE = _STEPS + _M
 
 
-def _multipliers(cast, row: tuple) -> tuple:
-    """The identity block of a node's row, in the arithmetic of a result."""
-    y = row[_N_STRUCT:]
-    return y if cast is float else tuple(Fraction(v, _SCALE) for v in y)
-
-
-def _node(cast, basis: bytes, rows) -> list:
-    """The map's node of basis, made from its tableau rows in cast."""
-    nodes, interned = _MAPS[cast]
-    keep = lambda row: interned.setdefault(row, row)
+def _node(key: bytes, rows: list) -> list:
+    """The map's node of basis key, made from its float tableau rows, each
+    value checked to be in eighths when first met."""
+    floats, numerators, kept, fractions = _INTERNED
     rows = [row[:_RHS] for row in rows]
-    if cast is Fraction:
-        rows = [[_quotient(_SCALE * v.numerator, v.denominator) for v in row] for row in rows]
-    rows = [keep(tuple(keep(v) for v in row)) for row in rows]
-    certificate = keep(_multipliers(cast, rows[_M]))
-    return nodes.setdefault(basis, rows + [basis] + [None] * _M + [certificate])
+    for v in set().union(*rows).difference(numerators):
+        if not (_SCALE * v).is_integer():
+            raise InternalInvariantError("a tableau entry leaves the lattice of eighths")
+        numerators[v], floats[v] = int(_SCALE * v), v
+    rows = [(*map(numerators.__getitem__, row), *map(floats.__getitem__, row)) for row in rows]
+    rows = [kept.setdefault(row, row) for row in rows]
+    y, certificate = rows[_M][_N_STRUCT:_RHS], rows[_M][_FLOATS + _N_STRUCT:]
+    if y not in fractions:
+        fractions[y] = tuple(fractions.setdefault(v, Fraction(v, _SCALE)) for v in y)
+    node = [*rows, key, floats.setdefault(certificate, certificate), fractions[y]] + [None] * _M
+    return _NODES.setdefault(key, node)
 
 
-def _tableau(cast, node: list) -> list[list]:
-    """The node's tableau rows, without the rhs column, as lists in cast."""
-    if cast is float:
-        return [list(r) for r in node[:_BASIS]]
-    return [[Fraction(v, _SCALE) for v in r] for r in node[:_BASIS]]
-
-
-def _step(cast, node: list, row: int, tol) -> tuple | None:
-    """The step of node with row leaving, found and stored on first use:
-    the least ratio of reduced cost to |entry| enters, ties to the least
-    column.  None when no column can enter."""
-    tab = _tableau(cast, node)
-    prow, obj, basis = tab[row], tab[_M], node[_BASIS]
+def _step(node: list, row: int) -> tuple | None:
+    """The step of node with row leaving, found on its ints and stored on
+    first use: the least ratio of reduced cost to |entry| enters, compared by
+    cross-multiplying, ties to the least column.  None when no column can
+    enter."""
+    prow, obj = node[row], node[_M]
     col = None
     for j in range(_N_STRUCT):
-        if prow[j] < -tol:
-            ratio = obj[j] / -prow[j]
-            if col is None or ratio < best:
-                col, best = j, ratio
+        if prow[j] < 0 and (col is None or obj[j] * prow[col] > obj[col] * prow[j]):
+            col = j
     if col is None:
         return None
-    nodes, interned = _MAPS[cast]
+    basis = node[_KEY]
     entered = (*basis[:row], col, *basis[row + 1:])
     order = tuple(sorted(range(_M), key=entered.__getitem__))
-    order = interned.setdefault(order, order)
+    order = _INTERNED[2].setdefault(order, order)
     key = bytes(entered[k] for k in order)
-    child = nodes.get(key)
+    child = _NODES.get(key)
     if child is None:
+        tab = [list(r[_FLOATS:]) for r in node[:_KEY]]
         _pivot(tab, row, col)
-        child = _node(cast, key, [tab[k] for k in order] + [tab[_M]])
+        child = _node(key, [tab[k] for k in order] + [tab[_M]])
     node[_STEPS + row] = step = (col, child, order)
     return step
 
 
-def _start_node(cast) -> list:
-    """The map's node of _START_BASIS, made from _TABLEAUS."""
-    tab = _TABLEAUS[cast]
-    return _node(cast, _START_KEY,
-                 [tab[i] for i in sorted(range(_M), key=_START_BASIS.__getitem__)] + [tab[_M]])
-
-
 def solve_system(system: MarginalSystem) -> FeasibilityResult:
-    """Run the dual simplex from _START_BASIS over the map of its
-    arithmetic and report the max-min-entry optimum."""
+    """Run the dual simplex from _START_BASIS over the map and report the
+    max-min-entry optimum, in the arithmetic of the rhs."""
     exact = system.exact
     if exact:
         # rhs + A.1 as numerators over one denominator, and the rhs column
         # as numerators over one = _SCALE times it: all ints
-        cast, tol, zero = Fraction, 0, 0
+        view, tol, zero = _INTS, 0, 0
         den = math.lcm(*(r.denominator for r in system.rhs))
         one = _SCALE * den
         b = [r.numerator * (den // r.denominator) + total * den
              for r, total in zip(system.rhs, _ROW_SUMS)]
     else:
-        cast, tol, zero, one = float, _PIVOT_TOL, 0.0, 1.0
+        view, tol, zero, one = _FLOATS, _PIVOT_TOL, 0.0, 1.0
         b = [float(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
     # Each row is a combination of the constraint rows, recorded in its
     # identity block: its rhs is that combination of rhs + A.1.
-    node = _MAPS[cast][0].get(_START_KEY) or _start_node(cast)
-    rhs = [sum((y * v for y, v in zip(row[_N_STRUCT:], b) if y), zero) for row in node[:_M]]
+    node = _NODES.get(_START_KEY) or _node(_START_KEY, _TABLEAU)
+    rhs = [sum(map(operator.mul, row[view + _N_STRUCT:view + _RHS], b), zero) for row in node[:_M]]
     below = -tol
     iterations = 0
     while True:
@@ -325,22 +305,25 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
                 break
         else:
             break
-        step = node[_STEPS + row] or _step(cast, node, row, tol)
+        step = node[_STEPS + row] or _step(node, row)
         if step is None:
             # y.A >= 0 and y.(rhs + A.1) < 0 for this row's multipliers y:
             # no table with entries >= -1 matches this rhs (impossible for
             # Fréchet-consistent inputs); report the floor.
+            y = node[row][view + _N_STRUCT:view + _RHS]
             return FeasibilityResult(
-                feasible=False, value=cast(-1), witness=None,
-                certificate=_multipliers(cast, node[row]), iterations=iterations, floored=True,
+                feasible=False, value=Fraction(-1) if exact else -1.0, witness=None,
+                certificate=tuple(Fraction(v, _SCALE) for v in y) if exact else y,
+                iterations=iterations, floored=True,
             )
         col, child, order = step
         # v / p and factor * v, on exact numerators over one with the
         # tableau times _SCALE
-        p = node[row][col]
+        c = view + col
+        p = node[row][c]
         rhs[row] = v = _quotient(_SCALE * v, p) if exact else v / p
         for i in range(_M):
-            factor = node[i][col]
+            factor = node[i][c]
             if factor and i != row:
                 rhs[i] -= _quotient(factor * v, _SCALE) if exact else factor * v
         rhs = [rhs[k] for k in order]
@@ -350,7 +333,7 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
             raise InternalInvariantError("simplex failed to terminate")
 
     x = [zero] * _N_STRUCT
-    for col, v in zip(node[_BASIS], rhs):
+    for col, v in zip(node[_KEY], rhs):
         x[col] = v
     value = x[_AUX] - one
     witness = [q + value for q in x[:16]]
@@ -365,6 +348,6 @@ def solve_system(system: MarginalSystem) -> FeasibilityResult:
         # Reduced cost of identity column i is -y_i; the flipped sign is the
         # dual of the maximization, satisfying y.(rhs + rowsums) = value + 1,
         # y.A >= 0.
-        certificate=node[_CERTIFICATE],
+        certificate=node[_CERTIFICATES + exact],
         iterations=iterations,
     )

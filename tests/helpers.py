@@ -42,7 +42,7 @@ from eprjoint.errors import check_range
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import SIGNS, marginal_indices
 from eprjoint.oracle import (_AUX, _M, _MAX_PIVOTS, _N_STRUCT, _PIVOT_TOL, _RHS, _ROW_SUMS,
-                             _START_BASIS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS)
+                             _START_BASIS, ROW_LABELS, STANDARD_ROWS, _start_tableau)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -746,6 +746,10 @@ def reference_basis(system: MarginalSystem) -> tuple[int, ...]:
     return tuple(_reference_run(system, DEFAULT_ATOL)[1])
 
 
+# The start tableau pivoted in each arithmetic on its own, once.
+START_TABLEAUS = {cast: _start_tableau(cast) for cast in (float, Fraction)}
+
+
 def pivoting_solve_system(system: MarginalSystem) -> FeasibilityResult:
     """The dual simplex of solve_system pivoting a copy of the whole start
     tableau, rhs column included, under the dual Bland rule, with no map:
@@ -755,10 +759,10 @@ def pivoting_solve_system(system: MarginalSystem) -> FeasibilityResult:
     zero, one = cast(0), cast(1)
     tol = zero if exact else _PIVOT_TOL
     b = [cast(r) + total for r, total in zip(system.rhs, _ROW_SUMS)]
-    tab = [row.copy() for row in _TABLEAUS[cast]]
+    tab = [row.copy() for row in START_TABLEAUS[cast]]
     for row in tab:
         row[_RHS] = sum((y * v for y, v in zip(row[_N_STRUCT:_RHS], b) if y), zero)
-    basis = list(_START_BASIS)
+    basis = sorted(_START_BASIS)
     obj = tab[_M]
     iterations = 0
     while True:

@@ -1121,7 +1121,7 @@ class TestFamilyParams:
                               (np.float32(1), 1, 0.5, Fraction(1, 4)), np.float32(0.75))
         assert params == (0.25, 0.5, 0.5, (1.0, 1.0, 0.5, 0.25), 0.75)
         assert [type(t) for t in params.as_tuple()] == [float, float, float, Fraction,
-                                                        float, float, float, float]
+                                                        float, int, float, Fraction]
         assert construct_trace(uniform_probs(), params).params == params
 
     def test_bb_length_names_field_and_bound(self):

@@ -29,8 +29,9 @@ from eprjoint import (
 from eprjoint.experiments import DEFAULT_ATOL, frechet_cells
 from eprjoint.indexing import PAIR_LABELS, SINGLE_LABELS, marginal_indices
 from eprjoint import oracle
-from eprjoint.oracle import (_AUX, _BASIS, _CERTIFICATE, _M, _MAPS, _START_BASIS, _START_KEY,
-                             _STEPS, _TABLEAUS, ROW_LABELS, STANDARD_ROWS, _start_tableau)
+from eprjoint.oracle import (_AUX, _CERTIFICATES, _FLOATS, _INTERNED, _INTS, _KEY, _M, _N_STRUCT,
+                             _NODES, _PIVOT_TOL, _START_BASIS, _START_KEY, _STEPS, ROW_LABELS,
+                             STANDARD_ROWS, _start_tableau)
 from helpers import (
     P_SINGLET_HIGH,
     P_SINGLET_LOW,
@@ -393,8 +394,9 @@ class TestMatchesReference:
         # the import-time float pivots are exact: pivoting in Fractions
         # gives the same start tableau
         exact = _start_tableau(Fraction)
-        assert exact == _TABLEAUS[Fraction]
-        assert all(type(v) is Fraction for row in _TABLEAUS[Fraction] for v in row)
+        assert exact == oracle._TABLEAU
+        assert all(type(v) is Fraction for row in exact for v in row)
+        assert all(type(v) is float for row in oracle._TABLEAU for v in row)
 
 
 class TestPivotCount:
@@ -558,10 +560,11 @@ class TestClosedFormOptimum:
 
 
 def clear_maps() -> None:
-    """Empty both per-basis maps, so the next solves start cold."""
-    for nodes, interned in _MAPS.values():
-        nodes.clear()
-        interned.clear()
+    """Empty the per-basis map and its intern tables, so the next solves
+    start cold."""
+    _NODES.clear()
+    for table in _INTERNED:
+        table.clear()
 
 
 def result_bits(result) -> tuple:
@@ -589,12 +592,13 @@ def frechet_systems(rng: np.random.Generator, count: int) -> list[MarginalSystem
 
 
 @pytest.fixture(scope="module")
-def dual_feasible_bases() -> set[bytes]:
+def dual_feasible_tableaux() -> dict[bytes, np.ndarray]:
     """The nonsingular 9-column subsets B of [A | A.1] whose reduced costs
     c - c_B B^-1 [A | A.1] are all >= 0, as sorted column bytes like the
-    map's keys.  Determinants are integers, and the least nonzero reduced
-    cost is 1/8, so the float filters are exact.  Each has a tableau
-    B^-1 [A | A.1 | I] of eighths: 8 times it is an integer matrix K with
+    map's keys, each with 8 times its tableau B^-1 [A | A.1 | I] and its
+    reduced-cost row, as ints.  Determinants are integers, and the least
+    nonzero reduced cost is 1/8, so the float filters are exact.  Each
+    tableau is in eighths: 8 times it is an integer matrix K with
     B K = 8 [A | A.1 | I] in exact float arithmetic."""
     columns = np.array([[*row, sum(row)] for row in STANDARD_ROWS], dtype=float)   # 9 x 17
     subsets = np.array(list(combinations(range(17), 9)))                           # 24310 x 9
@@ -609,14 +613,38 @@ def dual_feasible_bases() -> set[bytes]:
     full = np.hstack((columns, np.eye(_M)))
     eighths = np.round(8 * np.linalg.solve(bases[feasible], np.broadcast_to(full, (3080, *full.shape))))
     assert (bases[feasible] @ eighths == 8 * full).all()
-    return {bytes(s) for s in subsets[feasible].tolist()}
+    # the auxiliary column is basic in each (else its reduced cost is -1):
+    # the reduced costs, times 8, are 8 c plus its row
+    scaled_cost = 8 * np.concatenate((cost, np.zeros(_M)))
+    return {bytes(s): np.vstack((k, scaled_cost + k[s.index(_AUX)])).astype(int)
+            for s, k in zip(subsets[feasible].tolist(), eighths)}
+
+
+@pytest.fixture(scope="module")
+def dual_feasible_bases(dual_feasible_tableaux) -> set[bytes]:
+    return set(dual_feasible_tableaux)
+
+
+def ratio_test(prow, obj, tol):
+    """The entering column of the dual ratio test, by ratios in the rows'
+    own arithmetic: the least obj[j] / -prow[j] over prow[j] < -tol, ties
+    to the least column; None when no entry is below -tol."""
+    col = None
+    for j in range(_N_STRUCT):
+        if prow[j] < -tol:
+            ratio = obj[j] / -prow[j]
+            if col is None or ratio < best:
+                col, best = j, ratio
+    return col
 
 
 class TestBasisMap:
-    """solve_system walks per-basis maps filled on first use.  This rests
-    on one fact: every dual-feasible basis has a tableau with entries of
-    denominator at most 8, so float pivots are exact and a basis alone
-    fixes its float and exact tableau, whatever pivots reached it."""
+    """solve_system walks one per-basis map filled on first use, by solves of
+    either arithmetic.  This rests on one fact: every dual-feasible basis has
+    a tableau with entries of denominator at most 8, so float pivots are
+    exact and a basis alone fixes its tableau, in floats and in Fractions,
+    and its entering column for each leaving row, whatever pivots reached
+    it."""
 
     def test_bit_parity_with_the_pivoting_solve(self):
         rng = np.random.default_rng(181)
@@ -655,74 +683,113 @@ class TestBasisMap:
         assert {(r[0], r[1][1] >= 0) for r in expected if r[1][0] == "Fraction"} == {
             (True, True), (False, False)}
         clear_maps()
-        assert not any(nodes or interned for nodes, interned in _MAPS.values())
+        assert not _NODES and not any(_INTERNED)
         assert [result_bits(solve_system(s)) for s in systems] == expected       # cold
         assert [result_bits(solve_system(s)) for s in systems] == expected       # warm
         clear_maps()
         assert [result_bits(solve_system(s)) for s in reversed(systems)] == expected[::-1]
+        # the map filled first by the other arithmetic, either way round
+        for exact_first in (True, False):
+            clear_maps()
+            first = [i for i, s in enumerate(systems) if s.exact == exact_first]
+            then = [i for i, s in enumerate(systems) if s.exact != exact_first]
+            for i in first + then:
+                assert result_bits(solve_system(systems[i])) == expected[i]
 
-    def test_nodes_are_exact_tableaux_of_dual_feasible_bases(self, dual_feasible_bases):
+    def test_nodes_are_exact_tableaux_of_dual_feasible_bases(self, dual_feasible_tableaux):
         clear_maps()
         rng = np.random.default_rng(193)
         for probs in mixed_population(rng, 1000):
             solve_system(build_system(probs))
         for system in dyadic_systems(rng, 200):
             solve_system(system)
-        # B^-1 [A | A.1 | I] and c - c_B B^-1 [...] of each key, times 8,
-        # checked in integers: B (8 T) = 8 [A | A.1 | I]
-        full = np.array([[*row, sum(row), *(int(k == i) for k in range(_M))]
-                         for i, row in enumerate(STANDARD_ROWS)])
-        cost = np.zeros(full.shape[1], dtype=int)
-        cost[_AUX] = -8
-        # (the exact map stores 8 T itself, as ints)
-        for cast, (nodes, _) in _MAPS.items():
-            assert len(nodes) >= (300 if cast is float else 50)
-            kind, scale = (float, 8) if cast is float else (int, 1)
-            for key, node in nodes.items():
-                assert key in dual_feasible_bases and node[_BASIS] == key
-                rows = node[:_M + 1]
-                assert all(type(v) is kind for row in rows for v in row)
-                assert max(Fraction(v).denominator for row in rows for v in row) <= 8
-                scaled = np.array([[int(v * scale) for v in row] for row in rows])
-                assert (full[:, list(key)] @ scaled[:_M] == 8 * full).all()
-                assert (scaled[_M] == cost + scaled[list(key).index(_AUX)]).all()
-                certificate = node[_CERTIFICATE]
-                assert all(type(v) is cast for v in certificate)
-                assert [8 * v for v in certificate] == scaled[_M][-_M:].tolist()
-        floats, exacts = (_MAPS[cast][0] for cast in (float, Fraction))
-        common = floats.keys() & exacts.keys()
-        assert len(common) >= 10
-        for key in common:
-            assert ([[v.hex() for v in row] for row in floats[key][:_M + 1]]
-                    == [[(v / 8).hex() for v in row] for row in exacts[key][:_M + 1]])
+        # each node's rows hold 8 T of its key's tableau T and reduced costs,
+        # as ints, and T itself, as floats: exactly those ints / 8
+        assert len(_NODES) >= 300
+        for key, node in _NODES.items():
+            assert node[_KEY] == key
+            ints = [row[_INTS:_FLOATS] for row in node[:_KEY]]
+            assert ints == list(map(tuple, dual_feasible_tableaux[key].tolist()))
+            assert all(type(v) is int for row in ints for v in row)
+            assert all(type(v) is float for row in node[:_KEY] for v in row[_FLOATS:])
+            assert ([[v.hex() for v in row[_FLOATS:]] for row in node[:_KEY]]
+                    == [[(v / 8).hex() for v in row] for row in ints])
+            y = ints[_M][_N_STRUCT:]
+            floats, fractions = node[_CERTIFICATES:_CERTIFICATES + 2]
+            assert all(type(v) is float for v in floats)
+            assert all(type(v) is Fraction for v in fractions)
+            assert [8 * v for v in floats] == [8 * v for v in fractions] == list(y)
+
+    def test_steps_agree_in_every_arithmetic(self, dual_feasible_tableaux):
+        # every basis and leaving row: the map's search on the int rows, the
+        # float ratio test at _PIVOT_TOL and the Fraction one pick the same
+        # entering column, or none; the step leads to a dual-feasible basis
+        clear_maps()
+        pairs = entering = 0
+        try:
+            for key, scaled in dual_feasible_tableaux.items():
+                rows = scaled.tolist()
+                node = _NODES.get(key) or oracle._node(key, [[v / 8 for v in r] for r in rows])
+                exact = [[Fraction(v, 8) for v in r] for r in rows]
+                for row in range(_M):
+                    step = oracle._step(node, row)
+                    col = None if step is None else step[0]
+                    assert col == ratio_test(node[row][_FLOATS:], node[_M][_FLOATS:], _PIVOT_TOL)
+                    assert col == ratio_test(exact[row], exact[_M], 0)
+                    if step is not None:
+                        assert step[1][_KEY] in dual_feasible_tableaux
+                        entering += 1
+                    pairs += 1
+            assert (pairs, 0 < entering < pairs) == (3080 * _M, True)
+            # children made by float pivots hold their basis's tableau
+            assert len(_NODES) == 3080
+            for key, node in _NODES.items():
+                assert ([row[_INTS:_FLOATS] for row in node[:_KEY]]
+                        == list(map(tuple, dual_feasible_tableaux[key].tolist())))
+        finally:
+            clear_maps()
 
     def test_off_lattice_exact_arithmetic_raises(self, monkeypatch):
-        # the exact map runs on ints, 8 times each tableau entry and the rhs
-        # over 8 times its denominator; leaving that lattice is an internal
-        # error, never a rounded answer
-        violating = MarginalSystem.from_values(*[Fraction(1, 2)] * 7, Fraction(0))
-        tampered = [list(row) for row in _TABLEAUS[Fraction]]
-        tampered[0][0] += Fraction(1, 16)
+        # a tableau entry off the eighths, in either arithmetic, and the
+        # exact rhs off its lattice over 8 times its denominator, are
+        # internal errors, never a rounded answer
+        violating = [Fraction(1, 2)] * 7 + [Fraction(0)]
+        systems = (MarginalSystem.from_values(*violating),
+                   MarginalSystem.from_values(*map(float, violating)))
+        tampered = [list(row) for row in oracle._TABLEAU]
+        tampered[0][0] += 1 / 16
         clear_maps()
         try:
             with monkeypatch.context() as patch:
-                patch.setitem(_TABLEAUS, Fraction, tampered)
-                with pytest.raises(InternalInvariantError, match="lattice"):
-                    solve_system(violating)
-            assert not _MAPS[Fraction][0]
-            assert solve_system(violating).iterations >= 1
-            # a pivot entry 1009 times its own leaves the rhs lattice: the
-            # leaving row's numerator, times 8, is nonzero and far smaller
-            node = _MAPS[Fraction][0][_START_KEY]
+                patch.setattr(oracle, "_TABLEAU", tampered)
+                for system in systems:
+                    with pytest.raises(InternalInvariantError, match="lattice"):
+                        solve_system(system)
+            assert not _NODES
+            # a pivot entry 1009 times its own leaves the lattice: of the
+            # exact rhs, where the leaving row's numerator, times 8, is
+            # nonzero and far smaller, and of the float child's tableau
+            assert solve_system(systems[0]).iterations >= 1
+            node = _NODES[_START_KEY]
             row = next(i for i in range(_M) if node[_STEPS + i])
-            col = node[_STEPS + row][0]
-            node[row] = (*node[row][:col], 1009 * node[row][col], *node[row][col + 1:])
+            col, child, _ = node[_STEPS + row]
+            tampered = list(node[row])
+            for c in (_INTS + col, _FLOATS + col):
+                tampered[c] *= 1009
+            node[row] = tuple(tampered)
             with pytest.raises(InternalInvariantError, match="lattice"):
-                solve_system(violating)
+                solve_system(systems[0])
+            node[_STEPS + row] = None         # the float solve pivots to the child again
+            del _NODES[child[_KEY]]
+            with pytest.raises(InternalInvariantError, match="lattice"):
+                solve_system(systems[1])
+            assert child[_KEY] not in _NODES
         finally:
             clear_maps()
 
     def test_float_path_never_reaches_the_lattice_check(self, monkeypatch):
+        # the float loop never calls _quotient, the exact rhs's check, on a
+        # cold map or a warm one
         calls = []
         monkeypatch.setattr(oracle, "_quotient", lambda n, d: calls.append((n, d)) or n // d)
         rng = np.random.default_rng(223)
@@ -731,15 +798,18 @@ class TestBasisMap:
         systems += [MarginalSystem((1.0, *row)) for row in junk.tolist()]
         clear_maps()
         try:
-            for system in systems:
+            for system in systems + systems:
                 solve_system(system)
             assert not calls
-            solve_system(dyadic_systems(rng, 1)[0])
+            violating = MarginalSystem.from_values(*[Fraction(1, 2)] * 7, Fraction(0))
+            assert solve_system(violating).iterations >= 1
             assert calls
         finally:
             clear_maps()
 
     def test_maps_keep_their_arithmetic(self):
+        # one map serves both: a result keeps the arithmetic of its rhs
+        # whichever arithmetic filled the map first
         rng = np.random.default_rng(197)
         floats = [build_system(p) for p in mixed_population(rng, 200)]
         exacts = dyadic_systems(rng, 50)
@@ -754,9 +824,8 @@ class TestBasisMap:
 
     def test_map_memory_is_bounded(self):
         # rows, their entries, the row orders and the certificates are
-        # interned and a node is one list keyed by bytes: about 498 KiB on
-        # CPython 3.11, against 606 KiB with a node tuple, a separate step
-        # list and a tuple key
+        # interned and a node is one list keyed by bytes: about 476 KiB on
+        # CPython 3.11
         rng = np.random.default_rng(199)
         systems = [build_system(p) for p in mixed_population(rng, 2000)]
         systems += dyadic_systems(rng, 200)
@@ -776,6 +845,7 @@ class TestBasisMap:
     def test_map_size_is_bounded(self, dual_feasible_bases):
         for system in frechet_systems(np.random.default_rng(211), 20_000):
             solve_system(system)
-        for nodes, _ in _MAPS.values():
-            assert len(nodes) <= len(dual_feasible_bases) == 3080
-            assert nodes.keys() <= dual_feasible_bases
+        for system in dyadic_systems(np.random.default_rng(211), 500):
+            solve_system(system)
+        assert len(_NODES) <= len(dual_feasible_bases) == 3080
+        assert _NODES.keys() <= dual_feasible_bases
