@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .experiments import ExperimentalProbs
+from .experiments import ExperimentalProbs, _max, _min
 
 
 class CVariant(enum.Enum):
@@ -94,10 +94,10 @@ def chsh_probability_form(probs: ExperimentalProbs) -> ChshReport:
     """
     c_values = tuple(c_function(probs, variant) for variant in CVariant)
     t_base, t_a, t_b, t_ab = (abs(2.0 - 4.0 * c) for c in c_values)
-    margin = min(min(c, 1.0 - c) for c in c_values)
+    margin = min(_min(c, 1.0 - c) for c in c_values)
     satisfied = margin >= -probs.atol
     return ChshReport(
-        s_values=(max(t_a, t_ab), max(t_base, t_b), max(t_base, t_a), max(t_b, t_ab)),
+        s_values=(_max(t_a, t_ab), _max(t_base, t_b), _max(t_base, t_a), _max(t_b, t_ab)),
         c_values=c_values,
         satisfied=satisfied,
         margin=margin,

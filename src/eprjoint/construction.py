@@ -13,8 +13,9 @@ pick each scalar at a fraction t in [0, 1] of its interval, so every
 t-tuple yields a valid distribution; invert_params walks at the positions
 of a given table's own values.  Only construct_trace records the intervals
 and picks.  Each map is written once (_complete, _sides, _dotdot, _split,
-_pick, _side_triples, _block); sweep_grid calls the same functions on
-arrays, with np.maximum, np.minimum and np.where for max, min and a branch.
+_pick, _side_triples, _block); the walk passes them experiments' _max and
+_min, the builtins' first-wins rules without a builtin call, and sweep_grid
+calls the same functions on arrays with np.maximum, np.minimum and np.where.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import (
 from .experiments import (
     ExperimentalProbs,
     QuadDistribution,
+    _max,
+    _min,
     _project,
     correlation_from_pair,
     frechet_bounds,
@@ -49,15 +52,13 @@ _BLOCK_LABELS = tuple(f"P(++{cell})" for cell in _CELL_LABELS)
 SWEEP_MAX_CELLS = 1 << 24
 
 
-def _either(cond: bool, if_true: float, if_false: float) -> float:
-    """np.where for one scalar."""
-    return if_true if cond else if_false
-
-
-def _pick(lo: float, hi: float, t: float, mx=max, mn=min, where=_either) -> float:
+def _pick(lo: float, hi: float, t: float, mx=_max, mn=_min, where=None) -> float:
     """The point at fraction t of [lo, hi], clamped inside it; the midpoint
     of a degenerate or slightly inverted interval.  sweep_grid passes
-    np.maximum, np.minimum and np.where, positionally, to pick on arrays."""
+    np.maximum, np.minimum and np.where, positionally, to pick on arrays;
+    without where, only the branch taken is computed."""
+    if where is None:
+        return (lo + hi) / 2.0 if hi <= lo else mn(mx(lo + t * (hi - lo), lo), hi)
     return where(hi <= lo, (lo + hi) / 2.0, mn(mx(lo + t * (hi - lo), lo), hi))
 
 
@@ -125,8 +126,8 @@ def _sides(values) -> tuple:
     x = +, - of A, then of P(.xbb') for x = +, - of A', from the eight
     measured values: ((plus, minus), (primed plus, primed minus))."""
     p_a, p_ap, p_b, p_bp, p_ab, p_abp, p_apb, p_apbp = values
-    return tuple(((with_b, with_bp, single), (p_b - with_b, p_bp - with_bp, 1.0 - single))
-                 for with_b, with_bp, single in ((p_ab, p_abp, p_a), (p_apb, p_apbp, p_ap)))
+    return (((p_ab, p_abp, p_a), (p_b - p_ab, p_bp - p_abp, 1.0 - p_a)),
+            ((p_apb, p_apbp, p_ap), (p_b - p_apb, p_bp - p_apbp, 1.0 - p_ap)))
 
 
 def _dotdot(probs: ExperimentalProbs, values, sides) -> tuple[float, float]:
@@ -141,10 +142,10 @@ def _dotdot(probs: ExperimentalProbs, values, sides) -> tuple[float, float]:
     then ChshViolationError.
     """
     p_b, p_bp = values[2], values[3]
-    lo, hi = max(0.0, p_b + p_bp - 1.0), min(p_b, p_bp)
+    lo, hi = _max(0.0, p_b + p_bp - 1.0), _min(p_b, p_bp)
     for (pb_plus, pbp_plus, mass_plus), (pb_minus, pbp_minus, mass_minus) in sides:
-        lo = max(lo, pb_plus + pbp_plus - mass_plus, pb_minus + pbp_minus - mass_minus)
-        hi = min(hi, pb_plus + pbp_minus, pbp_plus + pb_minus)
+        lo = _max(_max(lo, pb_plus + pbp_plus - mass_plus), pb_minus + pbp_minus - mass_minus)
+        hi = _min(_min(hi, pb_plus + pbp_minus), pbp_plus + pb_minus)
     if lo - hi > probs.atol:
         report = chsh_probability_form(probs._replace(p_apbp=values[7]))
         raise ChshViolationError(
@@ -165,7 +166,7 @@ def _split(plus, minus, p_dotdot: float, atol: float, primed: bool) -> tuple[flo
     """
     own_lo, own_hi = frechet_bounds(*plus)
     other_lo, other_hi = frechet_bounds(*minus)
-    lo, hi = max(own_lo, p_dotdot - other_hi), min(own_hi, p_dotdot - other_lo)
+    lo, hi = _max(own_lo, p_dotdot - other_hi), _min(own_hi, p_dotdot - other_lo)
     if lo - hi > atol:
         raise InternalInvariantError(
             f"empty interval for P({'.+' if primed else '+.'}++) at P(..++) = {p_dotdot!r}: "
@@ -182,7 +183,7 @@ def _side_triples(plus, minus, chosen, p_dotdot: float) -> tuple:
     return (*frechet_cells(*plus, chosen), *frechet_cells(*minus, p_dotdot - chosen))
 
 
-def _block(plus, minus, plus_ap, minus_ap, mx=max, mn=min) -> tuple:
+def _block(plus, minus, plus_ap, minus_ap, mx=_max, mn=_min) -> tuple:
     """Step 2's table of (a, a') for one (b, b') from the triples P(+.bb') =
     plus, P(-.bb') = minus, P(.+bb') = plus_ap and P(.-bb') = minus_ap: its
     margins row and col and mass P(..bb') summed on the A side, the mass
@@ -234,7 +235,7 @@ def _aprime_bprime(probs: ExperimentalProbs) -> tuple[float, float]:
     same_lo, same_hi = corr_window(e_apb, 2.0 - abs(e_ab + e_abp))
     flip_lo, flip_hi = corr_window(-e_apb, 2.0 - abs(e_ab - e_abp))
     frechet_lo, frechet_hi = frechet_bounds(probs.p_ap, probs.p_bp)
-    lo, hi = max(same_lo, flip_lo, frechet_lo), min(same_hi, flip_hi, frechet_hi)
+    lo, hi = _max(_max(same_lo, flip_lo), frechet_lo), _min(_min(same_hi, flip_hi), frechet_hi)
     if lo - hi > probs.atol:
         raise InternalInvariantError(
             "no value of P(A'B') is consistent with the three measured "
@@ -260,7 +261,7 @@ def _visit(visits: list, lo: float, hi: float, t: float, own: float | None) -> f
     at the fraction where own sits when given (0.5 for degenerate), and
     return its value, picked by _pick."""
     if own is not None:
-        t = 0.5 if hi - lo <= 0.0 else min(max((own - lo) / (hi - lo), 0.0), 1.0)
+        t = 0.5 if hi - lo <= 0.0 else _min(_max((own - lo) / (hi - lo), 0.0), 1.0)
     value = _pick(lo, hi, t)
     visits.append((lo, hi, t, value))
     return value
@@ -322,7 +323,7 @@ def _walk(probs: ExperimentalProbs, params: FamilyParams, owns=_NO_OWNS):
                     f"P({_QUAD_LABELS[4 * j + k]}) = {value!r} is negative; "
                     "a block value violates its interval"
                 )
-            entries[4 * j + k] = max(value, 0.0)
+            entries[4 * j + k] = 0.0 if value < 0.0 else value
     return values, visits, entries
 
 
@@ -403,7 +404,7 @@ def marginal_residuals(
         cells = {}
         for cell, have, want in zip(_CELL_LABELS, pair_marginals(quad.entries, x, y), expected):
             cells[cell] = have - want
-            worst = max(worst, abs(have - want))
+            worst = _max(worst, abs(have - want))
         residuals[label] = cells
     return residuals, worst
 

@@ -64,13 +64,22 @@ def check_range(field: str, value, lo, hi) -> None:
                               value=value, bound=lo if value < lo else hi if value > hi else None)
 
 
+# The exact types as_real has accepted as numbers.Rational (bool never is),
+# so a second value of one is passed on without the abstract-class checks.
+_RATIONAL_TYPES = {int}
+
+
 def as_real(field: str, value):
     """value unchanged when a float or a Rational (an int, a Fraction), else
     as a float, so a numpy float32 computes at double width.  ValidationError
     naming field unless a numbers.Real other than bool (no str, None, complex
     or Decimal)."""
-    if type(value) is float:
+    kind = type(value)
+    if kind is float or kind in _RATIONAL_TYPES:
         return value
-    if not isinstance(value, Real) or isinstance(value, bool):
+    if not isinstance(value, Real) or kind is bool:
         raise ValidationError(f"{field} = {value!r} is not a real number", field=field, value=value)
-    return value if isinstance(value, Rational) else float(value)
+    if isinstance(value, Rational):
+        _RATIONAL_TYPES.add(kind)
+        return value
+    return float(value)

@@ -3,11 +3,11 @@
 The one module of the construction layer that needs numpy.  It restates no
 map: sweep_grid calls the walk's own functions (_pick, _side_triples,
 _block, frechet_cells) on whole arrays of grid points, passing np.maximum,
-np.minimum and np.where where the walk uses max, min and a conditional, so
+np.minimum and np.where where the walk passes _max, _min and no where, so
 its result equals enumerating the grid through the walk.  Only its checks
 against atol, with its own messages, and its reductions are its own.
 
-np.maximum and np.minimum differ from the first-wins max and min only on
+np.maximum and np.minimum differ from the first-wins _max and _min only on
 NaN, which no finite validated input and axis produce, and on a 0.0/-0.0
 tie, where either zero may come back.  A zero's sign changes no sum with a
 nonzero term and no comparison, so every value and decision is the walk's

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from eprjoint import (
     construct_4exp,
     marginal_residuals,
 )
+from eprjoint import errors
+from eprjoint.errors import as_real
 from eprjoint.experiments import correlation_from_pair, correlations_of, pair_from_correlation
 from helpers import expand_pair, quantum_probs, synthetic_probs, uniform_probs
 
@@ -157,6 +160,20 @@ class TestValidation:
         probs = ExperimentalProbs(*map(kind, values))
         assert probs[:8] == values
         assert all(type(v) is float for v in probs[:8])
+
+    def test_as_real_remembers_rational_types_only(self):
+        # a Rational of a type accepted before skips the abstract-class
+        # checks; bool, an int subclass, is refused every time
+        for value in (7, Fraction(1, 3), np.int64(5)):
+            assert as_real("x", value) is value
+            assert type(value) in errors._RATIONAL_TYPES
+            assert as_real("x", value) is value
+        assert type(as_real("x", np.float32(0.5))) is float
+        for bad in (True, False, np.bool_(True), True):
+            with pytest.raises(ValidationError, match=r"^x = .* is not a real number$"):
+                as_real("x", bad)
+        assert bool not in errors._RATIONAL_TYPES
+        assert all(issubclass(kind, Rational) for kind in errors._RATIONAL_TYPES)
 
     def test_float32_tables_construct_in_double(self):
         # numpy float32 values were stored as they came, so the walk ran in
